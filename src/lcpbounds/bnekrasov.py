@@ -30,9 +30,6 @@ from .nekrasov import (
 # Entrywise tolerance for the inverse-nonnegativity H-matrix test.
 _H_INVERSE_TOL = -1e-10
 
-# Principal-minor P-matrix test is only run up to this dimension.
-_P_TEST_MAX_N = 12
-
 
 @dataclass(frozen=True)
 class BPlusSplit:
@@ -111,9 +108,9 @@ def _classify(mm: np.ndarray, with_p_test: bool) -> ClassificationReport:
     if not with_p_test:
         p_flag = None
         notes.append("P-matrix test skipped")
-    elif n > _P_TEST_MAX_N:
+    elif n > lcp._P_TEST_MAX_N:
         p_flag = None
-        notes.append(f"P-matrix test skipped: n > {_P_TEST_MAX_N}")
+        notes.append(f"P-matrix test skipped: n > {lcp._P_TEST_MAX_N}")
     else:
         p_flag = lcp.is_p_matrix(mm)
     return ClassificationReport(

@@ -3,8 +3,13 @@ and error certificates.
 
 LCP(M, q) asks for ``x >= 0`` with ``w = Mx + q >= 0`` and ``x . w = 0``.
 The solver enumerates complementary bases, which is exhaustive at desk scale
-and doubles as a uniqueness checker.  Certificates compare the true error
-``||x - x*||_inf`` against ``bound * ||min(x, Mx+q)||_inf``.
+and doubles as a uniqueness checker; each basis is solved on numpy's LAPACK
+backend, and a singular principal submatrix (the rule of
+``linalg.PIVOT_RTOL``) makes its basis infeasible.  The P-matrix test takes
+the determinants of all principal submatrices of one size in a single stacked
+LAPACK call, level by level, and stops at the first level with a minor at
+or below its scale-aware threshold.  Certificates compare the true error ``||x - x*||_inf`` against
+``bound * ||min(x, Mx+q)||_inf``.
 """
 
 from __future__ import annotations
@@ -19,14 +24,16 @@ from .errors import (
     DimensionTooLarge,
     InapplicableBound,
     NoSolution,
+    SingularMatrix,
 )
-from .linalg import as_matrix, as_vector, inf_norm, lu_det, lu_solve, _lu
+from .linalg import _inverse, as_matrix, as_vector, inf_norm
 from .nekrasov import BoundReport
 
 # Componentwise slack accepted when testing x >= 0 and Mx + q >= 0.
 FEASIBILITY_TOL = 1e-10
 
 _SOLVER_MAX_N = 15
+# Principal-minor P-matrix test is only run up to this dimension.
 _P_TEST_MAX_N = 12
 
 
@@ -90,10 +97,10 @@ def _basis_solution(inst: LcpInstance, alpha: tuple[int, ...]):
     x = np.zeros(n)
     if alpha:
         idx = list(alpha)
-        factors = _lu(inst.m[np.ix_(idx, idx)])
-        if factors.singular_flag:
+        try:
+            x[idx] = _inverse(inst.m[np.ix_(idx, idx)]) @ -inst.q[idx]
+        except SingularMatrix:
             return None
-        x[idx] = lu_solve(factors, -inst.q[idx])
         if np.any(x[idx] < -FEASIBILITY_TOL):
             return None
     w = inst.m @ x + inst.q
@@ -143,12 +150,10 @@ def is_p_matrix(m) -> bool:
         raise DimensionTooLarge(f"principal-minor enumeration is limited to n <= {_P_TEST_MAX_N}")
     scale = max(1.0, float(np.max(np.abs(mm))))
     for size in range(1, n + 1):
-        threshold = 1e-12 * scale**size
-        for alpha in combinations(range(n), size):
-            idx = list(alpha)
-            minor = lu_det(_lu(mm[np.ix_(idx, idx)]))
-            if minor <= threshold:
-                return False
+        subsets = np.array(list(combinations(range(n), size)))
+        minors = np.linalg.det(mm[subsets[:, :, None], subsets[:, None, :]])
+        if np.any(minors <= 1e-12 * scale**size):
+            return False
     return True
 
 

@@ -3,6 +3,15 @@
 Plain ``numpy`` arrays are the carrier type; :func:`as_matrix` /
 :func:`as_vector` validate shape and finiteness at the boundary.  Everything
 here is a pure function of its inputs.
+
+Inverses run on numpy's LAPACK backend, one matrix (:func:`inverse`, and
+the LCP solver's basis solves) or a stack of them in one call
+(:func:`_inverse_stack`, the oracle's chunks).  Either way a matrix is
+singular when LAPACK finds an exact zero pivot or when its infinity-norm
+condition number exceeds ``1 / PIVOT_RTOL``; it then raises
+:class:`SingularMatrix`.  The hand-written partial-pivoting LU
+(:func:`lu_factor`, :func:`lu_solve`, :func:`lu_det`) stays public, but no
+other routine in the package calls it.
 """
 
 from __future__ import annotations
@@ -13,7 +22,9 @@ import numpy as np
 
 from .errors import DomainError, SingularMatrix
 
-# A pivot below this fraction of max|A| is treated as an exact zero.
+# In lu_factor, a pivot below this fraction of max|A| is treated as an exact
+# zero.  The LAPACK inverses use the matching rule: a matrix whose condition
+# number ||A||_inf ||A^{-1}||_inf exceeds 1 / PIVOT_RTOL is singular.
 PIVOT_RTOL = 1e-14
 
 
@@ -54,10 +65,7 @@ class LUFactors:
 
 def lu_factor(a) -> LUFactors:
     """LU factorization with partial pivoting; singularity is reported, not raised."""
-    return _lu(as_matrix(a))
-
-
-def _lu(a: np.ndarray) -> LUFactors:
+    a = as_matrix(a)
     n = a.shape[0]
     upper = a.copy()
     lower = np.eye(n)
@@ -122,15 +130,28 @@ def _permutation_sign(perm: np.ndarray) -> int:
 
 
 def inverse(a) -> np.ndarray:
-    """Matrix inverse via LU; raises :class:`SingularMatrix` when flagged."""
+    """Matrix inverse on LAPACK; raises :class:`SingularMatrix` for a
+    singular or ill-conditioned matrix (see ``PIVOT_RTOL``)."""
     return _inverse(as_matrix(a))
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:
-    factors = _lu(a)
-    if factors.singular_flag:
+    return _inverse_stack(a[None])[0][0]
+
+
+def _inverse_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a ``(k, n, n)`` stack and their infinity norms, in one
+    LAPACK call.  Raises :class:`SingularMatrix` if any member is singular."""
+    try:
+        inv = np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("matrix is numerically singular") from None
+    inv_norms = np.abs(inv).sum(axis=-1).max(axis=-1)
+    cond = np.abs(stack).sum(axis=-1).max(axis=-1) * inv_norms
+    # Written so that a NaN condition number also counts as singular.
+    if not np.all(cond <= 1.0 / PIVOT_RTOL):
         raise SingularMatrix("matrix is numerically singular")
-    return lu_solve(factors, np.eye(a.shape[0]))
+    return inv, inv_norms
 
 
 def inf_norm(a) -> float:

@@ -179,9 +179,11 @@ def scaled_matrix(m, d) -> np.ndarray:
 
 
 def _scaled(m: np.ndarray, d: np.ndarray) -> np.ndarray:
-    out = m * d[:, None]
+    """``I - D + D M`` for one scaling vector, or a stack of members for a
+    ``(k, n)`` array of them."""
+    out = m * d[..., None]
     idx = np.arange(m.shape[0])
-    out[idx, idx] = 1.0 - d + d * np.diag(m)
+    out[..., idx, idx] = 1.0 - d + d * np.diag(m)
     return out
 
 

@@ -6,20 +6,28 @@ The certified quantity is ``max over d in [0,1]^n`` of
 cube and a seeded batch of interior points; sampling can only undershoot, so
 ``max_observed`` is a lower bound on the true maximum and any certified upper
 bound must dominate it.
+
+The family members are built and inverted in stacked chunks on numpy's
+LAPACK backend.  A chunk holds at most ``_CHUNK_ENTRIES`` float64 entries
+(about 256 KB per temporary), and vertex chunks are decoded from integer
+ranges, so memory stays flat in n.  Ties keep the first point evaluated, and
+a singular member raises :class:`SingularMatrix` (see ``linalg.PIVOT_RTOL``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import DimensionTooLarge, DomainError, PreconditionFailed
-from .linalg import _inverse, as_matrix, inf_norm, inverse
+from .linalg import _inverse_stack, as_matrix, inf_norm, inverse
 from .nekrasov import _positive_diagonal, _scaled, is_nekrasov, scaled_matrix
 
 _ORACLE_MAX_N = 20
+
+# Upper limit on the float64 entries of one stacked chunk of family members.
+_CHUNK_ENTRIES = 32768
 
 
 @dataclass(frozen=True)
@@ -76,17 +84,11 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
         raise DomainError("interior_samples must be nonnegative")
     best = -np.inf
     best_d = np.zeros(n)
-    for bits in product((0.0, 1.0), repeat=n):
-        d = np.array(bits)
-        value = inf_norm(_inverse(_scaled(mm, d)))
-        if value > best:
-            best, best_d = value, d
-    if interior_samples:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        for d in rng.random((interior_samples, n)):
-            value = inf_norm(_inverse(_scaled(mm, d)))
-            if value > best:
-                best, best_d = value, d
+    for ds in _scaling_chunks(n, interior_samples, seed):
+        norms = _inverse_stack(_scaled(mm, ds))[1]
+        k = int(np.argmax(norms))
+        if norms[k] > best:
+            best, best_d = float(norms[k]), ds[k].copy()
     return OracleEstimate(
         max_observed=float(best),
         argmax_d=best_d,
@@ -94,6 +96,21 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
         interior_samples=interior_samples,
         seed=seed,
     )
+
+
+def _scaling_chunks(n: int, interior_samples: int, seed: int):
+    """The oracle's scaling vectors in evaluation order, as ``(k, n)`` arrays
+    of at most ``_CHUNK_ENTRIES // n**2`` rows: the vertices, then the samples."""
+    chunk = max(1, _CHUNK_ENTRIES // (n * n))
+    # Bit n-1-i of vertex number k is d_i: binary order, first coordinate
+    # most significant, as itertools.product((0, 1), repeat=n) enumerates.
+    shifts = np.arange(n - 1, -1, -1)
+    for start in range(0, 2**n, chunk):
+        ks = np.arange(start, min(start + chunk, 2**n))
+        yield ((ks[:, None] >> shifts) & 1).astype(float)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for start in range(0, interior_samples, chunk):
+        yield rng.random((min(chunk, interior_samples - start), n))
 
 
 def lemma_property_suite(m, trials: int = 1000, seed: int = 0) -> LemmaSuiteReport:

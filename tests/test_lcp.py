@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,12 @@ class TestSolve:
                 inst = LcpInstance(m, rng.uniform(-2.0, 2.0, 4))
                 assert len(feasible_bases(inst)) == 1
 
+    def test_singular_bases_are_skipped(self):
+        # Both 1x1 bases are the singular block [0]; the full basis solves.
+        solution = solve_lcp(LcpInstance([[0.0, 1.0], [1.0, 0.0]], [-1.0, -1.0]))
+        assert solution.basis == (0, 1)
+        np.testing.assert_array_equal(solution.x_star, [1.0, 1.0])
+
     def test_no_solution(self):
         with pytest.raises(NoSolution):
             solve_lcp(LcpInstance(-np.eye(2), [-1.0, -1.0]))
@@ -116,6 +124,22 @@ class TestIsPMatrix:
 
     def test_negative_minor(self):
         assert not is_p_matrix([[1.0, 2.0], [2.0, 1.0]])
+
+    def test_matches_minor_by_minor_loop(self):
+        rng = np.random.default_rng(23)
+        verdicts = set()
+        for _ in range(40):
+            n = int(rng.integers(1, 8))
+            m = rng.uniform(-1.0, 1.0, (n, n)) + rng.uniform(0.0, 3.0) * np.eye(n)
+            scale = max(1.0, float(np.max(np.abs(m))))
+            expected = all(
+                np.linalg.det(m[np.ix_(alpha, alpha)]) > 1e-12 * scale**size
+                for size in range(1, n + 1)
+                for alpha in combinations(range(n), size)
+            )
+            assert is_p_matrix(m) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
     def test_too_large(self):
         with pytest.raises(DimensionTooLarge):

@@ -92,6 +92,11 @@ class TestInverse:
         with pytest.raises(SingularMatrix):
             inverse([[1.0, 1.0], [1.0, 1.0]])
 
+    def test_ill_conditioned_raises(self):
+        # LAPACK inverts this without complaint; the condition check refuses.
+        with pytest.raises(SingularMatrix):
+            inverse([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+
     def test_random_inverse_residual(self):
         rng = np.random.default_rng(7)
         for n in range(2, 11):

@@ -1,11 +1,32 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_nekrasov
+from lcpbounds import oracle
 from lcpbounds.bnekrasov import bplus_decompose, new_bnekrasov_bound
-from lcpbounds.errors import DimensionTooLarge, DomainError, PreconditionFailed
+from lcpbounds.errors import DimensionTooLarge, DomainError, PreconditionFailed, SingularMatrix
 from lcpbounds.linalg import inf_norm, inverse
 from lcpbounds.nekrasov import new_nekrasov_bound
 from lcpbounds.oracle import lemma_property_suite, norm_at_d, oracle_max_norm
+
+
+def pointwise_max_norm(m, interior_samples, seed):
+    """Reference oracle: one ``norm_at_d`` per point, vertices in
+    ``itertools.product`` order and then the seeded samples, strict ``>``."""
+    n = m.shape[0]
+    points = [np.array(bits) for bits in product((0.0, 1.0), repeat=n)]
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    points += list(rng.random((interior_samples, n)))
+    best, best_d = -np.inf, None
+    for d in points:
+        value = norm_at_d(m, d)
+        if value > best:
+            best, best_d = value, d
+    return best, best_d
 
 
 class TestNormAtD:
@@ -57,6 +78,49 @@ class TestOracleMaxNorm:
     def test_negative_samples_rejected(self, ex1):
         with pytest.raises(DomainError):
             oracle_max_norm(ex1, interior_samples=-1, seed=1)
+
+    # The default chunk splits the 2500 samples in two; 48 entries make
+    # chunks of three 4x4 members, so both vertices and samples span many.
+    @pytest.mark.parametrize("chunk_entries", [oracle._CHUNK_ENTRIES, 48])
+    def test_matches_pointwise_loop(self, ex1, ex2, ex3, ex4, monkeypatch, chunk_entries):
+        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", chunk_entries)
+        # Not a P-matrix: an interior sample beats every vertex, so the
+        # order of the draws matters too.
+        non_p = np.array([[1.0, 2.0], [2.0, 1.0]])
+        for m in (ex1, ex2, ex3, ex4, non_p):
+            est = oracle_max_norm(m, interior_samples=2500, seed=42)
+            best, best_d = pointwise_max_norm(m, 2500, 42)
+            assert est.max_observed == pytest.approx(best, rel=1e-12)
+            np.testing.assert_array_equal(est.argmax_d, best_d)
+
+    # 9 entries make one 3x3 member per chunk, so every tie crosses chunks.
+    @pytest.mark.parametrize("chunk_entries", [oracle._CHUNK_ENTRIES, 9])
+    def test_tie_keeps_first_vertex(self, monkeypatch, chunk_entries):
+        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", chunk_entries)
+        # Every vertex except all-ones has norm 1; the zero vector comes first.
+        est = oracle_max_norm(2.0 * np.eye(3), interior_samples=0)
+        assert est.max_observed == 1.0
+        np.testing.assert_array_equal(est.argmax_d, np.zeros(3))
+        # Norm 2 wherever d_0 or d_1 is 1; in binary order, with d_0 the
+        # most significant bit, (0, 1, 0) is the first such vertex.
+        est = oracle_max_norm(np.diag([0.5, 0.5, 2.0]), interior_samples=0)
+        assert est.max_observed == 2.0
+        np.testing.assert_array_equal(est.argmax_d, [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("m", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-15]]])
+    def test_singular_member_raises(self, m):
+        # The all-ones vertex is M itself.
+        with pytest.raises(SingularMatrix):
+            oracle_max_norm(m, interior_samples=0)
+
+    @given(n=st.integers(2, 7), matrix_seed=st.integers(0, 2**32 - 1),
+           samples=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_interior_never_beats_vertices(self, n, matrix_seed, samples, seed):
+        m = random_nekrasov(n, np.random.default_rng(matrix_seed))
+        vertices_only = oracle_max_norm(m, interior_samples=0).max_observed
+        est = oracle_max_norm(m, interior_samples=samples, seed=seed)
+        assert est.max_observed == pytest.approx(vertices_only, rel=1e-12)
 
 
 class TestLemmaSuite:
