@@ -9,6 +9,7 @@ from . import errors
 from .bnekrasov import (
     BPlusSplit,
     ClassificationReport,
+    all_bounds,
     bplus_decompose,
     classify,
     gp_bnekrasov_bound,
@@ -75,6 +76,7 @@ __all__ = [
     "NekrasovProfile",
     "OracleEstimate",
     "Theorem",
+    "all_bounds",
     "as_matrix",
     "as_vector",
     "bplus_decompose",

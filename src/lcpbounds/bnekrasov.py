@@ -6,6 +6,9 @@ Any square ``M`` splits as ``M = B+ + C`` where ``r_i = max{0, m_ij : j != i}``,
 ``B+ = M - C`` is a Z-matrix.  ``M`` is a B-Nekrasov matrix when this ``B+``
 is Nekrasov with positive diagonal; the class sits inside the P-matrices, so
 LCP(M, q) is uniquely solvable and the bounds here feed its error certificate.
+
+``all_bounds`` evaluates the two Nekrasov and the two B-Nekrasov bounds from
+one recursion profile of ``M`` and one of ``B+``.
 """
 
 from __future__ import annotations
@@ -14,15 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lcp
-from .errors import DimensionTooSmall, SingularMatrix, ZeroDiagonal
+from . import lcp, nekrasov
+from .errors import DimensionTooSmall, SingularMatrix
 from .linalg import as_matrix, comparison_matrix, inverse
 from .nekrasov import (
     STRICT_RTOL,
     BoundReport,
+    NekrasovProfile,
     Theorem,
     _epsilon_inside,
+    _epsilon_midpoint,
+    _gp_nekrasov,
+    _interval_upper,
+    _new_nekrasov,
     _not_applicable,
+    _parameter_free,
     _positive_diagonal,
     is_nekrasov,
 )
@@ -72,11 +81,16 @@ def bplus_decompose(m) -> BPlusSplit:
     return BPlusSplit(b_plus=b_plus, c=c, r_plus=r_plus)
 
 
-def _b_nekrasov_flag(mm: np.ndarray) -> bool:
+def _bplus_profile(mm: np.ndarray) -> tuple[BPlusSplit, NekrasovProfile] | None:
+    """The splitting and the recursion profile of its ``B+``; None for n = 1."""
     if mm.shape[0] < 2:
-        return False
-    b_plus = bplus_decompose(mm).b_plus
-    return is_nekrasov(b_plus).is_nekrasov and _positive_diagonal(b_plus)
+        return None
+    split = bplus_decompose(mm)
+    return split, is_nekrasov(split.b_plus)
+
+
+def _b_nekrasov_flag(b: tuple[BPlusSplit, NekrasovProfile] | None) -> bool:
+    return b is not None and b[1].is_nekrasov and _positive_diagonal(b[0].b_plus)
 
 
 def _sdd(mm: np.ndarray) -> bool:
@@ -92,13 +106,14 @@ def _classify(mm: np.ndarray, with_p_test: bool) -> ClassificationReport:
     off_mask = ~np.eye(n, dtype=bool)
     z_flag = bool(np.all(mm[off_mask] <= 0.0))
     nek_flag = is_nekrasov(mm).is_nekrasov
-    if n >= 2:
-        b_plus = bplus_decompose(mm).b_plus
-        b_flag = _sdd(b_plus) and _positive_diagonal(b_plus)
-        bnek_flag = is_nekrasov(b_plus).is_nekrasov and _positive_diagonal(b_plus)
+    b = _bplus_profile(mm)
+    if b is not None:
+        b_flag = _sdd(b[0].b_plus) and _positive_diagonal(b[0].b_plus)
+        bnek_flag = _b_nekrasov_flag(b)
     else:
         b_flag = bnek_flag = False
         notes.append("B-class tests need n >= 2")
+    del b  # two n x n arrays, not needed during the inverse below
     try:
         h_flag = bool(np.all(inverse(comparison_matrix(mm)) >= _H_INVERSE_TOL))
     except SingularMatrix:
@@ -137,12 +152,7 @@ def classify(m) -> ClassificationReport:
 
 def epsilon_interval_upper(m) -> float:
     """Upper endpoint ``1 - h_n(B+)/b_nn`` of the parameterized B-bound's interval."""
-    split = bplus_decompose(m)
-    profile = is_nekrasov(split.b_plus)
-    b_nn = split.b_plus[-1, -1]
-    if abs(b_nn) <= 1e-300:
-        raise ZeroDiagonal(split.b_plus.shape[0])
-    return float(1.0 - profile.h[-1] / b_nn)
+    return nekrasov.epsilon_interval_upper(bplus_decompose(m).b_plus)
 
 
 def gp_bnekrasov_bound(m, epsilon: float) -> BoundReport:
@@ -155,22 +165,24 @@ def gp_bnekrasov_bound(m, epsilon: float) -> BoundReport:
     the bound is ``(n-1) max w / (min{delta, 1} min w)``.
     """
     mm = as_matrix(m)
+    return _gp_bnekrasov(mm, _bplus_profile(mm), epsilon)
+
+
+def _gp_bnekrasov(mm: np.ndarray, b, epsilon: float) -> BoundReport:
     n = mm.shape[0]
     theorem = Theorem.GP_BNEKRASOV
     if n == 1:
         return _not_applicable(theorem, "DimensionTooSmall")
-    if not _b_nekrasov_flag(mm):
+    if not _b_nekrasov_flag(b):
         return _not_applicable(theorem, "NotBNekrasov")
-    split = bplus_decompose(mm)
+    split, profile = b
     for i in range(n - 1):
         tol = STRICT_RTOL * max(1.0, split.r_plus[i])
         if not np.any(mm[i, i + 1 :] < split.r_plus[i] - tol):
             return _not_applicable(theorem, f"NoStrictEntry({i + 1})")
-    profile = is_nekrasov(split.b_plus)
-    b_diag = np.diag(split.b_plus)
-    upper = 1.0 - profile.h[-1] / b_diag[-1]
-    if not _epsilon_inside(epsilon, upper):
+    if not _epsilon_inside(epsilon, _interval_upper(split.b_plus, profile.h)):
         return _not_applicable(theorem, "EpsilonOutOfRange")
+    b_diag = np.diag(split.b_plus)
     w = profile.h / b_diag
     w[-1] += epsilon
     for i in range(n):
@@ -200,20 +212,42 @@ def gp_bnekrasov_bound(m, epsilon: float) -> BoundReport:
 
 
 def new_bnekrasov_bound(m) -> BoundReport:
-    """Parameter-free B-Nekrasov bound:
-    ``max_i (n-1) eta_i(B+) / min{b_ii - h_i(B+), 1}``."""
+    """Parameter-free B-Nekrasov bound: (n - 1) times the new Nekrasov formula
+    on ``B+``, ``max_i (n-1) eta_i(B+) / min{b_ii - h_i(B+), 1}``."""
     mm = as_matrix(m)
+    return _new_bnekrasov(mm, _bplus_profile(mm))
+
+
+def _new_bnekrasov(mm: np.ndarray, b) -> BoundReport:
     n = mm.shape[0]
     theorem = Theorem.NEW_BNEKRASOV
     if n == 1:
         return _not_applicable(theorem, "DimensionTooSmall")
-    if not _b_nekrasov_flag(mm):
+    if not _b_nekrasov_flag(b):
         return _not_applicable(theorem, "NotBNekrasov")
-    profile = is_nekrasov(bplus_decompose(mm).b_plus)
-    value = float((n - 1) * np.max(profile.eta / np.minimum(profile.margins, 1.0)))
-    return BoundReport(
-        theorem=theorem,
-        applicable=True,
-        value=value,
-        intermediates={"h": profile.h, "eta": profile.eta, "margins": profile.margins},
-    )
+    return _parameter_free(theorem, b[1], n - 1)
+
+
+def all_bounds(m, epsilon: float | None = None) -> list[BoundReport]:
+    """The four worst-case-norm bounds: gp-Nekrasov, new-Nekrasov,
+    gp-B-Nekrasov and new-B-Nekrasov, in that order.
+
+    The parameterized bounds take ``epsilon``, or, when it is None, the
+    midpoint of their own admissible interval (0.5 where that interval is
+    empty or undefined; the bound is then inapplicable on other grounds).
+    ``M`` and ``B+`` are each profiled once for all four.
+    """
+    mm = as_matrix(m)
+    profile = is_nekrasov(mm)
+    b = _bplus_profile(mm)
+    if epsilon is None:
+        eps_n = _epsilon_midpoint(mm, profile.h)
+        eps_b = 0.5 if b is None else _epsilon_midpoint(b[0].b_plus, b[1].h)
+    else:
+        eps_n = eps_b = epsilon
+    return [
+        _gp_nekrasov(mm, profile, eps_n),
+        _new_nekrasov(mm, profile),
+        _gp_bnekrasov(mm, b, eps_b),
+        _new_bnekrasov(mm, b),
+    ]

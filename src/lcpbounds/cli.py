@@ -20,7 +20,7 @@ from .errors import LcpBoundsError
 from .lcp import LcpInstance, certify_error_bound, solve_lcp, trial_points
 from .linalg import inf_norm, inverse
 from .matrixio import parse_matrix, parse_vector
-from .nekrasov import BoundReport
+from .nekrasov import BoundReport, Theorem
 from .oracle import lemma_property_suite, oracle_max_norm
 
 EXIT_OK = 0
@@ -114,27 +114,8 @@ def _classification_dict(report: bnekrasov.ClassificationReport) -> dict:
     }
 
 
-def _probe_epsilon(interval_upper_fn, m) -> float:
-    """Midpoint of the admissible epsilon interval; a dummy value when the
-    interval does not exist (structural checks then fail first anyway)."""
-    try:
-        upper = interval_upper_fn(m)
-    except LcpBoundsError:
-        return 0.5
-    return upper / 2.0 if upper > 0.0 else 0.5
-
-
-def _all_bounds(m, epsilon: float | None) -> list[BoundReport]:
-    """The four worst-case-norm bounds; parameterized ones at the given
-    epsilon, or at an automatic interval midpoint when none was supplied."""
-    eps_n = epsilon if epsilon is not None else _probe_epsilon(nekrasov.epsilon_interval_upper, m)
-    eps_b = epsilon if epsilon is not None else _probe_epsilon(bnekrasov.epsilon_interval_upper, m)
-    return [
-        nekrasov.gp_nekrasov_bound(m, eps_n),
-        nekrasov.new_nekrasov_bound(m),
-        bnekrasov.gp_bnekrasov_bound(m, eps_b),
-        bnekrasov.new_bnekrasov_bound(m),
-    ]
+def _by_theorem(reports: list[BoundReport]) -> dict[Theorem, BoundReport]:
+    return {r.theorem: r for r in reports}
 
 
 def cmd_classify(cfg: RunConfig) -> tuple[str, int]:
@@ -149,7 +130,7 @@ def cmd_classify(cfg: RunConfig) -> tuple[str, int]:
 
 def cmd_bound(cfg: RunConfig) -> tuple[str, int]:
     m = parse_matrix(cfg.matrix_path)
-    reports = _all_bounds(m, cfg.epsilon)
+    reports = bnekrasov.all_bounds(m, cfg.epsilon)
     if cfg.theorem != "all":
         wanted = cfg.theorem.replace("-", "_")
         reports = [r for r in reports if r.theorem.value == wanted]
@@ -175,15 +156,15 @@ def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
     m = parse_matrix(cfg.matrix_path)
     if cfg.grid < 2:
         raise LcpBoundsError("sweep needs a grid of at least 2 points")
-    profile = nekrasov.is_nekrasov(m)
-    if profile.is_nekrasov and nekrasov.new_nekrasov_bound(m).applicable:
+    reports = _by_theorem(bnekrasov.all_bounds(m))
+    if reports[Theorem.NEW_NEKRASOV].applicable:
         upper = nekrasov.epsilon_interval_upper(m)
         gp = nekrasov.gp_nekrasov_bound
-        constant = nekrasov.new_nekrasov_bound(m)
-    elif bnekrasov.new_bnekrasov_bound(m).applicable:
+        constant = reports[Theorem.NEW_NEKRASOV]
+    elif reports[Theorem.NEW_BNEKRASOV].applicable:
         upper = bnekrasov.epsilon_interval_upper(m)
         gp = bnekrasov.gp_bnekrasov_bound
-        constant = bnekrasov.new_bnekrasov_bound(m)
+        constant = reports[Theorem.NEW_BNEKRASOV]
     else:
         return "no epsilon-parameterized bound applies to this matrix", EXIT_NO_APPLICABLE_BOUND
     lines = ["epsilon,gp_bound,new_bound"]
@@ -198,7 +179,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
 def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     m = parse_matrix(cfg.matrix_path)
     estimate = oracle_max_norm(m, interior_samples=cfg.samples, seed=cfg.seed)
-    reports = _all_bounds(m, cfg.epsilon)
+    reports = bnekrasov.all_bounds(m, cfg.epsilon)
     entries = []
     all_dominated = True
     for report in reports:
@@ -218,9 +199,10 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     lemma_data = None
     lemma_clean = True
     target = None
-    if nekrasov.new_nekrasov_bound(m).applicable:
+    by_theorem = _by_theorem(reports)
+    if by_theorem[Theorem.NEW_NEKRASOV].applicable:
         target, target_name = m, "M"
-    elif bnekrasov.new_bnekrasov_bound(m).applicable:
+    elif by_theorem[Theorem.NEW_BNEKRASOV].applicable:
         target, target_name = bnekrasov.bplus_decompose(m).b_plus, "B+"
     if target is not None:
         suite = lemma_property_suite(target, trials=1000, seed=cfg.seed)
@@ -254,10 +236,11 @@ def cmd_lcp(cfg: RunConfig) -> tuple[str, int]:
     q = parse_vector(cfg.q_path)
     inst = LcpInstance(m, q)
     solution = solve_lcp(inst)
-    candidates = [nekrasov.new_nekrasov_bound(m), bnekrasov.new_bnekrasov_bound(m)]
+    reports = _by_theorem(bnekrasov.all_bounds(m, cfg.epsilon))
+    wanted = [Theorem.NEW_NEKRASOV, Theorem.NEW_BNEKRASOV]
     if cfg.epsilon is not None:
-        candidates.append(nekrasov.gp_nekrasov_bound(m, cfg.epsilon))
-        candidates.append(bnekrasov.gp_bnekrasov_bound(m, cfg.epsilon))
+        wanted += [Theorem.GP_NEKRASOV, Theorem.GP_BNEKRASOV]
+    candidates = [reports[t] for t in wanted]
     applicable = [r for r in candidates if r.applicable and r.value is not None]
     best = min(applicable, key=lambda r: r.value) if applicable else None
     certificates = []
@@ -313,40 +296,30 @@ def _build_parser() -> argparse.ArgumentParser:
         "lcp": "solve LCP(M, q) and certify error bounds at random trial points",
     }
     for name, help_text in subcommands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--matrix", required=True, help="matrix file (plain or CSV)")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        # Options left out keep their RunConfig defaults.
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--matrix", dest="matrix_path", metavar="MATRIX", required=True,
+                       help="matrix file (plain or CSV)")
+        p.add_argument("--format", choices=("json", "csv", "text"))
         if name == "bound":
-            p.add_argument("--epsilon", type=float, default=None)
-            p.add_argument("--theorem", choices=_THEOREM_CHOICES, default="all")
+            p.add_argument("--epsilon", type=float)
+            p.add_argument("--theorem", choices=_THEOREM_CHOICES)
         if name == "sweep":
-            p.add_argument("--grid", type=int, default=101)
+            p.add_argument("--grid", type=int)
         if name == "verify":
-            p.add_argument("--epsilon", type=float, default=None)
-            p.add_argument("--samples", type=int, default=10000)
-            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--epsilon", type=float)
+            p.add_argument("--samples", type=int)
+            p.add_argument("--seed", type=int)
         if name == "lcp":
             p.add_argument("--q", dest="q_path", help="right-hand-side vector file")
-            p.add_argument("--epsilon", type=float, default=None)
-            p.add_argument("--trials", type=int, default=100)
-            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--epsilon", type=float)
+            p.add_argument("--trials", type=int)
+            p.add_argument("--seed", type=int)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        matrix_path=args.matrix,
-        q_path=getattr(args, "q_path", None),
-        epsilon=getattr(args, "epsilon", None),
-        theorem=getattr(args, "theorem", "all"),
-        grid=getattr(args, "grid", 101),
-        samples=getattr(args, "samples", 10000),
-        seed=getattr(args, "seed", 42),
-        trials=getattr(args, "trials", 100),
-        format=getattr(args, "format", "json"),
-    )
+    cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
     if cfg.theorem.startswith("gp-") and cfg.epsilon is None:
         print("--epsilon is required with --theorem gp-*", file=sys.stderr)
         return EXIT_ERROR

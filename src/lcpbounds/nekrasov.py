@@ -17,11 +17,23 @@ Nekrasov, and the bounds below certify upper limits on the infinity norm of
 its inverse, uniformly in ``d``.  That worst-case norm is exactly the
 constant in the Chen-Xiang error bound for LCP(M, q), which is what makes
 these quantities useful as error certificates.
+
+All three recursions run in one kernel, ``_forward``, that loops over rows
+only: row i is one product of ``|a_ij| / divisor_j`` (j < i) with the rows
+above it.  h and z share the divisors ``|a_jj|`` and run as two right-hand
+sides of one pass; eta takes a second pass.  The kernel also takes a
+``(k, n, n)`` stack, so the oracle's lemma suite profiles a whole chunk of
+scaled members at once (at most ``oracle._CHUNK_ENTRIES`` entries, the bound
+the oracle's inverses use).  A zero diagonal entry matters only where a
+nonzero entry below it uses it as a divisor; the first such use in row-major
+order makes that row's values and every later row's ``+inf``, and
+``h_vector``, ``z_vector`` and ``eta_vector`` raise ``ZeroDiagonal`` with its
+1-based index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -53,8 +65,8 @@ class NekrasovProfile:
 
     ``margins[i] = |a_ii| - h[i]``; the matrix is Nekrasov iff all margins are
     strictly positive.  When a recursion would divide by a zero diagonal
-    entry, the affected entries are ``+inf`` (and the matrix cannot be
-    Nekrasov, since the zero-diagonal row already fails its margin test).
+    entry, the entries from that row on are ``+inf`` (and the matrix cannot
+    be Nekrasov, since the zero-diagonal row already fails its margin test).
     """
 
     h: np.ndarray
@@ -86,78 +98,83 @@ def _not_applicable(theorem: Theorem, reason: str) -> BoundReport:
     return BoundReport(theorem=theorem, applicable=False, reason=reason)
 
 
-def _forward(abs_a: np.ndarray, divisors: np.ndarray, base: np.ndarray):
-    """Evaluate ``v_i = base_i + sum_{j<i} (abs_a[i,j]/divisors[j]) v_j``.
+def _forward(abs_a: np.ndarray, divisors: np.ndarray, rhs: np.ndarray):
+    """Evaluate ``v_i = rhs_i + sum_{j<i} (abs_a[i, j] / divisors[j]) v_j``.
 
-    Terms with a zero numerator are skipped, so a zero divisor only matters
-    when actually used; the first such 1-based index is returned (values from
-    that point on are ``+inf``).
+    ``abs_a`` is ``(..., n, n)``, ``divisors`` is ``(..., n)`` and ``rhs`` is
+    ``(..., n, r)``: one solve per stack member, with ``r`` right-hand sides
+    sharing its divisors.  The loop runs over rows only; each row is one
+    product with the rows above it.  A zero divisor matters only where a
+    nonzero numerator uses it.  The first such use in row-major order sets
+    ``bad`` to its 1-based column (0 where there is none), and makes that
+    row's values and every later row's ``+inf``.
     """
-    n = abs_a.shape[0]
-    values = np.array(base, dtype=float)
-    bad: int | None = None
+    n = abs_a.shape[-1]
+    zero = divisors <= _ZERO_FLOOR
+    used = np.tril((abs_a > 0.0) & zero[..., None, :], -1)
+    # Dividing by inf zeroes the used entries; their rows are set to +inf below.
+    # Each row divides its own entries, so no n x n ratio array is held.
+    safe = np.where(zero, np.inf, divisors)[..., None, :]
+    values = np.array(rhs, dtype=float)
     for i in range(1, n):
-        acc = values[i]
-        for j in range(i):
-            weight = abs_a[i, j]
-            if weight == 0.0:
-                continue
-            if divisors[j] <= _ZERO_FLOOR:
-                if bad is None:
-                    bad = j + 1
-                acc = np.inf
-                continue
-            acc += weight * values[j] / divisors[j]
-        values[i] = acc
-    return values, bad
+        ratio = abs_a[..., i : i + 1, :i] / safe[..., :i]
+        values[..., i, :] += (ratio @ values[..., :i, :])[..., 0, :]
+    flat = used.reshape(used.shape[:-2] + (n * n,))
+    hit = flat.any(axis=-1)
+    first = flat.argmax(axis=-1)
+    values[np.arange(n) >= np.where(hit, first // n, n)[..., None]] = np.inf
+    return values, np.where(hit, first % n + 1, 0)
 
 
-def _upper_tail_sums(abs_a: np.ndarray) -> np.ndarray:
-    n = abs_a.shape[0]
-    return np.array([abs_a[i, i + 1 :].sum() for i in range(n)])
+def _profile(m: np.ndarray) -> tuple[NekrasovProfile, np.ndarray]:
+    """Recursion profile of a matrix, or of every member of a ``(k, n, n)``
+    stack, with the first used zero divisor (1-based, 0 for none).
+
+    For a stack each field gains the leading axis and ``is_nekrasov`` is a
+    bool array.  h and z share the divisors ``|a_jj|`` and run as two
+    right-hand sides of one pass; eta takes a second pass with
+    ``min{|a_jj|, 1}``, which is zero exactly where ``|a_jj|`` is.
+    """
+    abs_m = np.abs(m)
+    abs_diag = np.abs(np.diagonal(m, axis1=-2, axis2=-1))
+    tail = np.triu(abs_m, 1).sum(axis=-1)
+    ones = np.ones_like(tail)
+    hz, bad = _forward(abs_m, abs_diag, np.stack([tail, ones], axis=-1))
+    eta, _ = _forward(abs_m, np.minimum(abs_diag, 1.0), ones[..., None])
+    h = hz[..., 0]
+    margins = abs_diag - h
+    flags = np.all(margins > STRICT_RTOL * np.maximum(1.0, abs_diag), axis=-1)
+    profile = NekrasovProfile(h=h, z=hz[..., 1], eta=eta[..., 0], margins=margins,
+                              is_nekrasov=flags)
+    return profile, bad
+
+
+def _checked(a) -> NekrasovProfile:
+    profile, bad = _profile(as_matrix(a))
+    if bad:
+        raise ZeroDiagonal(int(bad))
+    return profile
 
 
 def h_vector(a) -> np.ndarray:
     """Row dominance values h_i of the forward recursion."""
-    m = as_matrix(a)
-    abs_m = np.abs(m)
-    values, bad = _forward(abs_m, np.abs(np.diag(m)), _upper_tail_sums(abs_m))
-    if bad is not None:
-        raise ZeroDiagonal(bad)
-    return values
+    return _checked(a).h
 
 
 def z_vector(a) -> np.ndarray:
     """Auxiliary values z_i: like h_i but seeded with 1 per row and no tail."""
-    m = as_matrix(a)
-    values, bad = _forward(np.abs(m), np.abs(np.diag(m)), np.ones(m.shape[0]))
-    if bad is not None:
-        raise ZeroDiagonal(bad)
-    return values
+    return _checked(a).z
 
 
 def eta_vector(a) -> np.ndarray:
     """Values eta_i: the z recursion with divisors clamped to min{|a_jj|, 1}."""
-    m = as_matrix(a)
-    divisors = np.minimum(np.abs(np.diag(m)), 1.0)
-    values, bad = _forward(np.abs(m), divisors, np.ones(m.shape[0]))
-    if bad is not None:
-        raise ZeroDiagonal(bad)
-    return values
+    return _checked(a).eta
 
 
 def is_nekrasov(a) -> NekrasovProfile:
     """Full recursion profile; never raises (zero diagonals simply fail the test)."""
-    m = as_matrix(a)
-    abs_m = np.abs(m)
-    abs_diag = np.abs(np.diag(m))
-    ones = np.ones(m.shape[0])
-    h, _ = _forward(abs_m, abs_diag, _upper_tail_sums(abs_m))
-    z, _ = _forward(abs_m, abs_diag, ones)
-    eta, _ = _forward(abs_m, np.minimum(abs_diag, 1.0), ones)
-    margins = abs_diag - h
-    flag = bool(np.all(margins > STRICT_RTOL * np.maximum(1.0, abs_diag)))
-    return NekrasovProfile(h=h, z=z, eta=eta, margins=margins, is_nekrasov=flag)
+    profile, _ = _profile(as_matrix(a))
+    return replace(profile, is_nekrasov=bool(profile.is_nekrasov))
 
 
 def _positive_diagonal(m: np.ndarray) -> bool:
@@ -206,10 +223,24 @@ def epsilon_interval_upper(m) -> float:
     """Upper endpoint ``1 - h_n/m_nn`` of the open interval the parameterized
     bound draws epsilon from.  Positive exactly when row n passes its margin test."""
     mm = as_matrix(m)
-    h = h_vector(mm)
-    if abs(mm[-1, -1]) <= _ZERO_FLOOR:
-        raise ZeroDiagonal(mm.shape[0])
-    return float(1.0 - h[-1] / mm[-1, -1])
+    return _interval_upper(mm, h_vector(mm))
+
+
+def _interval_upper(a: np.ndarray, h: np.ndarray) -> float:
+    """``1 - h_n/a_nn`` for the matrix whose recursion gave ``h``: ``M`` for the
+    Nekrasov bounds, ``B+`` for the B-Nekrasov ones."""
+    if abs(a[-1, -1]) <= _ZERO_FLOOR:
+        raise ZeroDiagonal(a.shape[0])
+    return float(1.0 - h[-1] / a[-1, -1])
+
+
+def _epsilon_midpoint(a: np.ndarray, h: np.ndarray) -> float:
+    """Midpoint of ``(0, 1 - h_n/a_nn)``, or 0.5 where that interval is empty or
+    undefined; the parameterized bound then fails a structural check anyway."""
+    if not np.isfinite(h[-1]) or abs(a[-1, -1]) <= _ZERO_FLOOR:
+        return 0.5
+    upper = _interval_upper(a, h)
+    return upper / 2.0 if upper > 0.0 else 0.5
 
 
 def _epsilon_inside(epsilon: float, upper: float) -> bool:
@@ -227,11 +258,14 @@ def gp_nekrasov_bound(m, epsilon: float) -> BoundReport:
     epsilon approaches either end of its interval.
     """
     mm = as_matrix(m)
+    return _gp_nekrasov(mm, is_nekrasov(mm), epsilon)
+
+
+def _gp_nekrasov(mm: np.ndarray, profile: NekrasovProfile, epsilon: float) -> BoundReport:
     n = mm.shape[0]
     theorem = Theorem.GP_NEKRASOV
     if n == 1:
         return _not_applicable(theorem, "DimensionTooSmall")
-    profile = is_nekrasov(mm)
     if not profile.is_nekrasov:
         return _not_applicable(theorem, "NotNekrasov")
     if not _positive_diagonal(mm):
@@ -240,10 +274,9 @@ def gp_nekrasov_bound(m, epsilon: float) -> BoundReport:
     for i in range(n - 1):
         if not np.any(abs_m[i, i + 1 :] > 0.0):
             return _not_applicable(theorem, f"ZeroUpperRow({i + 1})")
-    diag = np.diag(mm)
-    upper = 1.0 - profile.h[-1] / diag[-1]
-    if not _epsilon_inside(epsilon, upper):
+    if not _epsilon_inside(epsilon, _interval_upper(mm, profile.h)):
         return _not_applicable(theorem, "EpsilonOutOfRange")
+    diag = np.diag(mm)
     w = profile.h / diag
     w[-1] += epsilon
     s = np.empty(n)
@@ -266,13 +299,23 @@ def new_nekrasov_bound(m) -> BoundReport:
     """Parameter-free bound on the worst-case inverse norm of ``I - D + D M``:
     ``max_i eta_i / min{m_ii - h_i, 1}`` for Nekrasov ``M`` with positive diagonal."""
     mm = as_matrix(m)
+    return _new_nekrasov(mm, is_nekrasov(mm))
+
+
+def _new_nekrasov(mm: np.ndarray, profile: NekrasovProfile) -> BoundReport:
     theorem = Theorem.NEW_NEKRASOV
-    profile = is_nekrasov(mm)
     if not profile.is_nekrasov:
         return _not_applicable(theorem, "NotNekrasov")
     if not _positive_diagonal(mm):
         return _not_applicable(theorem, "NonPositiveDiagonal")
-    value = float(np.max(profile.eta / np.minimum(profile.margins, 1.0)))
+    return _parameter_free(theorem, profile)
+
+
+def _parameter_free(theorem: Theorem, profile: NekrasovProfile, factor: int = 1) -> BoundReport:
+    """``factor * max_i eta_i / min{margin_i, 1}`` on a profile that passed its
+    class checks: the new Nekrasov bound on ``M`` (factor 1), or the new
+    B-Nekrasov bound on ``B+`` (factor n - 1)."""
+    value = float(factor * np.max(profile.eta / np.minimum(profile.margins, 1.0)))
     return BoundReport(
         theorem=theorem,
         applicable=True,

@@ -12,6 +12,10 @@ LAPACK backend.  A chunk holds at most ``_CHUNK_ENTRIES`` float64 entries
 (about 256 KB per temporary), and vertex chunks are decoded from integer
 ranges, so memory stays flat in n.  Ties keep the first point evaluated, and
 a singular member raises :class:`SingularMatrix` (see ``linalg.PIVOT_RTOL``).
+
+The lemma suite uses the same chunk bound: it builds the members for a chunk
+of its scaling vectors and runs the stacked h/z/eta kernel of ``nekrasov``
+on them in one call, then tests the inequalities as array masks.
 """
 
 from __future__ import annotations
@@ -22,12 +26,16 @@ import numpy as np
 
 from .errors import DimensionTooLarge, DomainError, PreconditionFailed
 from .linalg import _inverse_stack, as_matrix, inf_norm, inverse
-from .nekrasov import _positive_diagonal, _scaled, is_nekrasov, scaled_matrix
+from .nekrasov import _positive_diagonal, _profile, _scaled, is_nekrasov, scaled_matrix
 
 _ORACLE_MAX_N = 20
 
 # Upper limit on the float64 entries of one stacked chunk of family members.
 _CHUNK_ENTRIES = 32768
+
+# Slack on the sampled inequalities, and their names in report order.
+_LEMMA_SLACK = 1e-12
+_LEMMA_CHECKS = ("h_ratio", "z_vs_eta", "z_ratio")
 
 
 @dataclass(frozen=True)
@@ -117,11 +125,15 @@ def lemma_property_suite(m, trials: int = 1000, seed: int = 0) -> LemmaSuiteRepo
     """Sampled check of the scaling inequalities behind the bounds.
 
     For each scaling vector d (all-ones first, then ``trials`` uniform draws)
-    and ``Mt = I - D + D M`` this verifies, with 1e-12 slack:
+    and ``Mt = I - D + D M`` this verifies, with ``_LEMMA_SLACK``:
 
       * ``h_i(Mt)/mt_ii <= h_i(M)/m_ii`` and ``Mt`` stays Nekrasov,
       * ``z_i(Mt) <= eta_i(M)``,
       * ``z_i(Mt)/mt_ii <= eta_i(M)/min{m_ii, 1}``.
+
+    The members are built and profiled in stacked chunks of at most
+    ``_CHUNK_ENTRIES`` entries; violations are listed by trial, then check
+    (in the order above, the Nekrasov test last), then row.
 
     Requires a Nekrasov ``M`` with positive diagonal; any violation reported
     here indicates an implementation bug, not an unlucky sample.
@@ -132,32 +144,29 @@ def lemma_property_suite(m, trials: int = 1000, seed: int = 0) -> LemmaSuiteRepo
         raise PreconditionFailed("requires a Nekrasov matrix with positive diagonal")
     n = mm.shape[0]
     diag = np.diag(mm)
-    h_ratio = profile.h / diag
-    eta_ref = profile.eta / np.minimum(diag, 1.0)
-    slack = 1e-12
+    rhs = np.stack([profile.h / diag, profile.eta, profile.eta / np.minimum(diag, 1.0)])
     rng = np.random.default_rng(seed)
     scalings = np.vstack([np.ones((1, n)), rng.random((trials, n))])
+    chunk = max(1, _CHUNK_ENTRIES // (n * n))
     violations: list[LemmaViolation] = []
-
-    def record(check: str, d: np.ndarray, lhs: np.ndarray, rhs: np.ndarray):
-        for i in np.nonzero(lhs > rhs + slack)[0]:
-            violations.append(
-                LemmaViolation(check=check, row=int(i) + 1, d=d.copy(),
-                               lhs=float(lhs[i]), rhs=float(rhs[i]))
-            )
-
-    for d in scalings:
-        mt = _scaled(mm, d)
-        mt_profile = is_nekrasov(mt)
-        mt_diag = np.diag(mt)
-        record("h_ratio", d, mt_profile.h / mt_diag, h_ratio)
-        record("z_vs_eta", d, mt_profile.z, profile.eta)
-        record("z_ratio", d, mt_profile.z / mt_diag, eta_ref)
-        if not mt_profile.is_nekrasov:
-            row = int(np.argmin(mt_profile.margins)) + 1
-            violations.append(
-                LemmaViolation(check="nekrasov", row=row, d=d.copy(),
-                               lhs=float(mt_profile.h[row - 1]),
-                               rhs=float(abs(mt_diag[row - 1])))
-            )
+    for start in range(0, scalings.shape[0], chunk):
+        ds = scalings[start : start + chunk]
+        mt = _scaled(mm, ds)
+        mt_profile, _ = _profile(mt)
+        mt_diag = np.diagonal(mt, axis1=-2, axis2=-1)
+        lhs = np.stack([mt_profile.h / mt_diag, mt_profile.z, mt_profile.z / mt_diag], axis=1)
+        flagged = lhs > rhs + _LEMMA_SLACK
+        failed = flagged.any(axis=(1, 2)) | ~mt_profile.is_nekrasov
+        for t in np.nonzero(failed)[0]:
+            for c, i in zip(*np.nonzero(flagged[t])):
+                violations.append(
+                    LemmaViolation(check=_LEMMA_CHECKS[c], row=int(i) + 1, d=ds[t].copy(),
+                                   lhs=float(lhs[t, c, i]), rhs=float(rhs[c, i]))
+                )
+            if not mt_profile.is_nekrasov[t]:
+                i = int(np.argmin(mt_profile.margins[t]))
+                violations.append(
+                    LemmaViolation(check="nekrasov", row=i + 1, d=ds[t].copy(),
+                                   lhs=float(mt_profile.h[t, i]), rhs=float(abs(mt_diag[t, i])))
+                )
     return LemmaSuiteReport(trials=scalings.shape[0], violations=violations)

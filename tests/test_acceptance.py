@@ -9,6 +9,7 @@ import pytest
 
 import conftest
 from lcpbounds.bnekrasov import (
+    all_bounds,
     bplus_decompose,
     classify,
     gp_bnekrasov_bound,
@@ -47,17 +48,7 @@ def criterion(label):
 def applicable_bounds(m):
     """The worst-case-norm bounds that apply to ``m``; parameterized ones are
     evaluated at the midpoint of their admissible interval."""
-    from lcpbounds import bnekrasov, nekrasov
-
-    reports = [new_nekrasov_bound(m), new_bnekrasov_bound(m)]
-    for module, gp in ((nekrasov, gp_nekrasov_bound), (bnekrasov, gp_bnekrasov_bound)):
-        try:
-            upper = module.epsilon_interval_upper(m)
-        except Exception:
-            continue
-        if upper > 0:
-            reports.append(gp(m, upper / 2.0))
-    return [r for r in reports if r.applicable]
+    return [r for r in all_bounds(m) if r.applicable]
 
 
 def test_criterion_1_example1_h_and_new_bound(ex1):

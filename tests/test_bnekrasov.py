@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import _rational
+from lcpbounds import bnekrasov, nekrasov
 from lcpbounds.bnekrasov import (
+    all_bounds,
     bplus_decompose,
     classify,
     gp_bnekrasov_bound,
@@ -13,7 +15,7 @@ from lcpbounds.bnekrasov import (
 )
 from lcpbounds.errors import DimensionTooSmall
 from lcpbounds.linalg import inf_norm, inverse
-from lcpbounds.nekrasov import h_vector, scaled_matrix
+from lcpbounds.nekrasov import gp_nekrasov_bound, h_vector, new_nekrasov_bound, scaled_matrix
 
 F = Fraction
 
@@ -195,3 +197,43 @@ class TestDominance:
     def test_bplus_h_example4(self, ex4):
         b_plus = bplus_decompose(ex4).b_plus
         np.testing.assert_allclose(h_vector(b_plus), [0.0, 3 / 5, 1 / 6, 1 / 24], atol=1e-12)
+
+
+class TestAllBounds:
+    @staticmethod
+    def separately(m, eps_n, eps_b):
+        return [gp_nekrasov_bound(m, eps_n), new_nekrasov_bound(m),
+                gp_bnekrasov_bound(m, eps_b), new_bnekrasov_bound(m)]
+
+    @staticmethod
+    def assert_same(reports, expected):
+        assert [r.theorem for r in reports] == [r.theorem for r in expected]
+        for got, want in zip(reports, expected):
+            assert (got.applicable, got.reason, got.epsilon, got.value) == (
+                want.applicable, want.reason, want.epsilon, want.value)
+
+    def test_explicit_epsilon_matches_each_bound(self, ex1, ex2, ex3, ex4, make_nekrasov):
+        rng = np.random.default_rng(71)
+        matrices = [ex1, ex2, ex3, ex4, np.eye(3), [[2.0]], [[1.0, 2.0], [2.0, 1.0]]]
+        matrices += [make_nekrasov(int(rng.integers(2, 7)), rng) for _ in range(10)]
+        for m in matrices:
+            for eps in (0.01, 0.1, 0.3):
+                self.assert_same(all_bounds(m, eps), self.separately(m, eps, eps))
+
+    def test_default_epsilon_is_interval_midpoint(self, ex1, ex3):
+        for m in (ex1, ex3):
+            eps_n = nekrasov.epsilon_interval_upper(m) / 2.0
+            eps_b = bnekrasov.epsilon_interval_upper(m) / 2.0
+            self.assert_same(all_bounds(m), self.separately(m, eps_n, eps_b))
+        assert all_bounds(ex1)[0].epsilon == pytest.approx(0.7158 / 2, abs=5e-5)
+        assert all_bounds(ex3)[2].epsilon == pytest.approx(1 / 12, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [
+        [[2.0]],                                # n = 1: no B+ split
+        [[1.0, 1.0], [1.0, 0.5]],               # empty interval: h_n > m_nn
+        [[0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.0, 5.0, 1.0]],  # zero divisor used
+    ])
+    def test_empty_or_undefined_interval(self, m):
+        reports = all_bounds(m)
+        self.assert_same(reports, self.separately(m, 0.5, 0.5))
+        assert not reports[0].applicable and not reports[2].applicable

@@ -10,6 +10,7 @@ from lcpbounds.errors import DimensionMismatch, DomainError, ZeroDiagonal
 from lcpbounds.linalg import inf_norm, inverse
 from lcpbounds.nekrasov import (
     Theorem,
+    _profile,
     eta_vector,
     gp_nekrasov_bound,
     h_vector,
@@ -46,6 +47,101 @@ class TestHVector:
     def test_zero_diagonal_ignored_when_column_empty(self):
         # nothing below the zero pivot uses it as a divisor
         np.testing.assert_array_equal(h_vector([[0.0, 1.0], [0.0, 1.0]]), [1.0, 0.0])
+
+
+# Exact in binary and not, positive and negative, with zeros drawn often so
+# that zero diagonals, used or not, are common.
+_ENTRIES = st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0, 0.5, -0.25, 2.0, 0.1, -3.7])
+
+
+@st.composite
+def stacks(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 9))
+    flat = draw(st.lists(_ENTRIES, min_size=k * n * n, max_size=k * n * n))
+    return np.array(flat).reshape(k, n, n)
+
+
+def first_used_zero(rows):
+    """0-based (row, column) of the first zero divisor that a nonzero entry
+    below it uses, in row-major order, or None."""
+    for i, row in enumerate(rows):
+        for j in range(i):
+            if row[j] != 0 and rows[j][j] == 0:
+                return i, j
+    return None
+
+
+class TestRecursionKernel:
+    @given(stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_stack_matches_members(self, a):
+        stacked, bad = _profile(a)
+        for k, member in enumerate(a):
+            single, single_bad = _profile(member)
+            for name in ("h", "z", "eta", "margins"):
+                np.testing.assert_allclose(getattr(stacked, name)[k], getattr(single, name),
+                                           rtol=1e-15, atol=0.0)
+            assert stacked.is_nekrasov[k] == single.is_nekrasov
+            assert bad[k] == single_bad
+            assert is_nekrasov(member).is_nekrasov == single.is_nekrasov
+
+    @given(stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_recursions_where_finite(self, a):
+        for member in a:
+            n = member.shape[0]
+            rows = [[F(v) for v in row] for row in member]
+            used = first_used_zero(rows)
+            cut = n if used is None else used[0]
+            # Rows from the cut on get zero rows, so the exact recursion never
+            # divides by zero and its first ``cut`` values are unchanged.
+            prefix = rows[:cut] + [[F(0)] * n for _ in range(n - cut)]
+            profile = is_nekrasov(member)
+            for name, exact in (("h", _rational.h_exact), ("z", _rational.z_exact),
+                                ("eta", _rational.eta_exact)):
+                values = getattr(profile, name)
+                assert np.all(np.isfinite(values[:cut]))
+                assert np.all(np.isinf(values[cut:]))
+                expected = [float(v) for v in exact(prefix)[:cut]]
+                np.testing.assert_allclose(values[:cut], expected, rtol=1e-12, atol=0.0)
+            if used is None:
+                np.testing.assert_array_equal(h_vector(member), profile.h)
+            else:
+                assert not profile.is_nekrasov
+                with pytest.raises(ZeroDiagonal) as exc:
+                    h_vector(member)
+                assert exc.value.index == used[1] + 1
+
+    def test_first_used_zero_divisor_is_not_the_first_zero_diagonal(self):
+        # Zero diagonals at positions 1 and 2.  Nothing below position 1
+        # divides by it; row 3 divides by position 2.
+        a = [[0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.0, 5.0, 1.0]]
+        for vector in (h_vector, z_vector, eta_vector):
+            with pytest.raises(ZeroDiagonal) as exc:
+                vector(a)
+            assert exc.value.index == 2
+        profile = is_nekrasov(a)
+        assert not profile.is_nekrasov
+        np.testing.assert_array_equal(profile.h, [2.0, 1.0, np.inf])
+        np.testing.assert_array_equal(profile.z, [1.0, 1.0, np.inf])
+
+    def test_rows_after_the_first_use_are_inf(self):
+        # Row 2 divides by the zero at position 1; row 3 uses neither row
+        # above it and is +inf all the same.
+        a = [[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(ZeroDiagonal) as exc:
+            h_vector(a)
+        assert exc.value.index == 1
+        np.testing.assert_array_equal(is_nekrasov(a).eta, [1.0, np.inf, np.inf])
+
+    def test_unused_zero_divisor(self):
+        # Column 1 is zero below the zero diagonal entry, so no row divides by it.
+        a = [[0.0, 1.0, 2.0], [0.0, 3.0, 1.0], [0.0, 1.0, 4.0]]
+        np.testing.assert_allclose(z_vector(a), [1.0, 1.0, 4 / 3], rtol=1e-15)
+        np.testing.assert_allclose(eta_vector(a), [1.0, 1.0, 2.0], rtol=1e-15)
+        np.testing.assert_allclose(h_vector(a), [3.0, 1.0, 1 / 3], rtol=1e-15)
+        assert not is_nekrasov(a).is_nekrasov
 
 
 class TestZVector:

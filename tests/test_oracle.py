@@ -10,7 +10,7 @@ from lcpbounds import oracle
 from lcpbounds.bnekrasov import bplus_decompose, new_bnekrasov_bound
 from lcpbounds.errors import DimensionTooLarge, DomainError, PreconditionFailed, SingularMatrix
 from lcpbounds.linalg import inf_norm, inverse
-from lcpbounds.nekrasov import new_nekrasov_bound
+from lcpbounds.nekrasov import is_nekrasov, new_nekrasov_bound, scaled_matrix
 from lcpbounds.oracle import lemma_property_suite, norm_at_d, oracle_max_norm
 
 
@@ -27,6 +27,40 @@ def pointwise_max_norm(m, interior_samples, seed):
         if value > best:
             best, best_d = value, d
     return best, best_d
+
+
+def per_trial_suite(m, trials, seed):
+    """Reference lemma suite: one member and one ``is_nekrasov`` per trial,
+    violations by trial, then check, then row."""
+    profile = is_nekrasov(m)
+    n = m.shape[0]
+    diag = np.diag(m)
+    rhs = (profile.h / diag, profile.eta, profile.eta / np.minimum(diag, 1.0))
+    rng = np.random.default_rng(seed)
+    scalings = np.vstack([np.ones((1, n)), rng.random((trials, n))])
+    violations = []
+    for d in scalings:
+        mt = scaled_matrix(m, d)
+        mt_profile = is_nekrasov(mt)
+        mt_diag = np.diag(mt)
+        lhs = (mt_profile.h / mt_diag, mt_profile.z, mt_profile.z / mt_diag)
+        for check, left, right in zip(("h_ratio", "z_vs_eta", "z_ratio"), lhs, rhs):
+            for i in np.nonzero(left > right + oracle._LEMMA_SLACK)[0]:
+                violations.append((check, i + 1, list(d), left[i], right[i]))
+        if not mt_profile.is_nekrasov:
+            i = int(np.argmin(mt_profile.margins))
+            violations.append(("nekrasov", i + 1, list(d), mt_profile.h[i], abs(mt_diag[i])))
+    return scalings.shape[0], violations
+
+
+def assert_same_report(report, reference):
+    trials, violations = reference
+    assert report.trials == trials
+    assert len(report.violations) == len(violations)
+    for got, (check, row, d, lhs, rhs) in zip(report.violations, violations):
+        assert (got.check, got.row, list(got.d)) == (check, row, d)
+        assert got.lhs == pytest.approx(lhs, rel=1e-12)
+        assert got.rhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestNormAtD:
@@ -142,3 +176,38 @@ class TestLemmaSuite:
             lemma_property_suite(ex3, trials=10, seed=0)
         with pytest.raises(PreconditionFailed):
             lemma_property_suite([[-2.0, 0.5], [0.5, -2.0]], trials=10, seed=0)
+
+    # 48 entries make chunks of three 4x4 members.
+    @pytest.mark.parametrize("chunk_entries", [oracle._CHUNK_ENTRIES, 48])
+    @pytest.mark.parametrize("slack", [oracle._LEMMA_SLACK, -0.05])
+    def test_fixtures_match_per_trial_loop(self, ex1, ex2, ex3, ex4, monkeypatch,
+                                           chunk_entries, slack):
+        # A negative slack flags most rows, so the order of the report is tested too.
+        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", chunk_entries)
+        monkeypatch.setattr(oracle, "_LEMMA_SLACK", slack)
+        for m in (ex1, ex2, bplus_decompose(ex3).b_plus, bplus_decompose(ex4).b_plus):
+            report = lemma_property_suite(m, trials=300, seed=5)
+            assert_same_report(report, per_trial_suite(m, 300, 5))
+            assert report.clean == (slack > 0)
+
+    @pytest.mark.parametrize("slack", [oracle._LEMMA_SLACK, -0.05])
+    def test_random_n11_spans_four_chunks(self, monkeypatch, slack):
+        # 32768 // 11**2 = 270 members per chunk: the 1001 trials take four.
+        assert -(-1001 // (oracle._CHUNK_ENTRIES // 121)) == 4
+        monkeypatch.setattr(oracle, "_LEMMA_SLACK", slack)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            m = random_nekrasov(11, rng)
+            report = lemma_property_suite(m, trials=1000, seed=42)
+            assert_same_report(report, per_trial_suite(m, 1000, 42))
+
+    def test_failed_nekrasov_check_matches_per_trial_loop(self, monkeypatch):
+        # Nekrasov, but its first diagonal entry is negative, so the members'
+        # diagonal 1 - 3 d_1 crosses zero and many of them are not Nekrasov.
+        # Lifting the precondition exercises every check of the suite.
+        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 12)
+        monkeypatch.setattr(oracle, "_positive_diagonal", lambda m: True)
+        m = np.array([[-2.0, 0.5], [0.5, 2.0]])
+        report = lemma_property_suite(m, trials=200, seed=1)
+        assert {v.check for v in report.violations} >= {"nekrasov", "h_ratio"}
+        assert_same_report(report, per_trial_suite(m, 200, 1))
