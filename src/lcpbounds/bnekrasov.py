@@ -8,7 +8,9 @@ is Nekrasov with positive diagonal; the class sits inside the P-matrices, so
 LCP(M, q) is uniquely solvable and the bounds here feed its error certificate.
 
 ``all_bounds`` evaluates the two Nekrasov and the two B-Nekrasov bounds from
-one recursion profile of ``M`` and one of ``B+``.
+one recursion profile of ``M`` and one of ``B+``.  ``all_bounds`` and
+``classify`` also take the bundle ``_profiles(m)`` returns in place of the
+matrix, so a caller that needs both profiles each matrix once.
 """
 
 from __future__ import annotations
@@ -89,6 +91,24 @@ def _bplus_profile(mm: np.ndarray) -> tuple[BPlusSplit, NekrasovProfile] | None:
     return split, is_nekrasov(split.b_plus)
 
 
+@dataclass(frozen=True)
+class _Profiles:
+    """``M`` with its recursion profile, and its ``B+`` split with that
+    profile (None for n = 1): what the bounds and the classification read."""
+
+    m: np.ndarray
+    nekrasov: NekrasovProfile
+    b: tuple[BPlusSplit, NekrasovProfile] | None
+
+
+def _profiles(m) -> _Profiles:
+    """Profile ``M`` and ``B+`` once; a ``_Profiles`` is passed through."""
+    if isinstance(m, _Profiles):
+        return m
+    mm = as_matrix(m)
+    return _Profiles(m=mm, nekrasov=is_nekrasov(mm), b=_bplus_profile(mm))
+
+
 def _b_nekrasov_flag(b: tuple[BPlusSplit, NekrasovProfile] | None) -> bool:
     return b is not None and b[1].is_nekrasov and _positive_diagonal(b[0].b_plus)
 
@@ -100,20 +120,19 @@ def _sdd(mm: np.ndarray) -> bool:
     return bool(np.all(diag - off > STRICT_RTOL * np.maximum(1.0, diag)))
 
 
-def _classify(mm: np.ndarray, with_p_test: bool) -> ClassificationReport:
+def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
+    mm, b = p.m, p.b
     n = mm.shape[0]
     notes: list[str] = []
     off_mask = ~np.eye(n, dtype=bool)
     z_flag = bool(np.all(mm[off_mask] <= 0.0))
-    nek_flag = is_nekrasov(mm).is_nekrasov
-    b = _bplus_profile(mm)
+    nek_flag = p.nekrasov.is_nekrasov
     if b is not None:
         b_flag = _sdd(b[0].b_plus) and _positive_diagonal(b[0].b_plus)
         bnek_flag = _b_nekrasov_flag(b)
     else:
         b_flag = bnek_flag = False
         notes.append("B-class tests need n >= 2")
-    del b  # two n x n arrays, not needed during the inverse below
     try:
         h_flag = bool(np.all(inverse(comparison_matrix(mm)) >= _H_INVERSE_TOL))
     except SingularMatrix:
@@ -142,12 +161,12 @@ def _classify(mm: np.ndarray, with_p_test: bool) -> ClassificationReport:
 
 def is_b_nekrasov(m) -> ClassificationReport:
     """Classification with the (expensive) P-matrix test skipped."""
-    return _classify(as_matrix(m), with_p_test=False)
+    return _classify(_profiles(m), with_p_test=False)
 
 
 def classify(m) -> ClassificationReport:
     """Full diagnostics, including the principal-minor P-matrix test for small n."""
-    return _classify(as_matrix(m), with_p_test=True)
+    return _classify(_profiles(m), with_p_test=True)
 
 
 def epsilon_interval_upper(m) -> float:
@@ -237,9 +256,8 @@ def all_bounds(m, epsilon: float | None = None) -> list[BoundReport]:
     empty or undefined; the bound is then inapplicable on other grounds).
     ``M`` and ``B+`` are each profiled once for all four.
     """
-    mm = as_matrix(m)
-    profile = is_nekrasov(mm)
-    b = _bplus_profile(mm)
+    p = _profiles(m)
+    mm, profile, b = p.m, p.nekrasov, p.b
     if epsilon is None:
         eps_n = _epsilon_midpoint(mm, profile.h)
         eps_b = 0.5 if b is None else _epsilon_midpoint(b[0].b_plus, b[1].h)

@@ -130,7 +130,8 @@ def cmd_classify(cfg: RunConfig) -> tuple[str, int]:
 
 def cmd_bound(cfg: RunConfig) -> tuple[str, int]:
     m = parse_matrix(cfg.matrix_path)
-    reports = bnekrasov.all_bounds(m, cfg.epsilon)
+    profiles = bnekrasov._profiles(m)  # shared by the bounds and the classification
+    reports = bnekrasov.all_bounds(profiles, cfg.epsilon)
     if cfg.theorem != "all":
         wanted = cfg.theorem.replace("-", "_")
         reports = [r for r in reports if r.theorem.value == wanted]
@@ -138,7 +139,7 @@ def cmd_bound(cfg: RunConfig) -> tuple[str, int]:
         "matrix": cfg.matrix_path,
         "n": m.shape[0],
         "bounds": [_report_entry(r) for r in reports],
-        "classification": _classification_dict(bnekrasov.classify(m)),
+        "classification": _classification_dict(bnekrasov.classify(profiles)),
     }
     code = EXIT_OK if any(r.applicable for r in reports) else EXIT_NO_APPLICABLE_BOUND
     return _emit(data, cfg.format), code
@@ -156,14 +157,17 @@ def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
     m = parse_matrix(cfg.matrix_path)
     if cfg.grid < 2:
         raise LcpBoundsError("sweep needs a grid of at least 2 points")
-    reports = _by_theorem(bnekrasov.all_bounds(m))
+    # Every grid point reuses the one profile of M (or of B+) taken here.
+    profiles = bnekrasov._profiles(m)
+    reports = _by_theorem(bnekrasov.all_bounds(profiles))
     if reports[Theorem.NEW_NEKRASOV].applicable:
-        upper = nekrasov.epsilon_interval_upper(m)
-        gp = nekrasov.gp_nekrasov_bound
+        upper = nekrasov._interval_upper(profiles.m, profiles.nekrasov.h)
+        gp, args = nekrasov._gp_nekrasov, (profiles.m, profiles.nekrasov)
         constant = reports[Theorem.NEW_NEKRASOV]
     elif reports[Theorem.NEW_BNEKRASOV].applicable:
-        upper = bnekrasov.epsilon_interval_upper(m)
-        gp = bnekrasov.gp_bnekrasov_bound
+        split, b_profile = profiles.b
+        upper = nekrasov._interval_upper(split.b_plus, b_profile.h)
+        gp, args = bnekrasov._gp_bnekrasov, (profiles.m, profiles.b)
         constant = reports[Theorem.NEW_BNEKRASOV]
     else:
         return "no epsilon-parameterized bound applies to this matrix", EXIT_NO_APPLICABLE_BOUND
@@ -171,7 +175,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
     new_text = _format_value(constant.value, constant.applicable)
     for k in range(1, cfg.grid + 1):
         epsilon = k * upper / (cfg.grid + 1)
-        report = gp(m, epsilon)
+        report = gp(*args, epsilon)
         lines.append(f"{epsilon!r},{_format_value(report.value, report.applicable)},{new_text}")
     return "\n".join(lines), EXIT_OK
 
@@ -179,7 +183,8 @@ def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
 def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     m = parse_matrix(cfg.matrix_path)
     estimate = oracle_max_norm(m, interior_samples=cfg.samples, seed=cfg.seed)
-    reports = bnekrasov.all_bounds(m, cfg.epsilon)
+    profiles = bnekrasov._profiles(m)
+    reports = bnekrasov.all_bounds(profiles, cfg.epsilon)
     entries = []
     all_dominated = True
     for report in reports:
@@ -189,7 +194,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
             entries.append(_report_entry(report, dominated=dominated))
         else:
             entries.append(_report_entry(report))
-    kol = nekrasov.kolotilina_bound(m)
+    kol = nekrasov._kolotilina(profiles.nekrasov)
     kol_entry = _report_entry(kol)
     kol_ok = True
     if kol.applicable and kol.value is not None:
@@ -203,7 +208,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     if by_theorem[Theorem.NEW_NEKRASOV].applicable:
         target, target_name = m, "M"
     elif by_theorem[Theorem.NEW_BNEKRASOV].applicable:
-        target, target_name = bnekrasov.bplus_decompose(m).b_plus, "B+"
+        target, target_name = profiles.b[0].b_plus, "B+"
     if target is not None:
         suite = lemma_property_suite(target, trials=1000, seed=cfg.seed)
         lemma_clean = suite.clean

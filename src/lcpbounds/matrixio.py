@@ -10,6 +10,20 @@ Entries are decimals or simple integer fractions ``p/q``, so rational
 fixtures round-trip to the nearest binary double without a decimal
 transcription step.  Vector files are plain numbers separated by whitespace
 or commas, with the same token syntax.
+
+The token grammar is Python's ``float`` (underscores and the ``inf``/``nan``
+spellings included; non-finite values are rejected) plus ``p/q`` with
+integer parts, rounded once as ``int(p) / int(q)``.  A well-formed file is
+read in one conversion pass: ``str.split`` cuts the text into tokens (commas
+count as separators in CSV and vector files) and ``float`` converts them
+straight into one float64 array.  Only when that pass fails (a shape or
+count mismatch, a token ``float`` rejects, a fraction, or a non-finite
+value) does the positioned scan run: a regex over each line that returns
+the values, fractions included, or raises the error with the 1-based line
+and column of the offending token.  Both passes see the same tokens, so
+which one ran never changes a value or an error.  Files are read as UTF-8;
+a leading byte-order mark, as spreadsheet "CSV UTF-8" exports write, is
+skipped.
 """
 
 from __future__ import annotations
@@ -50,8 +64,19 @@ def _parse_number(token: str, line: int, column: int) -> float:
     return value
 
 
+def _floats(tokens: list[str]) -> np.ndarray | None:
+    """The tokens converted by ``float`` into one float64 array, or None when
+    one is not a finite ``float`` literal (a fraction, say) and the caller
+    has to rescan with positions."""
+    try:
+        values = np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return handle.read()
 
 
@@ -66,6 +91,14 @@ def parse_matrix(path: str) -> np.ndarray:
 
 
 def _parse_csv(text: str) -> np.ndarray:
+    # A line of commas only is a row of width 0, as in the scan.
+    widths = [len(line.replace(",", " ").split()) for line in text.splitlines() if line.strip()]
+    n = len(widths)
+    values = _floats(text.replace(",", " ").split()) if widths.count(n) == n else None
+    return _scan_csv(text) if values is None else values.reshape(n, n)
+
+
+def _scan_csv(text: str) -> np.ndarray:
     rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -82,6 +115,14 @@ def _parse_csv(text: str) -> np.ndarray:
 
 
 def _parse_plain(text: str) -> np.ndarray:
+    tokens = text.split()
+    head = tokens.pop(0)
+    n = int(head) if _INT_RE.match(head) else 0
+    values = _floats(tokens) if n > 0 and len(tokens) == n * n else None
+    return _scan_plain(text) if values is None else values.reshape(n, n)
+
+
+def _scan_plain(text: str) -> np.ndarray:
     stream = list(_tokens(text, split_commas=False))
     token, line, column = stream[0]
     if not _INT_RE.match(token) or int(token) <= 0:
@@ -102,8 +143,12 @@ def parse_vector(path: str) -> np.ndarray:
     text = _read(path)
     if not text.strip():
         raise EmptyFile(f"{path} contains no data")
-    values = [_parse_number(tok, ln, col) for tok, ln, col in _tokens(text, split_commas=True)]
-    return np.array(values)
+    values = _floats(text.replace(",", " ").split())
+    return _scan_vector(text) if values is None else values
+
+
+def _scan_vector(text: str) -> np.ndarray:
+    return np.array([_parse_number(tok, ln, col) for tok, ln, col in _tokens(text, split_commas=True)])
 
 
 def format_matrix(m: np.ndarray) -> str:

@@ -206,8 +206,10 @@ def _scaled(m: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def kolotilina_bound(a) -> BoundReport:
     """Upper bound on ||A^{-1}||_inf for a Nekrasov matrix: max_i z_i / (|a_ii| - h_i)."""
-    m = as_matrix(a)
-    profile = is_nekrasov(m)
+    return _kolotilina(is_nekrasov(as_matrix(a)))
+
+
+def _kolotilina(profile: NekrasovProfile) -> BoundReport:
     if not profile.is_nekrasov:
         return _not_applicable(Theorem.KOLOTILINA, "NotNekrasov")
     value = float(np.max(profile.z / profile.margins))

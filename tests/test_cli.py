@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from lcpbounds import bnekrasov, nekrasov
 from lcpbounds.cli import main
-from lcpbounds.matrixio import format_matrix
+from lcpbounds.matrixio import format_matrix, parse_matrix
 
 
 def run(capsys, *argv):
@@ -79,6 +80,13 @@ class TestBound:
         _, code = run(capsys, "bound", "--matrix", str(tmp_path / "nope.txt"))
         assert code == 1
 
+    def test_csv_with_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "export.csv"
+        path.write_bytes(b"\xef\xbb\xbf4,-1\r\n-1,4\r\n")
+        out, code = run(capsys, "bound", "--matrix", str(path))
+        assert code == 0
+        assert json.loads(out)["classification"]["is_nekrasov"] is True
+
     def test_csv_format_rejected_outside_sweep(self, capsys, data_dir):
         _, code = run(capsys, "bound", "--matrix", str(data_dir / "example2.txt"),
                       "--format", "csv")
@@ -116,6 +124,18 @@ class TestSweep:
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert all(r[1] == "n/a" for r in rows)
         assert all(float(r[2]) == pytest.approx(15.0, rel=1e-12) for r in rows)
+
+    @pytest.mark.parametrize("name, gp", [("example1", nekrasov.gp_nekrasov_bound),
+                                          ("example3", bnekrasov.gp_bnekrasov_bound)])
+    def test_rows_match_public_bound(self, capsys, data_dir, name, gp):
+        path = str(data_dir / f"{name}.txt")
+        out, code = run(capsys, "sweep", "--matrix", path, "--grid", "7")
+        assert code == 0
+        m = parse_matrix(path)
+        for line in out.strip().splitlines()[1:]:
+            epsilon, gp_text, _ = line.split(",")
+            report = gp(m, float(epsilon))
+            assert gp_text == (repr(report.value) if report.applicable else "n/a")
 
     def test_not_applicable_exit_2(self, capsys, tmp_path):
         path = tmp_path / "swap.txt"
@@ -207,3 +227,28 @@ class TestClassify:
                         "--format", "text")
         assert code == 0
         assert "is_nekrasov: True" in out
+
+
+class TestProfileOnce:
+    """A command profiles M and B+ once each, however many bounds, grid
+    points and class tests read the profiles."""
+
+    @pytest.fixture
+    def profile_calls(self, monkeypatch):
+        calls = []
+        original = nekrasov._profile
+
+        def counted(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(nekrasov, "_profile", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv", [("bound",), ("sweep", "--grid", "101")],
+                             ids=["bound", "sweep"])
+    @pytest.mark.parametrize("name", ["example1", "example3"])
+    def test_two_profiles(self, capsys, data_dir, profile_calls, argv, name):
+        _, code = run(capsys, *argv, "--matrix", str(data_dir / f"{name}.txt"))
+        assert code == 0
+        assert profile_calls == [(4, 4), (4, 4)]

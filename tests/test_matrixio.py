@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lcpbounds.errors import EmptyFile, NonSquare, ParseError
+from lcpbounds import matrixio
+from lcpbounds.errors import EmptyFile, LcpBoundsError, NonSquare, ParseError
 from lcpbounds.matrixio import format_matrix, parse_matrix, parse_vector
 
 
@@ -119,3 +120,185 @@ class TestRoundTrip:
                         ("example3", ex3), ("example4", ex4)):
             parsed = parse_matrix(str(data_dir / f"{name}.txt"))
             np.testing.assert_array_equal(parsed, m)
+
+
+class TestByteOrderMarkAndCrlf:
+    BOM = "\ufeff"
+
+    def write_bytes(self, tmp_path, text, name):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        return str(path)
+
+    def test_bom_csv(self, tmp_path):
+        path = self.write_bytes(tmp_path, self.BOM + "1,-1/4\r\n0.5,2\r\n", "bom.csv")
+        np.testing.assert_array_equal(parse_matrix(path), [[1.0, -0.25], [0.5, 2.0]])
+
+    def test_bom_plain(self, tmp_path):
+        path = self.write_bytes(tmp_path, self.BOM + "2\r\n1 -0.25\r\n0.5 2\r\n", "bom.txt")
+        np.testing.assert_array_equal(parse_matrix(path), [[1.0, -0.25], [0.5, 2.0]])
+
+    def test_bom_vector(self, tmp_path):
+        path = self.write_bytes(tmp_path, self.BOM + "-1,\r\n-1/2\r\n3\r\n", "q.csv")
+        np.testing.assert_array_equal(parse_vector(path), [-1.0, -0.5, 3.0])
+
+    def test_crlf_error_position(self, tmp_path):
+        path = self.write_bytes(tmp_path, self.BOM + "2\r\n1 2\r\n3 x\r\n", "bad.txt")
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(path)
+        assert (exc.value.line, exc.value.column) == (3, 3)
+
+    def test_bom_only_is_empty(self, tmp_path):
+        with pytest.raises(EmptyFile):
+            parse_matrix(self.write_bytes(tmp_path, self.BOM + "\r\n", "empty.csv"))
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path)
+    except LcpBoundsError as exc:
+        return exc
+
+
+def _scan_matrix(path):
+    """The positioned scan alone: what the parser did before it had a fast path."""
+    text = matrixio._read(path)
+    if not text.strip():
+        raise EmptyFile(f"{path} contains no data")
+    return matrixio._scan_csv(text) if "," in text else matrixio._scan_plain(text)
+
+
+def _scan_vector(path):
+    text = matrixio._read(path)
+    if not text.strip():
+        raise EmptyFile(f"{path} contains no data")
+    return matrixio._scan_vector(text)
+
+
+def _assert_same(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want), (got, want)
+        assert str(got) == str(want)
+        assert getattr(got, "line", None) == getattr(want, "line", None)
+        assert getattr(got, "column", None) == getattr(want, "column", None)
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x85"
+_ATOMS = list("0123456789.eE+-/,_") + ["inf", "nan"] + list(_WHITESPACE)
+_free_text = st.lists(st.sampled_from(_ATOMS), max_size=40).map("".join)
+_junk = st.lists(st.sampled_from([a for a in _ATOMS if a.strip() and a != ","]),
+                 min_size=1, max_size=4).map("".join)
+_valid = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-99, 99).map(str),
+)
+_fraction = st.tuples(st.integers(-99, 99), st.integers(-3, 9)).map(lambda pq: f"{pq[0]}/{pq[1]}")
+_any_token = st.one_of(
+    _valid, _junk, _fraction, st.sampled_from(["1e400", "-inf", "nan", "1_0", "+.5", "5."]),
+)
+_gap = st.text(alphabet=_WHITESPACE, min_size=1, max_size=3)
+
+
+def _rarely(draw) -> bool:
+    return draw(st.integers(0, 3)) == 0
+
+
+@st.composite
+def _layouts(draw):
+    """Texts shaped like plain, CSV or vector files, mostly well formed."""
+    n = draw(st.integers(1, 4))
+    count = n * n + (draw(st.sampled_from([-1, 1])) if _rarely(draw) else 0)
+    token = draw(st.sampled_from([_valid, _valid, st.one_of(_valid, _fraction), _any_token]))
+    entries = draw(st.lists(token, min_size=count, max_size=count))
+    layout = draw(st.sampled_from(["plain", "csv", "vector"]))
+    if layout == "plain":
+        head = draw(_any_token) if _rarely(draw) else str(n)
+        return "".join(part + draw(_gap) for part in [head] + entries)
+    if layout == "csv":
+        rows = [entries[i : i + n] for i in range(0, len(entries), n)]
+        lines = [draw(st.sampled_from([",", ", ", " ,\t"])).join(row) for row in rows]
+        breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\n \n"])
+        return "".join(line + draw(breaks) for line in lines)
+    seps = st.sampled_from([",", " ", ", ", "\n", "\r\n", "\t,"])
+    return "".join(entry + draw(seps) for entry in entries)
+
+
+class TestFastPathMatchesScan:
+    """Every text parses to the scan's bit pattern, or fails exactly as the
+    scan does: same type, line, column and message."""
+
+    @given(st.one_of(_free_text, _layouts()))
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_outcome(self, tmp_path, text):
+        path = str(tmp_path / "input.txt")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        _assert_same(_outcome(parse_matrix, path), _outcome(_scan_matrix, path))
+        _assert_same(_outcome(parse_vector, path), _outcome(_scan_vector, path))
+
+    def test_well_formed_file_skips_the_scan(self, tmp_path, monkeypatch):
+        m = np.random.default_rng(5).standard_normal((40, 40))
+        path = write(tmp_path, format_matrix(m))
+        csv_rows = "\n".join(", ".join(map(repr, row)) for row in m.tolist())
+        csv_path = write(tmp_path, f"\n{csv_rows}\n \n", name="m.csv")
+
+        def refuse(*_):
+            raise AssertionError("positioned scan ran on a well-formed file")
+
+        monkeypatch.setattr(matrixio, "_tokens", refuse)
+        monkeypatch.setattr(matrixio, "_parse_number", refuse)
+        np.testing.assert_array_equal(parse_matrix(path), m)
+        np.testing.assert_array_equal(parse_matrix(csv_path), m)
+        np.testing.assert_array_equal(parse_vector(csv_path), m.ravel())
+
+
+class TestLargeFile:
+    N = 400
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        rng = np.random.default_rng(400)
+        m = rng.standard_normal((self.N, self.N)) * 10.0 ** rng.integers(-300, 300, (self.N, self.N))
+        m[0, :4] = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+        return m, [[repr(v) for v in row] for row in m.tolist()]
+
+    def write_cells(self, tmp_path, rows):
+        return write(tmp_path, f"{self.N}\n" + "\n".join(" ".join(r) for r in rows) + "\n")
+
+    @staticmethod
+    def column(row, j):
+        return sum(len(token) + 1 for token in row[:j]) + 1
+
+    def test_round_trip_bit_exact(self, tmp_path, cells):
+        m, _ = cells
+        parsed = parse_matrix(write(tmp_path, format_matrix(m)))
+        assert parsed.shape == m.shape
+        assert parsed.tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("token, i, j, message", [
+        ("oops", N - 1, N - 1, "not a number: 'oops'"),
+        ("1e400", 123, 45, "non-finite entry '1e400'"),
+        ("1.5/2", 7, 399, "malformed fraction '1.5/2'"),
+    ])
+    def test_error_position(self, tmp_path, cells, token, i, j, message):
+        _, rows = cells
+        rows = [list(r) for r in rows]
+        rows[i][j] = token
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(self.write_cells(tmp_path, rows))
+        assert (exc.value.line, exc.value.column) == (i + 2, self.column(rows[i], j))
+        assert str(exc.value).endswith(message)
+
+    def test_one_fraction_token(self, tmp_path, cells):
+        m, rows = cells
+        rows = [list(r) for r in rows]
+        rows[200][17] = "-2/7"
+        parsed = parse_matrix(self.write_cells(tmp_path, rows))
+        want = m.copy()
+        want[200, 17] = -2 / 7
+        assert parsed.tobytes() == want.tobytes()
