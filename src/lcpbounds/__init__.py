@@ -28,15 +28,11 @@ from .lcp import (
     trial_points,
 )
 from .linalg import (
-    LUFactors,
     as_matrix,
     as_vector,
     comparison_matrix,
     inf_norm,
     inverse,
-    lu_det,
-    lu_factor,
-    lu_solve,
 )
 from .matrixio import format_matrix, parse_matrix, parse_vector
 from .nekrasov import (
@@ -68,7 +64,6 @@ __all__ = [
     "BoundReport",
     "ClassificationReport",
     "ErrorCertificate",
-    "LUFactors",
     "LcpInstance",
     "LcpSolution",
     "LemmaSuiteReport",
@@ -97,9 +92,6 @@ __all__ = [
     "is_p_matrix",
     "kolotilina_bound",
     "lemma_property_suite",
-    "lu_det",
-    "lu_factor",
-    "lu_solve",
     "new_bnekrasov_bound",
     "new_nekrasov_bound",
     "norm_at_d",

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -101,19 +101,6 @@ def _report_entry(report: BoundReport, **extra) -> dict:
     return entry
 
 
-def _classification_dict(report: bnekrasov.ClassificationReport) -> dict:
-    return {
-        "is_sdd": report.is_sdd,
-        "is_z_matrix": report.is_z_matrix,
-        "is_nekrasov": report.is_nekrasov,
-        "is_b_matrix": report.is_b_matrix,
-        "is_b_nekrasov": report.is_b_nekrasov,
-        "is_h_matrix": report.is_h_matrix,
-        "is_p_matrix": report.is_p_matrix,
-        "notes": report.notes,
-    }
-
-
 def _by_theorem(reports: list[BoundReport]) -> dict[Theorem, BoundReport]:
     return {r.theorem: r for r in reports}
 
@@ -123,7 +110,7 @@ def cmd_classify(cfg: RunConfig) -> tuple[str, int]:
     data = {
         "matrix": cfg.matrix_path,
         "n": m.shape[0],
-        "classification": _classification_dict(bnekrasov.classify(m)),
+        "classification": asdict(bnekrasov.classify(m)),
     }
     return _emit(data, cfg.format), EXIT_OK
 
@@ -139,7 +126,7 @@ def cmd_bound(cfg: RunConfig) -> tuple[str, int]:
         "matrix": cfg.matrix_path,
         "n": m.shape[0],
         "bounds": [_report_entry(r) for r in reports],
-        "classification": _classification_dict(bnekrasov.classify(profiles)),
+        "classification": asdict(bnekrasov.classify(profiles)),
     }
     code = EXIT_OK if any(r.applicable for r in reports) else EXIT_NO_APPLICABLE_BOUND
     return _emit(data, cfg.format), code

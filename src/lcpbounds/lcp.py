@@ -2,9 +2,11 @@
 and error certificates.
 
 LCP(M, q) asks for ``x >= 0`` with ``w = Mx + q >= 0`` and ``x . w = 0``.
-The solver enumerates complementary bases, which is exhaustive at desk scale
-and doubles as a uniqueness checker; each basis is solved on numpy's LAPACK
-backend, and a singular principal submatrix (the rule of
+One generator walks the complementary bases in (cardinality, lexicographic)
+order and yields the feasible ones: :func:`solve_lcp` takes its first and
+:func:`feasible_bases` lists them all, which makes the walk exhaustive at desk
+scale and a uniqueness checker.  Each basis is solved on its own on numpy's
+LAPACK backend, and a singular principal submatrix (the rule of
 ``linalg.PIVOT_RTOL``) makes its basis infeasible.  The P-matrix test takes
 the determinants of all principal submatrices of one size in a single stacked
 LAPACK call, level by level, and stops at the first level with a minor at
@@ -110,8 +112,21 @@ def _basis_solution(inst: LcpInstance, alpha: tuple[int, ...]):
 
 
 def _enumerate_bases(n: int):
+    """Every basis of an n x n LCP, in (cardinality, lexicographic) order;
+    ``perfbench`` ranks solved bases against this order."""
     for size in range(n + 1):
         yield from combinations(range(n), size)
+
+
+def _feasible(inst: LcpInstance):
+    """Yield ``(alpha, x, w)`` for each feasible complementary basis, in
+    enumeration order."""
+    if inst.n > _SOLVER_MAX_N:
+        raise DimensionTooLarge(f"basis enumeration is limited to n <= {_SOLVER_MAX_N}")
+    for alpha in _enumerate_bases(inst.n):
+        result = _basis_solution(inst, alpha)
+        if result is not None:
+            yield (alpha, *result)
 
 
 def solve_lcp(inst: LcpInstance) -> LcpSolution:
@@ -120,26 +135,14 @@ def solve_lcp(inst: LcpInstance) -> LcpSolution:
     For P-matrix inputs the feasible basis is unique, so the ordering only
     matters for degenerate or non-P instances.
     """
-    if inst.n > _SOLVER_MAX_N:
-        raise DimensionTooLarge(f"basis enumeration is limited to n <= {_SOLVER_MAX_N}")
-    for alpha in _enumerate_bases(inst.n):
-        result = _basis_solution(inst, alpha)
-        if result is not None:
-            x, w = result
-            return LcpSolution(
-                x_star=x,
-                w_star=w,
-                basis=alpha,
-                complementarity_gap=float(abs(x @ w)),
-            )
+    for alpha, x, w in _feasible(inst):
+        return LcpSolution(x_star=x, w_star=w, basis=alpha, complementarity_gap=float(abs(x @ w)))
     raise NoSolution("no feasible complementary basis")
 
 
 def feasible_bases(inst: LcpInstance) -> list[tuple[int, ...]]:
     """All feasible complementary bases; length 1 for non-degenerate P-matrices."""
-    if inst.n > _SOLVER_MAX_N:
-        raise DimensionTooLarge(f"basis enumeration is limited to n <= {_SOLVER_MAX_N}")
-    return [alpha for alpha in _enumerate_bases(inst.n) if _basis_solution(inst, alpha) is not None]
+    return [alpha for alpha, _, _ in _feasible(inst)]
 
 
 def is_p_matrix(m) -> bool:

@@ -9,22 +9,17 @@ the LCP solver's basis solves) or a stack of them in one call
 (:func:`_inverse_stack`, the oracle's chunks).  Either way a matrix is
 singular when LAPACK finds an exact zero pivot or when its infinity-norm
 condition number exceeds ``1 / PIVOT_RTOL``; it then raises
-:class:`SingularMatrix`.  The hand-written partial-pivoting LU
-(:func:`lu_factor`, :func:`lu_solve`, :func:`lu_det`) stays public, but no
-other routine in the package calls it.
+:class:`SingularMatrix`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SingularMatrix
 
-# In lu_factor, a pivot below this fraction of max|A| is treated as an exact
-# zero.  The LAPACK inverses use the matching rule: a matrix whose condition
-# number ||A||_inf ||A^{-1}||_inf exceeds 1 / PIVOT_RTOL is singular.
+# A matrix whose condition number ||A||_inf ||A^{-1}||_inf exceeds
+# 1 / PIVOT_RTOL is treated as singular by the LAPACK inverses.
 PIVOT_RTOL = 1e-14
 
 
@@ -46,87 +41,6 @@ def as_vector(v) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise DomainError("vector entries must be finite")
     return x
-
-
-@dataclass(frozen=True)
-class LUFactors:
-    """Partial-pivoting factorization ``A[permutation] = lower @ upper``.
-
-    ``permutation`` is a 0-based row ordering.  ``singular_flag`` is set when
-    some pivot falls below ``PIVOT_RTOL * max|A|``; the factors are still
-    returned but must not be used for solving.
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-    permutation: np.ndarray
-    singular_flag: bool
-
-
-def lu_factor(a) -> LUFactors:
-    """LU factorization with partial pivoting; singularity is reported, not raised."""
-    a = as_matrix(a)
-    n = a.shape[0]
-    upper = a.copy()
-    lower = np.eye(n)
-    perm = np.arange(n)
-    threshold = PIVOT_RTOL * float(np.max(np.abs(a)))
-    singular = False
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(upper[k:, k])))
-        if p != k:
-            upper[[k, p], k:] = upper[[p, k], k:]
-            lower[[k, p], :k] = lower[[p, k], :k]
-            perm[[k, p]] = perm[[p, k]]
-        pivot = upper[k, k]
-        if abs(pivot) <= threshold:
-            # Column is numerically zero below the diagonal (the pivot was the
-            # largest entry); zeroing it keeps U triangular.
-            singular = True
-            upper[k + 1 :, k] = 0.0
-            continue
-        mult = upper[k + 1 :, k] / pivot
-        lower[k + 1 :, k] = mult
-        upper[k + 1 :, k:] -= np.outer(mult, upper[k, k:])
-        upper[k + 1 :, k] = 0.0
-    return LUFactors(lower, upper, perm, singular)
-
-
-def lu_solve(factors: LUFactors, b) -> np.ndarray:
-    """Solve ``A x = b`` from the factors of ``A``; ``b`` may be a vector or matrix."""
-    if factors.singular_flag:
-        raise SingularMatrix("cannot solve with a singular factorization")
-    lower, upper, perm = factors.lower, factors.upper, factors.permutation
-    n = lower.shape[0]
-    x = np.array(b, dtype=float)[perm]
-    for i in range(1, n):
-        x[i] -= lower[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - upper[i, i + 1 :] @ x[i + 1 :]) / upper[i, i]
-    return x
-
-
-def lu_det(factors: LUFactors) -> float:
-    """Determinant from an LU factorization."""
-    sign = _permutation_sign(factors.permutation)
-    return sign * float(np.prod(np.diag(factors.upper)))
-
-
-def _permutation_sign(perm: np.ndarray) -> int:
-    sign = 1
-    seen = np.zeros(len(perm), dtype=bool)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def inverse(a) -> np.ndarray:

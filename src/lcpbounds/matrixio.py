@@ -23,7 +23,9 @@ the values, fractions included, or raises the error with the 1-based line
 and column of the offending token.  Both passes see the same tokens, so
 which one ran never changes a value or an error.  Files are read as UTF-8;
 a leading byte-order mark, as spreadsheet "CSV UTF-8" exports write, is
-skipped.
+skipped.  Bytes that are not UTF-8, integers with more digits than ``int``
+converts, and fractions beyond the largest double raise the same positioned
+error.
 """
 
 from __future__ import annotations
@@ -51,10 +53,16 @@ def _parse_number(token: str, line: int, column: int) -> float:
         num, _, den = token.partition("/")
         if not (_INT_RE.match(num) and _INT_RE.match(den)):
             raise ParseError(line, column, f"malformed fraction {token!r}")
-        denominator = int(den)
-        if denominator == 0:
-            raise ParseError(line, column, f"zero denominator in {token!r}")
-        return int(num) / denominator
+        try:
+            denominator = int(den)
+            if denominator == 0:
+                raise ParseError(line, column, f"zero denominator in {token!r}")
+            return int(num) / denominator
+        except ValueError:  # over int()'s limit, sys.get_int_max_str_digits()
+            message = f"too many digits in fraction ({len(token)} characters)"
+            raise ParseError(line, column, message) from None
+        except OverflowError:  # the quotient is beyond the largest double
+            raise ParseError(line, column, f"non-finite entry {token!r}") from None
     try:
         value = float(token)
     except ValueError:
@@ -76,8 +84,15 @@ def _floats(tokens: list[str]) -> np.ndarray | None:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8-sig") as handle:
-        return handle.read()
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        # The bytes before the fault decode; the last of their lines holds it.
+        lines = (exc.object[: exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(
+            len(lines), len(lines[-1]), f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}"
+        ) from None
 
 
 def parse_matrix(path: str) -> np.ndarray:
@@ -117,7 +132,8 @@ def _scan_csv(text: str) -> np.ndarray:
 def _parse_plain(text: str) -> np.ndarray:
     tokens = text.split()
     head = tokens.pop(0)
-    n = int(head) if _INT_RE.match(head) else 0
+    # Heads too long for int() are left to the scan, which reports them.
+    n = int(head) if _INT_RE.match(head) and len(head) < 20 else 0
     values = _floats(tokens) if n > 0 and len(tokens) == n * n else None
     return _scan_plain(text) if values is None else values.reshape(n, n)
 
@@ -125,12 +141,15 @@ def _parse_plain(text: str) -> np.ndarray:
 def _scan_plain(text: str) -> np.ndarray:
     stream = list(_tokens(text, split_commas=False))
     token, line, column = stream[0]
-    if not _INT_RE.match(token) or int(token) <= 0:
-        raise ParseError(line, column, f"expected a positive dimension, got {token!r}")
-    n = int(token)
-    entries = stream[1:]
-    if len(entries) < n * n:
-        raise ParseError(line, column, f"expected {n * n} entries, found {len(entries)}")
+    try:
+        n = int(token) if _INT_RE.match(token) else 0
+        if n <= 0:
+            raise ParseError(line, column, f"expected a positive dimension, got {token!r}")
+        entries = stream[1:]
+        if len(entries) < n * n:
+            raise ParseError(line, column, f"expected {n * n} entries, found {len(entries)}")
+    except ValueError:  # n or n * n has more digits than int() and str() convert
+        raise ParseError(line, column, f"dimension too large ({len(token)} characters)") from None
     if len(entries) > n * n:
         extra = entries[n * n]
         raise ParseError(extra[1], extra[2], f"trailing data after {n * n} entries")

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lcpbounds
 from lcpbounds import bnekrasov, nekrasov
 from lcpbounds.cli import main
 from lcpbounds.matrixio import format_matrix, parse_matrix
@@ -228,6 +233,17 @@ class TestClassify:
         assert code == 0
         assert "is_nekrasov: True" in out
 
+    @pytest.mark.parametrize("command", ["bound", "classify"])
+    @pytest.mark.parametrize("n", [4, 13], ids=["p_tested", "p_skipped"])
+    def test_classification_keys_in_order(self, capsys, tmp_path, command, n):
+        path = tmp_path / "m.txt"
+        path.write_text(format_matrix(4.0 * np.eye(n) - 1.0))
+        out, _ = run(capsys, command, "--matrix", str(path))
+        assert list(json.loads(out)["classification"]) == [
+            "is_sdd", "is_z_matrix", "is_nekrasov", "is_b_matrix", "is_b_nekrasov",
+            "is_h_matrix", "is_p_matrix", "notes",
+        ]
+
 
 class TestProfileOnce:
     """A command profiles M and B+ once each, however many bounds, grid
@@ -252,3 +268,25 @@ class TestProfileOnce:
         _, code = run(capsys, *argv, "--matrix", str(data_dir / f"{name}.txt"))
         assert code == 0
         assert profile_calls == [(4, 4), (4, 4)]
+
+
+class TestFaultyFileExit1:
+    """Input faults that Python itself rejects end in an error line, not a
+    traceback: the command runs in a fresh interpreter and its stderr is read."""
+
+    @pytest.mark.parametrize("content", [
+        b"2\n1,0\n\xe9,1\n",
+        b"1" + b"0" * 4400 + b"\n1 2\n",
+        b"2\n1 0\n0 1" + b"0" * 400 + b"/3\n",
+    ], ids=["not_utf8", "over_4300_digits", "fraction_overflows_double"])
+    def test_error_line(self, tmp_path, content):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content)
+        src = str(Path(lcpbounds.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "lcpbounds.cli", "bound", "--matrix", str(path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr

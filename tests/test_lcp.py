@@ -11,6 +11,7 @@ from lcpbounds.errors import (
 )
 from lcpbounds.lcp import (
     LcpInstance,
+    _basis_solution,
     certify_error_bound,
     feasible_bases,
     is_p_matrix,
@@ -21,6 +22,7 @@ from lcpbounds.lcp import (
 from lcpbounds.linalg import inf_norm
 from lcpbounds.nekrasov import new_nekrasov_bound
 from lcpbounds.bnekrasov import new_bnekrasov_bound
+from conftest import random_nekrasov
 
 
 def projected_gauss_seidel(m, q, x0, iterations=500):
@@ -106,6 +108,69 @@ class TestSolve:
     def test_too_large(self):
         with pytest.raises(DimensionTooLarge):
             solve_lcp(LcpInstance(np.eye(16), np.ones(16)))
+
+
+def reference_walk(inst):
+    """(basis, x, w) for every feasible basis, one basis at a time over
+    ``itertools.combinations`` in (cardinality, lexicographic) order."""
+    walk = []
+    for size in range(inst.n + 1):
+        for alpha in combinations(range(inst.n), size):
+            result = _basis_solution(inst, alpha)
+            if result is not None:
+                walk.append((alpha, *result))
+    return walk
+
+
+def contract_instance(kind, n, rng):
+    if kind == "p_matrix":
+        m = random_nekrasov(n, rng)
+        assert is_p_matrix(m)
+        return LcpInstance(m, rng.uniform(-2.0, 2.0, n))
+    if kind == "no_basis":
+        # M <= 0 and q < 0 make w = Mx + q negative for every x >= 0.
+        return LcpInstance(-rng.uniform(0.1, 1.0, (n, n)), -rng.uniform(0.1, 1.0, n))
+    for _ in range(500):
+        inst = LcpInstance(rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-1.0, 1.0, n))
+        if len(reference_walk(inst)) >= 2:
+            assert not is_p_matrix(inst.m)
+            return inst
+    raise AssertionError(f"no seeded non-P instance with several feasible bases at n={n}")
+
+
+class TestSolverContract:
+    """solve_lcp and feasible_bases read one walk over the bases: the first
+    feasible basis is the solution, and the list is every feasible basis in
+    enumeration order."""
+
+    @pytest.mark.parametrize("kind", ["p_matrix", "several_bases", "no_basis"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_reference_walk(self, kind, n):
+        rng = np.random.default_rng(1000 * n + len(kind))
+        for _ in range(3):
+            inst = contract_instance(kind, n, rng)
+            walk = reference_walk(inst)
+            bases = feasible_bases(inst)
+            assert bases == [alpha for alpha, _, _ in walk]
+            if kind == "p_matrix":
+                assert len(bases) == 1
+            elif kind == "several_bases":
+                assert len(bases) >= 2
+            if not bases:
+                assert kind == "no_basis"
+                with pytest.raises(NoSolution):
+                    solve_lcp(inst)
+                continue
+            solution = solve_lcp(inst)
+            alpha, x, w = walk[0]
+            assert solution.basis == bases[0] == alpha
+            np.testing.assert_array_equal(solution.x_star, x)
+            np.testing.assert_array_equal(solution.w_star, w)
+            assert solution.complementarity_gap == float(abs(x @ w))
+
+    def test_feasible_bases_too_large(self):
+        with pytest.raises(DimensionTooLarge):
+            feasible_bases(LcpInstance(np.eye(16), np.ones(16)))
 
 
 class TestIsPMatrix:

@@ -10,9 +10,6 @@ from lcpbounds.linalg import (
     comparison_matrix,
     inf_norm,
     inverse,
-    lu_det,
-    lu_factor,
-    lu_solve,
 )
 
 
@@ -36,44 +33,6 @@ class TestValidation:
     def test_vector_rejects_inf(self):
         with pytest.raises(DomainError):
             as_vector([1.0, np.inf])
-
-
-class TestLuFactor:
-    def test_identity(self):
-        f = lu_factor(np.eye(3))
-        assert not f.singular_flag
-        np.testing.assert_array_equal(f.lower, np.eye(3))
-        np.testing.assert_array_equal(f.upper, np.eye(3))
-        np.testing.assert_array_equal(f.permutation, [0, 1, 2])
-
-    def test_row_swap(self):
-        f = lu_factor([[0.0, 1.0], [1.0, 0.0]])
-        assert not f.singular_flag
-        assert sorted(f.permutation) == [0, 1]
-        assert list(f.permutation) == [1, 0]
-        np.testing.assert_array_equal(np.diag(f.upper), [1.0, 1.0])
-
-    def test_rank_one_is_singular(self):
-        assert lu_factor([[1.0, 1.0], [1.0, 1.0]]).singular_flag
-
-    def test_zero_matrix_is_singular(self):
-        assert lu_factor(np.zeros((3, 3))).singular_flag
-
-    @pytest.mark.parametrize("n", [2, 4, 7, 10])
-    def test_reconstruction(self, n):
-        rng = np.random.default_rng(100 + n)
-        for _ in range(20):
-            a = rng.uniform(-1.0, 1.0, (n, n)) + 2 * n * np.eye(n)
-            f = lu_factor(a)
-            assert not f.singular_flag
-            assert sorted(f.permutation) == list(range(n))
-            err = np.linalg.norm(a[f.permutation] - f.lower @ f.upper)
-            assert err <= 1e-10 * np.linalg.norm(a)
-
-    def test_solve_refuses_singular(self):
-        f = lu_factor([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularMatrix):
-            lu_solve(f, [1.0, 0.0])
 
 
 class TestInverse:
@@ -108,15 +67,6 @@ class TestInverse:
         rng = np.random.default_rng(11)
         a = rng.uniform(-1.0, 1.0, (6, 6)) + 12 * np.eye(6)
         np.testing.assert_allclose(inverse(a), np.linalg.inv(a), rtol=1e-10, atol=1e-12)
-
-
-class TestDeterminant:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            n = int(rng.integers(1, 7))
-            a = rng.uniform(-2.0, 2.0, (n, n))
-            assert lu_det(lu_factor(a)) == pytest.approx(np.linalg.det(a), rel=1e-9, abs=1e-12)
 
 
 class TestInfNorm:

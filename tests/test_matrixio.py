@@ -153,6 +153,67 @@ class TestByteOrderMarkAndCrlf:
             parse_matrix(self.write_bytes(tmp_path, self.BOM + "\r\n", "empty.csv"))
 
 
+class TestFaultsPythonRejects:
+    """Bytes that are not UTF-8, integers over ``int``'s digit limit and
+    fractions beyond the largest double raise ParseError at their position."""
+
+    LONG = "1" + "0" * 4400  # more digits than int() converts by default
+    HUGE = "1" + "0" * 400  # over 1.8e308, within int()'s limit
+
+    def parse(self, tmp_path, data, name):
+        path = tmp_path / name
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+        with pytest.raises(ParseError) as exc:
+            (parse_vector if name.startswith("q") else parse_matrix)(str(path))
+        return exc.value
+
+    @pytest.mark.parametrize("data, name, where", [
+        (b"2\n1,0\n\xe9,1\n", "m.csv", (3, 1)),
+        (b"2\n1 0\n0 \xe9\n", "m.txt", (3, 3)),
+        (b"\xef\xbb\xbf2 1 \xff 3 4", "m.txt", (1, 5)),
+        (b"1\r\n2 -3/\xe2\x82", "q.txt", (2, 6)),
+    ], ids=["csv", "plain", "plain_after_bom", "vector_truncated_at_end"])
+    def test_not_utf8(self, tmp_path, data, name, where):
+        error = self.parse(tmp_path, data, name)
+        assert (error.line, error.column) == where
+        assert "not UTF-8" in str(error)
+
+    @pytest.mark.parametrize("dimension", [LONG, "1" + "0" * 3000], ids=["over_int", "square_over_str"])
+    def test_dimension_too_long(self, tmp_path, dimension):
+        error = self.parse(tmp_path, f"{dimension}\n1 2\n", "m.txt")
+        assert (error.line, error.column) == (1, 1)
+
+    @pytest.mark.parametrize("text, name, where", [
+        (f"2\n1 2\n3 {LONG}/7\n", "m.txt", (3, 3)),
+        (f"2\n1 2\n3 7/{LONG}\n", "m.txt", (3, 3)),
+        (f"1,2\n3,-1/{LONG}\n", "m.csv", (2, 3)),
+        (f"1, 2, {LONG}/3\n", "q.txt", (1, 7)),
+    ], ids=["plain_numerator", "plain_denominator", "csv", "vector"])
+    def test_fraction_part_too_long(self, tmp_path, text, name, where):
+        error = self.parse(tmp_path, text, name)
+        assert (error.line, error.column) == where
+
+    @pytest.mark.parametrize("text, name, where, token", [
+        (f"2\n1 2\n{HUGE}/3 1\n", "m.txt", (3, 1), f"{HUGE}/3"),
+        (f"1,2\n3,-{HUGE}/3\n", "m.csv", (2, 3), f"-{HUGE}/3"),
+        (f"1 2/{HUGE} {HUGE}/1\n", "q.txt", (1, 3 + len(HUGE) + 3), f"{HUGE}/1"),
+    ], ids=["plain", "csv", "vector"])
+    def test_fraction_overflows_double(self, tmp_path, text, name, where, token):
+        error = self.parse(tmp_path, text, name)
+        assert (error.line, error.column) == where
+        assert str(error).endswith(f"non-finite entry {token!r}")
+
+    def test_long_fraction_within_limits_parses(self, tmp_path):
+        big = "1" + "0" * 1500
+        m = parse_matrix(write(tmp_path, f"2\n1 2\n-{big}/{big[:-1]} 1/{big}\n"))
+        # 10^1500 / 10^1499 is -10; 1 / 10^1500 rounds to 0.
+        np.testing.assert_array_equal(m, [[1.0, 2.0], [-10.0, 0.0]])
+
+    def test_dimension_with_leading_zeros_parses(self, tmp_path):
+        m = parse_matrix(write(tmp_path, "0" * 30 + "2\n1 2\n3 4\n"))
+        np.testing.assert_array_equal(m, [[1.0, 2.0], [3.0, 4.0]])
+
+
 def _outcome(parse, path):
     try:
         return parse(path)
