@@ -7,10 +7,15 @@ Any square ``M`` splits as ``M = B+ + C`` where ``r_i = max{0, m_ij : j != i}``,
 is Nekrasov with positive diagonal; the class sits inside the P-matrices, so
 LCP(M, q) is uniquely solvable and the bounds here feed its error certificate.
 
-``all_bounds`` evaluates the two Nekrasov and the two B-Nekrasov bounds from
-one recursion profile of ``M`` and one of ``B+``.  ``all_bounds`` and
-``classify`` also take the bundle ``_profiles(m)`` returns in place of the
-matrix, so a caller that needs both profiles each matrix once.
+The B-Nekrasov bounds are the Nekrasov bounds on the ``B+`` route
+(``_BPlusRoute``), scaled by n - 1: the parameter-free one is the same
+formula, and the parameterized one runs the shared core of ``nekrasov`` on
+``B+``, whose row slacks ``s`` are the ``beta`` of ``Bbar = B+ W``.
+``all_bounds`` evaluates the four bounds from one recursion profile of ``M``
+and one of ``B+``.  ``all_bounds`` and ``classify`` also take the bundle
+``_profiles(m)`` returns in place of the matrix, so a caller that needs both
+profiles each matrix once; the bundle's ``route`` is the one rule for which
+route a command runs on.
 """
 
 from __future__ import annotations
@@ -25,16 +30,11 @@ from .linalg import as_matrix, comparison_matrix, inverse
 from .nekrasov import (
     STRICT_RTOL,
     BoundReport,
-    NekrasovProfile,
     Theorem,
-    _epsilon_inside,
-    _epsilon_midpoint,
-    _gp_nekrasov,
-    _interval_upper,
-    _new_nekrasov,
+    _m_route,
     _not_applicable,
-    _parameter_free,
     _positive_diagonal,
+    _Route,
     is_nekrasov,
 )
 
@@ -83,22 +83,62 @@ def bplus_decompose(m) -> BPlusSplit:
     return BPlusSplit(b_plus=b_plus, c=c, r_plus=r_plus)
 
 
-def _bplus_profile(mm: np.ndarray) -> tuple[BPlusSplit, NekrasovProfile] | None:
-    """The splitting and the recursion profile of its ``B+``; None for n = 1."""
-    if mm.shape[0] < 2:
-        return None
+class _BPlusRoute(_Route):
+    """``B+`` with its profile (factor n - 1): the B-Nekrasov bounds are the
+    Nekrasov ones on this route.  For n = 1 the split has no off-diagonal
+    entry to take, so the route is ``M`` itself with fault ``DimensionTooSmall``."""
+
+    name = "B+"
+    theorems = (Theorem.GP_BNEKRASOV, Theorem.NEW_BNEKRASOV)
+
+    def _finish(self, w: np.ndarray, beta: np.ndarray, epsilon: float) -> BoundReport:
+        """GP-B-Nekrasov, ``(n-1) max w / (min{min delta, 1} min w)`` with
+        ``delta = beta / w``.  Once w > 0, ``Bbar = B+ W`` is a Z-matrix whose
+        row slacks ``bbar_ii - sum_{j != i} |bbar_ij|`` are the core's ``s``."""
+        theorem = Theorem.GP_BNEKRASOV
+        zero = w <= STRICT_RTOL
+        if zero.any():
+            return _not_applicable(theorem, f"WZero({np.argmax(zero) + 1})")
+        if not np.all(beta > STRICT_RTOL * np.maximum(1.0, np.abs(np.diag(self.a) * w))):
+            return _not_applicable(theorem, "BbarNotSDDZ")
+        delta = beta / w
+        value = float(self.factor * w.max() / (min(float(np.min(delta)), 1.0) * w.min()))
+        return BoundReport(theorem=theorem, applicable=True, value=value, epsilon=epsilon,
+                           intermediates={"w": w, "beta": beta, "delta": delta,
+                                          "h": self.profile.h})
+
+
+def _bplus_route(mm: np.ndarray) -> tuple[BPlusSplit | None, _BPlusRoute]:
+    """The ``B+`` split (None for n = 1) and its route, with the class check
+    and the strict-entry check of the parameterized bound."""
+    n = mm.shape[0]
+    if n < 2:
+        return None, _BPlusRoute(mm, is_nekrasov(mm), 0, "DimensionTooSmall", None)
     split = bplus_decompose(mm)
-    return split, is_nekrasov(split.b_plus)
+    b_plus, r_plus = split.b_plus, split.r_plus
+    profile = is_nekrasov(b_plus)
+    fault = None if profile.is_nekrasov and _positive_diagonal(b_plus) else "NotBNekrasov"
+    below = (r_plus - STRICT_RTOL * np.maximum(1.0, r_plus))[:, None]
+    strict = np.triu(mm < below, 1).any(axis=1)[:-1]
+    open_row = None if strict.all() else f"NoStrictEntry({np.argmin(strict) + 1})"
+    return split, _BPlusRoute(b_plus, profile, n - 1, fault, open_row)
 
 
 @dataclass(frozen=True)
 class _Profiles:
-    """``M`` with its recursion profile, and its ``B+`` split with that
-    profile (None for n = 1): what the bounds and the classification read."""
+    """``M`` with its route, and its ``B+`` split (None for n = 1) with that
+    route: what the bounds and the classification read."""
 
     m: np.ndarray
-    nekrasov: NekrasovProfile
-    b: tuple[BPlusSplit, NekrasovProfile] | None
+    m_route: _Route
+    split: BPlusSplit | None
+    b_route: _BPlusRoute
+
+    @property
+    def route(self) -> _Route | None:
+        """The route the commands run on: ``M`` if the new Nekrasov bound
+        applies, else ``B+`` if the new B-Nekrasov bound does, else None."""
+        return next((r for r in (self.m_route, self.b_route) if r.fault is None), None)
 
 
 def _profiles(m) -> _Profiles:
@@ -106,11 +146,7 @@ def _profiles(m) -> _Profiles:
     if isinstance(m, _Profiles):
         return m
     mm = as_matrix(m)
-    return _Profiles(m=mm, nekrasov=is_nekrasov(mm), b=_bplus_profile(mm))
-
-
-def _b_nekrasov_flag(b: tuple[BPlusSplit, NekrasovProfile] | None) -> bool:
-    return b is not None and b[1].is_nekrasov and _positive_diagonal(b[0].b_plus)
+    return _Profiles(mm, _m_route(mm), *_bplus_route(mm))
 
 
 def _sdd(mm: np.ndarray) -> bool:
@@ -121,17 +157,15 @@ def _sdd(mm: np.ndarray) -> bool:
 
 
 def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
-    mm, b = p.m, p.b
+    mm, split = p.m, p.split
     n = mm.shape[0]
     notes: list[str] = []
     off_mask = ~np.eye(n, dtype=bool)
     z_flag = bool(np.all(mm[off_mask] <= 0.0))
-    nek_flag = p.nekrasov.is_nekrasov
-    if b is not None:
-        b_flag = _sdd(b[0].b_plus) and _positive_diagonal(b[0].b_plus)
-        bnek_flag = _b_nekrasov_flag(b)
+    if split is not None:
+        b_flag = _sdd(split.b_plus) and _positive_diagonal(split.b_plus)
     else:
-        b_flag = bnek_flag = False
+        b_flag = False
         notes.append("B-class tests need n >= 2")
     try:
         h_flag = bool(np.all(inverse(comparison_matrix(mm)) >= _H_INVERSE_TOL))
@@ -150,9 +184,9 @@ def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
     return ClassificationReport(
         is_sdd=_sdd(mm),
         is_z_matrix=z_flag,
-        is_nekrasov=nek_flag,
+        is_nekrasov=p.m_route.profile.is_nekrasov,
         is_b_matrix=b_flag,
-        is_b_nekrasov=bnek_flag,
+        is_b_nekrasov=p.b_route.fault is None,
         is_h_matrix=h_flag,
         is_p_matrix=p_flag,
         notes="; ".join(notes),
@@ -179,72 +213,17 @@ def gp_bnekrasov_bound(m, epsilon: float) -> BoundReport:
 
     Needs, for every row i < n, some k > i with ``m_ik`` strictly below
     ``r_i`` (ties fail), and the column-scaled ``Bbar = B+ W`` must come out
-    a strictly diagonally dominant Z-matrix.  With row slacks
+    strictly diagonally dominant.  With row slacks
     ``beta_i = bbar_ii - sum_{j != i} |bbar_ij|`` and ``delta = min beta_i/w_i``
     the bound is ``(n-1) max w / (min{delta, 1} min w)``.
     """
-    mm = as_matrix(m)
-    return _gp_bnekrasov(mm, _bplus_profile(mm), epsilon)
-
-
-def _gp_bnekrasov(mm: np.ndarray, b, epsilon: float) -> BoundReport:
-    n = mm.shape[0]
-    theorem = Theorem.GP_BNEKRASOV
-    if n == 1:
-        return _not_applicable(theorem, "DimensionTooSmall")
-    if not _b_nekrasov_flag(b):
-        return _not_applicable(theorem, "NotBNekrasov")
-    split, profile = b
-    for i in range(n - 1):
-        tol = STRICT_RTOL * max(1.0, split.r_plus[i])
-        if not np.any(mm[i, i + 1 :] < split.r_plus[i] - tol):
-            return _not_applicable(theorem, f"NoStrictEntry({i + 1})")
-    if not _epsilon_inside(epsilon, _interval_upper(split.b_plus, profile.h)):
-        return _not_applicable(theorem, "EpsilonOutOfRange")
-    b_diag = np.diag(split.b_plus)
-    w = profile.h / b_diag
-    w[-1] += epsilon
-    for i in range(n):
-        if w[i] <= STRICT_RTOL:
-            return _not_applicable(theorem, f"WZero({i + 1})")
-    bbar = split.b_plus * w[None, :]
-    abs_bbar = np.abs(bbar)
-    bbar_diag = np.diag(bbar)
-    beta = bbar_diag - (abs_bbar.sum(axis=1) - np.abs(bbar_diag))
-    off_mask = ~np.eye(n, dtype=bool)
-    sdd_z = bool(
-        np.all(bbar[off_mask] <= 0.0)
-        and np.all(beta > STRICT_RTOL * np.maximum(1.0, np.abs(bbar_diag)))
-    )
-    if not sdd_z:
-        return _not_applicable(theorem, "BbarNotSDDZ")
-    delta = beta / w
-    delta_min = float(np.min(delta))
-    value = float((n - 1) * w.max() / (min(delta_min, 1.0) * w.min()))
-    return BoundReport(
-        theorem=theorem,
-        applicable=True,
-        value=value,
-        epsilon=epsilon,
-        intermediates={"w": w, "beta": beta, "delta": delta, "h": profile.h},
-    )
+    return _bplus_route(as_matrix(m))[1].gp(epsilon)
 
 
 def new_bnekrasov_bound(m) -> BoundReport:
     """Parameter-free B-Nekrasov bound: (n - 1) times the new Nekrasov formula
     on ``B+``, ``max_i (n-1) eta_i(B+) / min{b_ii - h_i(B+), 1}``."""
-    mm = as_matrix(m)
-    return _new_bnekrasov(mm, _bplus_profile(mm))
-
-
-def _new_bnekrasov(mm: np.ndarray, b) -> BoundReport:
-    n = mm.shape[0]
-    theorem = Theorem.NEW_BNEKRASOV
-    if n == 1:
-        return _not_applicable(theorem, "DimensionTooSmall")
-    if not _b_nekrasov_flag(b):
-        return _not_applicable(theorem, "NotBNekrasov")
-    return _parameter_free(theorem, b[1], n - 1)
+    return _bplus_route(as_matrix(m))[1].new()
 
 
 def all_bounds(m, epsilon: float | None = None) -> list[BoundReport]:
@@ -257,15 +236,7 @@ def all_bounds(m, epsilon: float | None = None) -> list[BoundReport]:
     ``M`` and ``B+`` are each profiled once for all four.
     """
     p = _profiles(m)
-    mm, profile, b = p.m, p.nekrasov, p.b
-    if epsilon is None:
-        eps_n = _epsilon_midpoint(mm, profile.h)
-        eps_b = 0.5 if b is None else _epsilon_midpoint(b[0].b_plus, b[1].h)
-    else:
-        eps_n = eps_b = epsilon
-    return [
-        _gp_nekrasov(mm, profile, eps_n),
-        _new_nekrasov(mm, profile),
-        _gp_bnekrasov(mm, b, eps_b),
-        _new_bnekrasov(mm, b),
-    ]
+    reports = []
+    for route in (p.m_route, p.b_route):
+        reports += [route.gp(route.midpoint() if epsilon is None else epsilon), route.new()]
+    return reports

@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract: 0 on success (all requested checks pass),
 2 when no bound is applicable to the input matrix, 1 on operational errors
-(unreadable files, parse failures, unsolvable instances).
+(unreadable files, parse failures, unsolvable instances) and usage errors.
 """
 
 from __future__ import annotations
@@ -145,24 +145,14 @@ def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
     if cfg.grid < 2:
         raise LcpBoundsError("sweep needs a grid of at least 2 points")
     # Every grid point reuses the one profile of M (or of B+) taken here.
-    profiles = bnekrasov._profiles(m)
-    reports = _by_theorem(bnekrasov.all_bounds(profiles))
-    if reports[Theorem.NEW_NEKRASOV].applicable:
-        upper = nekrasov._interval_upper(profiles.m, profiles.nekrasov.h)
-        gp, args = nekrasov._gp_nekrasov, (profiles.m, profiles.nekrasov)
-        constant = reports[Theorem.NEW_NEKRASOV]
-    elif reports[Theorem.NEW_BNEKRASOV].applicable:
-        split, b_profile = profiles.b
-        upper = nekrasov._interval_upper(split.b_plus, b_profile.h)
-        gp, args = bnekrasov._gp_bnekrasov, (profiles.m, profiles.b)
-        constant = reports[Theorem.NEW_BNEKRASOV]
-    else:
+    route = bnekrasov._profiles(m).route
+    if route is None:
         return "no epsilon-parameterized bound applies to this matrix", EXIT_NO_APPLICABLE_BOUND
+    upper, new_text = route.upper, _format_value(route.new().value, True)
     lines = ["epsilon,gp_bound,new_bound"]
-    new_text = _format_value(constant.value, constant.applicable)
     for k in range(1, cfg.grid + 1):
         epsilon = k * upper / (cfg.grid + 1)
-        report = gp(*args, epsilon)
+        report = route.gp(epsilon)
         lines.append(f"{epsilon!r},{_format_value(report.value, report.applicable)},{new_text}")
     return "\n".join(lines), EXIT_OK
 
@@ -181,7 +171,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
             entries.append(_report_entry(report, dominated=dominated))
         else:
             entries.append(_report_entry(report))
-    kol = nekrasov._kolotilina(profiles.nekrasov)
+    kol = nekrasov._kolotilina(profiles.m_route.profile)
     kol_entry = _report_entry(kol)
     kol_ok = True
     if kol.applicable and kol.value is not None:
@@ -190,16 +180,11 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
         kol_entry.update(inverse_norm=inverse_norm, dominates_inverse_norm=kol_ok)
     lemma_data = None
     lemma_clean = True
-    target = None
-    by_theorem = _by_theorem(reports)
-    if by_theorem[Theorem.NEW_NEKRASOV].applicable:
-        target, target_name = m, "M"
-    elif by_theorem[Theorem.NEW_BNEKRASOV].applicable:
-        target, target_name = profiles.b[0].b_plus, "B+"
-    if target is not None:
-        suite = lemma_property_suite(target, trials=1000, seed=cfg.seed)
+    route = profiles.route  # the lemma suite reads the profile this route carries
+    if route is not None:
+        suite = lemma_property_suite(route, trials=1000, seed=cfg.seed)
         lemma_clean = suite.clean
-        lemma_data = {"target": target_name, "trials": suite.trials,
+        lemma_data = {"target": route.name, "trials": suite.trials,
                       "violations": len(suite.violations)}
     data = {
         "matrix": cfg.matrix_path,
@@ -273,8 +258,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1; exit 2 means "no applicable bound"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lcp-certify",
         description="Certified inverse-norm and LCP error bounds for Nekrasov "
         "and B-Nekrasov matrices.",

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
+    DomainError,
     InapplicableBound,
     NoSolution,
     SingularMatrix,
@@ -179,6 +180,8 @@ def certify_error_bound(inst: LcpInstance, x, bound: BoundReport) -> ErrorCertif
 
 def trial_points(x_star, count: int, seed: int) -> np.ndarray:
     """Seeded trial points, uniform in [0, 3(1 + ||x*||_inf)] per coordinate."""
+    if count < 0 or seed < 0:
+        raise DomainError("count and seed must be nonnegative")
     xs = as_vector(x_star)
     rng = np.random.default_rng(seed)
     high = 3.0 * (1.0 + inf_norm(xs))

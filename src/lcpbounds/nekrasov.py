@@ -29,6 +29,14 @@ nonzero entry below it uses it as a divisor; the first such use in row-major
 order makes that row's values and every later row's ``+inf``, and
 ``h_vector``, ``z_vector`` and ``eta_vector`` raise ``ZeroDiagonal`` with its
 1-based index.
+
+The bounds run on a route, ``_Route``: the matrix of a bound family with its
+profile.  Here that is ``M`` with factor 1; ``bnekrasov`` adds ``B+`` with
+factor n - 1.  One core serves both parameterized bounds: after the class,
+upper-row and epsilon checks it takes ``w = h/diag`` (``w_n`` shifted by
+epsilon) and the row slacks ``s = triu(|A|, 1) @ (1 - w)``,
+``s_n = epsilon a_nn``, as array operations; each family adds only its
+final formula.
 """
 
 from __future__ import annotations
@@ -236,17 +244,86 @@ def _interval_upper(a: np.ndarray, h: np.ndarray) -> float:
     return float(1.0 - h[-1] / a[-1, -1])
 
 
-def _epsilon_midpoint(a: np.ndarray, h: np.ndarray) -> float:
-    """Midpoint of ``(0, 1 - h_n/a_nn)``, or 0.5 where that interval is empty or
-    undefined; the parameterized bound then fails a structural check anyway."""
-    if not np.isfinite(h[-1]) or abs(a[-1, -1]) <= _ZERO_FLOOR:
-        return 0.5
-    upper = _interval_upper(a, h)
-    return upper / 2.0 if upper > 0.0 else 0.5
+@dataclass(frozen=True)
+class _Route:
+    """The matrix a bound family runs on, with its recursion profile.
+
+    This class is the ``M`` route of the Nekrasov bounds (factor 1);
+    ``bnekrasov._BPlusRoute`` is the ``B+`` route of the B-Nekrasov ones
+    (factor n - 1).  Both run the parameterized bound on one core, ``gp``,
+    and differ only in its final formula, ``_finish``.  ``fault`` names the
+    family's failed class check (None where its bounds apply) and
+    ``open_row`` the parameterized bound's failed upper-row check.
+    """
+
+    name = "M"
+    theorems = (Theorem.GP_NEKRASOV, Theorem.NEW_NEKRASOV)
+
+    a: np.ndarray
+    profile: NekrasovProfile
+    factor: int
+    fault: str | None
+    open_row: str | None
+
+    @property
+    def upper(self) -> float:
+        """Upper end of the open interval epsilon is drawn from."""
+        return _interval_upper(self.a, self.profile.h)
+
+    def midpoint(self) -> float:
+        """Midpoint of ``(0, upper)``, or 0.5 where that interval is empty or
+        undefined; the parameterized bound then fails another check anyway."""
+        a, h = self.a, self.profile.h
+        if not np.isfinite(h[-1]) or abs(a[-1, -1]) <= _ZERO_FLOOR:
+            return 0.5
+        upper = self.upper
+        return upper / 2.0 if upper > 0.0 else 0.5
+
+    def gp(self, epsilon: float) -> BoundReport:
+        """The parameterized bound: the class, upper-row and epsilon checks,
+        then ``w = h/diag`` (``w_n`` shifted by epsilon) and the row slacks
+        ``s = triu(|A|, 1) @ (1 - w)``, ``s_n = epsilon a_nn``, for the
+        family's final formula."""
+        reason = "DimensionTooSmall" if self.a.shape[0] == 1 else self.fault or self.open_row
+        if reason is None:
+            upper = self.upper
+            if not STRICT_RTOL * upper < epsilon < upper * (1.0 - STRICT_RTOL):
+                reason = "EpsilonOutOfRange"
+        if reason is not None:
+            return _not_applicable(self.theorems[0], reason)
+        diag = np.diag(self.a)
+        w = self.profile.h / diag
+        w[-1] += epsilon
+        s = np.triu(np.abs(self.a), 1) @ (1.0 - w)
+        s[-1] = epsilon * diag[-1]
+        return self._finish(w, s, epsilon)
+
+    def _finish(self, w: np.ndarray, s: np.ndarray, epsilon: float) -> BoundReport:
+        """GP-Nekrasov: ``max{max w / min s, max w / min w}``."""
+        if np.min(s) <= STRICT_RTOL * max(1.0, float(np.abs(self.a).max())):
+            return _not_applicable(Theorem.GP_NEKRASOV, "DegenerateS")
+        value = float(max(w.max() / s.min(), w.max() / w.min()))
+        return BoundReport(theorem=Theorem.GP_NEKRASOV, applicable=True, value=value,
+                           epsilon=epsilon, intermediates={"w": w, "s": s, "h": self.profile.h})
+
+    def new(self) -> BoundReport:
+        """The parameter-free bound ``factor * max_i eta_i / min{margin_i, 1}``."""
+        if self.fault is not None:
+            return _not_applicable(self.theorems[1], self.fault)
+        p = self.profile
+        value = float(self.factor * np.max(p.eta / np.minimum(p.margins, 1.0)))
+        return BoundReport(theorem=self.theorems[1], applicable=True, value=value,
+                           intermediates={"h": p.h, "eta": p.eta, "margins": p.margins})
 
 
-def _epsilon_inside(epsilon: float, upper: float) -> bool:
-    return STRICT_RTOL * upper < epsilon < upper * (1.0 - STRICT_RTOL)
+def _m_route(mm: np.ndarray) -> _Route:
+    """Profile ``M`` and take its class and upper-row checks."""
+    profile = is_nekrasov(mm)
+    fault = ("NotNekrasov" if not profile.is_nekrasov
+             else None if _positive_diagonal(mm) else "NonPositiveDiagonal")
+    filled = np.triu(np.abs(mm) > 0.0, 1).any(axis=1)[:-1]
+    open_row = None if filled.all() else f"ZeroUpperRow({np.argmin(filled) + 1})"
+    return _Route(mm, profile, 1, fault, open_row)
 
 
 def gp_nekrasov_bound(m, epsilon: float) -> BoundReport:
@@ -259,68 +336,10 @@ def gp_nekrasov_bound(m, epsilon: float) -> BoundReport:
     is ``max{max w / min s, max w / min w}``.  It degenerates to +inf as
     epsilon approaches either end of its interval.
     """
-    mm = as_matrix(m)
-    return _gp_nekrasov(mm, is_nekrasov(mm), epsilon)
-
-
-def _gp_nekrasov(mm: np.ndarray, profile: NekrasovProfile, epsilon: float) -> BoundReport:
-    n = mm.shape[0]
-    theorem = Theorem.GP_NEKRASOV
-    if n == 1:
-        return _not_applicable(theorem, "DimensionTooSmall")
-    if not profile.is_nekrasov:
-        return _not_applicable(theorem, "NotNekrasov")
-    if not _positive_diagonal(mm):
-        return _not_applicable(theorem, "NonPositiveDiagonal")
-    abs_m = np.abs(mm)
-    for i in range(n - 1):
-        if not np.any(abs_m[i, i + 1 :] > 0.0):
-            return _not_applicable(theorem, f"ZeroUpperRow({i + 1})")
-    if not _epsilon_inside(epsilon, _interval_upper(mm, profile.h)):
-        return _not_applicable(theorem, "EpsilonOutOfRange")
-    diag = np.diag(mm)
-    w = profile.h / diag
-    w[-1] += epsilon
-    s = np.empty(n)
-    for i in range(n - 1):
-        s[i] = abs_m[i, i + 1 :] @ (1.0 - w[i + 1 :])
-    s[-1] = epsilon * diag[-1]
-    if np.min(s) <= STRICT_RTOL * max(1.0, float(abs_m.max())):
-        return _not_applicable(theorem, "DegenerateS")
-    value = float(max(w.max() / s.min(), w.max() / w.min()))
-    return BoundReport(
-        theorem=theorem,
-        applicable=True,
-        value=value,
-        epsilon=epsilon,
-        intermediates={"w": w, "s": s, "h": profile.h},
-    )
+    return _m_route(as_matrix(m)).gp(epsilon)
 
 
 def new_nekrasov_bound(m) -> BoundReport:
     """Parameter-free bound on the worst-case inverse norm of ``I - D + D M``:
     ``max_i eta_i / min{m_ii - h_i, 1}`` for Nekrasov ``M`` with positive diagonal."""
-    mm = as_matrix(m)
-    return _new_nekrasov(mm, is_nekrasov(mm))
-
-
-def _new_nekrasov(mm: np.ndarray, profile: NekrasovProfile) -> BoundReport:
-    theorem = Theorem.NEW_NEKRASOV
-    if not profile.is_nekrasov:
-        return _not_applicable(theorem, "NotNekrasov")
-    if not _positive_diagonal(mm):
-        return _not_applicable(theorem, "NonPositiveDiagonal")
-    return _parameter_free(theorem, profile)
-
-
-def _parameter_free(theorem: Theorem, profile: NekrasovProfile, factor: int = 1) -> BoundReport:
-    """``factor * max_i eta_i / min{margin_i, 1}`` on a profile that passed its
-    class checks: the new Nekrasov bound on ``M`` (factor 1), or the new
-    B-Nekrasov bound on ``B+`` (factor n - 1)."""
-    value = float(factor * np.max(profile.eta / np.minimum(profile.margins, 1.0)))
-    return BoundReport(
-        theorem=theorem,
-        applicable=True,
-        value=value,
-        intermediates={"h": profile.h, "eta": profile.eta, "margins": profile.margins},
-    )
+    return _m_route(as_matrix(m)).new()

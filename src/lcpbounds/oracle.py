@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionTooLarge, DomainError, PreconditionFailed
 from .linalg import _inverse_stack, as_matrix, inf_norm, inverse
-from .nekrasov import _positive_diagonal, _profile, _scaled, is_nekrasov, scaled_matrix
+from .nekrasov import _m_route, _positive_diagonal, _profile, _Route, _scaled, scaled_matrix
 
 _ORACLE_MAX_N = 20
 
@@ -90,6 +90,8 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
         raise DimensionTooLarge(f"vertex enumeration is limited to n <= {_ORACLE_MAX_N}")
     if interior_samples < 0:
         raise DomainError("interior_samples must be nonnegative")
+    if not 0 <= seed < 2**128:
+        raise DomainError("seed must lie in [0, 2**128)")
     best = -np.inf
     best_d = np.zeros(n)
     for ds in _scaling_chunks(n, interior_samples, seed):
@@ -136,10 +138,14 @@ def lemma_property_suite(m, trials: int = 1000, seed: int = 0) -> LemmaSuiteRepo
     (in the order above, the Nekrasov test last), then row.
 
     Requires a Nekrasov ``M`` with positive diagonal; any violation reported
-    here indicates an implementation bug, not an unlucky sample.
+    here indicates an implementation bug, not an unlucky sample.  ``m`` may
+    also be a route (``nekrasov._Route``): its matrix is checked with the
+    profile it carries, which is not taken again.
     """
-    mm = as_matrix(m)
-    profile = is_nekrasov(mm)
+    if trials < 0 or seed < 0:
+        raise DomainError("trials and seed must be nonnegative")
+    route = m if isinstance(m, _Route) else _m_route(as_matrix(m))
+    mm, profile = route.a, route.profile
     if not profile.is_nekrasov or not _positive_diagonal(mm):
         raise PreconditionFailed("requires a Nekrasov matrix with positive diagonal")
     n = mm.shape[0]

@@ -48,6 +48,30 @@ def random_nekrasov(n: int, rng: np.random.Generator) -> np.ndarray:
     return a
 
 
+def random_bnekrasov(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random B-Nekrasov matrix: sample off-diagonal entries in [-1, 1], then
+    set each diagonal entry to ``r_i`` plus the row's dominance value in
+    ``B+`` plus a margin in (0.1, 1), row by row in index order."""
+    m = rng.uniform(-1.0, 1.0, (n, n))
+    np.fill_diagonal(m, -np.inf)
+    r = np.maximum(m.max(axis=1), 0.0)
+    b = m - r[:, None]
+    h = np.zeros(n)
+    for i in range(n):
+        acc = float(np.abs(b[i, i + 1 :]).sum())
+        for j in range(i):
+            acc += abs(b[i, j]) / b[j, j] * h[j]
+        h[i] = acc
+        b[i, i] = acc + rng.uniform(0.1, 1.0)
+        m[i, i] = r[i] + b[i, i]
+    return m
+
+
 @pytest.fixture
 def make_nekrasov():
     return random_nekrasov
+
+
+@pytest.fixture
+def make_bnekrasov():
+    return random_bnekrasov

@@ -137,6 +137,16 @@ class TestGpBNekrasovBound:
     def test_n1_not_applicable(self):
         assert gp_bnekrasov_bound([[2.0]], 0.1).reason == "DimensionTooSmall"
 
+    @pytest.mark.parametrize("m, epsilon, m_reason, b_reason", [
+        ([[1e13, -1.0], [-1.0, 2.0]], 0.5, "DegenerateS", "WZero(1)"),  # w_1 = 1e-13
+        ([[2.0, -1.0], [-0.9, 0.5]], 0.1 * (1 - 2e-12), "DegenerateS", "BbarNotSDDZ"),  # s_1 = 2e-13
+    ])
+    def test_degenerate_scaling(self, m, epsilon, m_reason, b_reason):
+        # Z-matrices: B+ = M, so both routes run on the same matrix and differ
+        # only in the final checks of their parameterized bound.
+        assert gp_nekrasov_bound(m, epsilon).reason == m_reason
+        assert gp_bnekrasov_bound(m, epsilon).reason == b_reason
+
 
 class TestNewBNekrasovBound:
     def test_example3(self, ex3):
@@ -237,3 +247,33 @@ class TestAllBounds:
         reports = all_bounds(m)
         self.assert_same(reports, self.separately(m, 0.5, 0.5))
         assert not reports[0].applicable and not reports[2].applicable
+
+
+class TestGpCoreExact:
+    """Both parameterized bounds run on one core of row slacks.  On random
+    Nekrasov and B-Nekrasov inputs each matches its exact rational formula;
+    the B-Nekrasov one is computed there through ``Bbar = B+ W``."""
+
+    def test_random_inputs_match_exact_values(self, make_nekrasov, make_bnekrasov):
+        cases = [
+            (make_nekrasov, gp_nekrasov_bound, nekrasov.epsilon_interval_upper,
+             _rational.gp_nekrasov_exact),
+            (make_bnekrasov, gp_bnekrasov_bound, bnekrasov.epsilon_interval_upper,
+             _rational.gp_bnekrasov_exact),
+        ]
+        rng = np.random.default_rng(2024)
+        checked = [0, 0]
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            for k, (make, gp, upper, exact) in enumerate(cases):
+                m = make(n, rng)
+                eps = upper(m) / 2.0
+                report = gp(m, eps)
+                if not report.applicable:
+                    # A row whose only entries right of the diagonal tie r_i.
+                    assert report.reason.startswith("NoStrictEntry")
+                    continue
+                want = exact([[F(float(v)) for v in row] for row in m], F(eps))
+                assert abs(F(report.value) - want) <= want / 10**13
+                checked[k] += 1
+        assert checked[0] == 200 and checked[1] >= 100

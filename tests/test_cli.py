@@ -269,10 +269,53 @@ class TestProfileOnce:
         assert code == 0
         assert profile_calls == [(4, 4), (4, 4)]
 
+    @pytest.mark.parametrize("name", ["example1", "example3"])
+    def test_verify_two_profiles(self, capsys, data_dir, profile_calls, name):
+        # The lemma suite reads the profile of its route (M or B+); only the
+        # stacked (k, n, n) profiles of its scaled members are new.
+        _, code = run(capsys, "verify", "--samples", "10",
+                      "--matrix", str(data_dir / f"{name}.txt"))
+        assert code == 0
+        assert [shape for shape in profile_calls if len(shape) == 2] == [(4, 4), (4, 4)]
+
+
+class TestUsageErrorExit1:
+    """Usage errors exit 1, as operational errors do; 2 means that no bound applies."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bound"],
+        ["bound", "--matrix", "m.txt", "--epsilon", "abc"],
+        [],
+    ], ids=["bound_without_matrix", "epsilon_not_a_number", "no_subcommand"])
+    def test_exit_1_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lcp-certify") and "error: " in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: lcp-certify")
+
 
 class TestFaultyFileExit1:
-    """Input faults that Python itself rejects end in an error line, not a
-    traceback: the command runs in a fresh interpreter and its stderr is read."""
+    """Input faults that Python or numpy itself rejects end in an error line,
+    not a traceback: the command runs in a fresh interpreter and its stderr
+    is read."""
+
+    @staticmethod
+    def assert_error_line(*argv):
+        src = str(Path(lcpbounds.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "lcpbounds.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("content", [
         b"2\n1,0\n\xe9,1\n",
@@ -282,11 +325,15 @@ class TestFaultyFileExit1:
     def test_error_line(self, tmp_path, content):
         path = tmp_path / "bad.txt"
         path.write_bytes(content)
-        src = str(Path(lcpbounds.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "lcpbounds.cli", "bound", "--matrix", str(path)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ")
-        assert "Traceback" not in proc.stderr
+        self.assert_error_line("bound", "--matrix", str(path))
+
+    @pytest.mark.parametrize("argv", [
+        ("lcp", "--trials", "-1"),
+        ("lcp", "--seed", "-1"),
+        ("verify", "--seed", "-1"),
+        ("verify", "--seed", str(2**128)),
+    ], ids=["lcp_negative_trials", "lcp_negative_seed", "verify_negative_seed",
+            "verify_seed_2_pow_128"])
+    def test_argument_error_line(self, data_dir, argv):
+        q = ("--q", str(data_dir / "q_minus_ones.txt")) if argv[0] == "lcp" else ()
+        self.assert_error_line(*argv, "--matrix", str(data_dir / "example2.txt"), *q)

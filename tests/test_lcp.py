@@ -6,6 +6,7 @@ import pytest
 from lcpbounds.errors import (
     DimensionMismatch,
     DimensionTooLarge,
+    DomainError,
     InapplicableBound,
     NoSolution,
 )
@@ -249,3 +250,8 @@ class TestTrialPoints:
         np.testing.assert_array_equal(a, b)
         assert a.shape == (50, 2)
         assert np.all(a >= 0.0) and np.all(a <= 3.0 * (1.0 + 2.0))
+
+    @pytest.mark.parametrize("count, seed", [(-1, 0), (5, -1)])
+    def test_negative_count_or_seed_rejected(self, count, seed):
+        with pytest.raises(DomainError):
+            trial_points([1.0, 2.0], count, seed)

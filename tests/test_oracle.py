@@ -113,6 +113,13 @@ class TestOracleMaxNorm:
         with pytest.raises(DomainError):
             oracle_max_norm(ex1, interior_samples=-1, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_keys_rejected(self, ex1, seed):
+        # The sample generator is keyed even when no sample is drawn.
+        with pytest.raises(DomainError):
+            oracle_max_norm(ex1, interior_samples=0, seed=seed)
+        assert oracle_max_norm(ex1, interior_samples=0, seed=2**128 - 1).vertex_count == 16
+
     # The default chunk splits the 2500 samples in two; 48 entries make
     # chunks of three 4x4 members, so both vertices and samples span many.
     @pytest.mark.parametrize("chunk_entries", [oracle._CHUNK_ENTRIES, 48])
@@ -176,6 +183,12 @@ class TestLemmaSuite:
             lemma_property_suite(ex3, trials=10, seed=0)
         with pytest.raises(PreconditionFailed):
             lemma_property_suite([[-2.0, 0.5], [0.5, -2.0]], trials=10, seed=0)
+
+    def test_negative_trials_or_seed_rejected(self, ex1):
+        with pytest.raises(DomainError):
+            lemma_property_suite(ex1, trials=-1, seed=0)
+        with pytest.raises(DomainError):
+            lemma_property_suite(ex1, trials=10, seed=-1)
 
     # 48 entries make chunks of three 4x4 members.
     @pytest.mark.parametrize("chunk_entries", [oracle._CHUNK_ENTRIES, 48])
