@@ -15,7 +15,9 @@ formula, and the parameterized one runs the shared core of ``nekrasov`` on
 and one of ``B+``.  ``all_bounds`` and ``classify`` also take the bundle
 ``_profiles(m)`` returns in place of the matrix, so a caller that needs both
 profiles each matrix once; the bundle's ``route`` is the one rule for which
-route a command runs on.
+route a command runs on.  ``M`` is an H-matrix iff its comparison matrix
+``<M>`` is a nonsingular M-matrix, that is iff ``x = <M>^{-1} 1`` is positive
+(Berman & Plemmons, 1994, ch. 6), so ``classify`` takes one solve.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lcp, nekrasov
-from .errors import DimensionTooSmall, SingularMatrix
-from .linalg import as_matrix, comparison_matrix, inverse
+from .errors import DimensionTooSmall
+from .linalg import PIVOT_RTOL, as_matrix, comparison_matrix
 from .nekrasov import (
     STRICT_RTOL,
     BoundReport,
@@ -37,10 +39,6 @@ from .nekrasov import (
     _Route,
     is_nekrasov,
 )
-
-# Entrywise tolerance for the inverse-nonnegativity H-matrix test.
-_H_INVERSE_TOL = -1e-10
-
 
 @dataclass(frozen=True)
 class BPlusSplit:
@@ -167,9 +165,15 @@ def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
     else:
         b_flag = False
         notes.append("B-class tests need n >= 2")
+    a = comparison_matrix(mm)
     try:
-        h_flag = bool(np.all(inverse(comparison_matrix(mm)) >= _H_INVERSE_TOL))
-    except SingularMatrix:
+        x = np.linalg.solve(a, np.ones(n))
+        h_flag = bool(np.all(x > 0.0))
+        # Then ||<M>^{-1}||_inf = max x, and the PIVOT_RTOL rule holds as for an inverse.
+        singular = h_flag and not np.abs(a).sum(axis=1).max() * x.max() <= 1.0 / PIVOT_RTOL
+    except np.linalg.LinAlgError:
+        singular = True
+    if singular:
         h_flag = False
         notes.append("comparison matrix is singular")
     p_flag: bool | None

@@ -14,23 +14,25 @@ or commas, with the same token syntax.
 The token grammar is Python's ``float`` (underscores and the ``inf``/``nan``
 spellings included; non-finite values are rejected) plus ``p/q`` with
 integer parts, rounded once as ``int(p) / int(q)``.  A well-formed file is
-read in one conversion pass: ``str.split`` cuts the text into tokens (commas
-count as separators in CSV and vector files) and ``float`` converts them
-straight into one float64 array.  Only when that pass fails (a shape or
-count mismatch, a token ``float`` rejects, a fraction, or a non-finite
-value) does the positioned scan run: a regex over each line that returns
-the values, fractions included, or raises the error with the 1-based line
-and column of the offending token.  Both passes see the same tokens, so
-which one ran never changes a value or an error.  Files are read as UTF-8;
-a leading byte-order mark, as spreadsheet "CSV UTF-8" exports write, is
-skipped.  Bytes that are not UTF-8, integers with more digits than ``int``
-converts, and fractions beyond the largest double raise the same positioned
-error.
+read in one conversion pass: ``np.fromstring(text, sep=" ")`` turns the text
+(the head split off a plain file, commas made spaces in CSV and vector
+files) into one float64 array, rounding each number with CPython's
+``PyOS_string_to_double`` as ``float`` does.  Text numpy rejects or warns
+about (fractions, underscores, separators outside ASCII whitespace), a count
+mismatch, a non-finite value or text with no number falls back to the
+positioned scan: a regex over each line that returns the values, fractions
+included, or raises the error with the 1-based line and column of the
+offending token.  The scan defines the grammar, so which pass ran never
+changes a value or an error.  Files are read as UTF-8; a leading byte-order
+mark, as spreadsheet "CSV UTF-8" exports write, is skipped.  Bytes that are
+not UTF-8, integers with more digits than ``int`` converts, and fractions
+beyond the largest double raise the same positioned error.
 """
 
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 
@@ -72,13 +74,17 @@ def _parse_number(token: str, line: int, column: int) -> float:
     return value
 
 
-def _floats(tokens: list[str]) -> np.ndarray | None:
-    """The tokens converted by ``float`` into one float64 array, or None when
-    one is not a finite ``float`` literal (a fraction, say) and the caller
-    has to rescan with positions."""
+def _convert(text: str) -> np.ndarray | None:
+    """The numbers in ``text`` as one float64 array, or None where the scan
+    has to run: no number (numpy reads blank text as ``[-1.0]``), text numpy
+    rejects (older numpy warns and returns a prefix), a non-finite value."""
+    if text.isspace():
+        return None
     try:
-        values = np.fromiter(map(float, tokens), float, len(tokens))
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text, sep=" ")
+    except (ValueError, DeprecationWarning):
         return None
     return values if np.isfinite(values).all() else None
 
@@ -98,7 +104,7 @@ def _read(path: str) -> str:
 def parse_matrix(path: str) -> np.ndarray:
     """Parse a matrix file in either supported format."""
     text = _read(path)
-    if not text.strip():
+    if not text or text.isspace():
         raise EmptyFile(f"{path} contains no data")
     if "," in text:
         return _parse_csv(text)
@@ -109,7 +115,7 @@ def _parse_csv(text: str) -> np.ndarray:
     # A line of commas only is a row of width 0, as in the scan.
     widths = [len(line.replace(",", " ").split()) for line in text.splitlines() if line.strip()]
     n = len(widths)
-    values = _floats(text.replace(",", " ").split()) if widths.count(n) == n else None
+    values = _convert(text.replace(",", " ")) if widths.count(n) == n else None
     return _scan_csv(text) if values is None else values.reshape(n, n)
 
 
@@ -130,12 +136,11 @@ def _scan_csv(text: str) -> np.ndarray:
 
 
 def _parse_plain(text: str) -> np.ndarray:
-    tokens = text.split()
-    head = tokens.pop(0)
+    head, *rest = text.split(None, 1)
     # Heads too long for int() are left to the scan, which reports them.
     n = int(head) if _INT_RE.match(head) and len(head) < 20 else 0
-    values = _floats(tokens) if n > 0 and len(tokens) == n * n else None
-    return _scan_plain(text) if values is None else values.reshape(n, n)
+    values = _convert(rest[0]) if n > 0 and rest else None
+    return _scan_plain(text) if values is None or values.size != n * n else values.reshape(n, n)
 
 
 def _scan_plain(text: str) -> np.ndarray:
@@ -160,14 +165,17 @@ def _scan_plain(text: str) -> np.ndarray:
 def parse_vector(path: str) -> np.ndarray:
     """Parse a vector file: numbers separated by whitespace and/or commas."""
     text = _read(path)
-    if not text.strip():
+    if not text or text.isspace():
         raise EmptyFile(f"{path} contains no data")
-    values = _floats(text.replace(",", " ").split())
+    values = _convert(text.replace(",", " "))
     return _scan_vector(text) if values is None else values
 
 
 def _scan_vector(text: str) -> np.ndarray:
-    return np.array([_parse_number(tok, ln, col) for tok, ln, col in _tokens(text, split_commas=True)])
+    values = [_parse_number(tok, ln, col) for tok, ln, col in _tokens(text, split_commas=True)]
+    if not values:  # separators only
+        raise EmptyFile("vector file contains no data")
+    return np.array(values)
 
 
 def format_matrix(m: np.ndarray) -> str:

@@ -18,17 +18,16 @@ its inverse, uniformly in ``d``.  That worst-case norm is exactly the
 constant in the Chen-Xiang error bound for LCP(M, q), which is what makes
 these quantities useful as error certificates.
 
-All three recursions run in one kernel, ``_forward``, that loops over rows
-only: row i is one product of ``|a_ij| / divisor_j`` (j < i) with the rows
-above it.  h and z share the divisors ``|a_jj|`` and run as two right-hand
-sides of one pass; eta takes a second pass.  The kernel also takes a
-``(k, n, n)`` stack, so the oracle's lemma suite profiles a whole chunk of
-scaled members at once (at most ``oracle._CHUNK_ENTRIES`` entries, the bound
-the oracle's inverses use).  A zero diagonal entry matters only where a
-nonzero entry below it uses it as a divisor; the first such use in row-major
-order makes that row's values and every later row's ``+inf``, and
-``h_vector``, ``z_vector`` and ``eta_vector`` raise ``ZeroDiagonal`` with its
-1-based index.
+All three recursions run in one row loop, ``_forward``: in row i each system
+is one product of ``|a_ij| / divisor_j`` (j < i) with the rows above it; h
+and z share the divisors ``|a_jj|`` as two right-hand sides, and eta takes
+``min{|a_jj|, 1}``.  The kernel also takes a ``(k, n, n)`` stack, so the
+oracle's lemma suite profiles a whole chunk of scaled members at once (at
+most ``oracle._CHUNK_ENTRIES`` entries, the bound the oracle's inverses
+use).  A zero diagonal entry matters only where a nonzero entry below it
+uses it as a divisor; the first such use in row-major order makes that row's
+values and every later row's ``+inf``, and ``h_vector``, ``z_vector`` and
+``eta_vector`` raise ``ZeroDiagonal`` with its 1-based index.
 
 The bounds run on a route, ``_Route``: the matrix of a bound family with its
 profile.  Here that is ``M`` with factor 1; ``bnekrasov`` adds ``B+`` with
@@ -107,12 +106,14 @@ def _not_applicable(theorem: Theorem, reason: str) -> BoundReport:
 
 
 def _forward(abs_a: np.ndarray, divisors: np.ndarray, rhs: np.ndarray):
-    """Evaluate ``v_i = rhs_i + sum_{j<i} (abs_a[i, j] / divisors[j]) v_j``.
+    """Evaluate ``v_i = rhs_i + sum_{j<i} (abs_a[i, j] / divisors[j]) v_j``
+    and, in the same row loop, ``u_i = 1 + sum_{j<i} (abs_a[i, j] / c_j) u_j``
+    with ``c = min{divisors, 1}``.
 
     ``abs_a`` is ``(..., n, n)``, ``divisors`` is ``(..., n)`` and ``rhs`` is
     ``(..., n, r)``: one solve per stack member, with ``r`` right-hand sides
-    sharing its divisors.  The loop runs over rows only; each row is one
-    product with the rows above it.  A zero divisor matters only where a
+    sharing its divisors; ``u`` is ``(..., n, 1)``.  Each row is one product
+    with the rows above it per system.  A zero divisor matters only where a
     nonzero numerator uses it.  The first such use in row-major order sets
     ``bad`` to its 1-based column (0 where there is none), and makes that
     row's values and every later row's ``+inf``.
@@ -120,18 +121,22 @@ def _forward(abs_a: np.ndarray, divisors: np.ndarray, rhs: np.ndarray):
     n = abs_a.shape[-1]
     zero = divisors <= _ZERO_FLOOR
     used = np.tril((abs_a > 0.0) & zero[..., None, :], -1)
-    # Dividing by inf zeroes the used entries; their rows are set to +inf below.
+    # Used entries divide by inf (1 once clamped); their rows become +inf below.
     # Each row divides its own entries, so no n x n ratio array is held.
     safe = np.where(zero, np.inf, divisors)[..., None, :]
+    clamped = np.minimum(safe, 1.0)
     values = np.array(rhs, dtype=float)
+    u = np.ones(values.shape[:-1] + (1,))
     for i in range(1, n):
-        ratio = abs_a[..., i : i + 1, :i] / safe[..., :i]
-        values[..., i, :] += (ratio @ values[..., :i, :])[..., 0, :]
+        row = abs_a[..., i : i + 1, :i]
+        values[..., i, :] += ((row / safe[..., :i]) @ values[..., :i, :])[..., 0, :]
+        u[..., i, :] += ((row / clamped[..., :i]) @ u[..., :i, :])[..., 0, :]
     flat = used.reshape(used.shape[:-2] + (n * n,))
     hit = flat.any(axis=-1)
     first = flat.argmax(axis=-1)
-    values[np.arange(n) >= np.where(hit, first // n, n)[..., None]] = np.inf
-    return values, np.where(hit, first % n + 1, 0)
+    later = np.arange(n) >= np.where(hit, first // n, n)[..., None]
+    values[later] = u[later] = np.inf
+    return values, u, np.where(hit, first % n + 1, 0)
 
 
 def _profile(m: np.ndarray) -> tuple[NekrasovProfile, np.ndarray]:
@@ -139,16 +144,14 @@ def _profile(m: np.ndarray) -> tuple[NekrasovProfile, np.ndarray]:
     stack, with the first used zero divisor (1-based, 0 for none).
 
     For a stack each field gains the leading axis and ``is_nekrasov`` is a
-    bool array.  h and z share the divisors ``|a_jj|`` and run as two
-    right-hand sides of one pass; eta takes a second pass with
+    bool array.  One row loop runs all three recursions: h and z as two
+    right-hand sides over the divisors ``|a_jj|``, and eta over
     ``min{|a_jj|, 1}``, which is zero exactly where ``|a_jj|`` is.
     """
     abs_m = np.abs(m)
     abs_diag = np.abs(np.diagonal(m, axis1=-2, axis2=-1))
     tail = np.triu(abs_m, 1).sum(axis=-1)
-    ones = np.ones_like(tail)
-    hz, bad = _forward(abs_m, abs_diag, np.stack([tail, ones], axis=-1))
-    eta, _ = _forward(abs_m, np.minimum(abs_diag, 1.0), ones[..., None])
+    hz, eta, bad = _forward(abs_m, abs_diag, np.stack([tail, np.ones_like(tail)], axis=-1))
     h = hz[..., 0]
     margins = abs_diag - h
     flags = np.all(margins > STRICT_RTOL * np.maximum(1.0, abs_diag), axis=-1)

@@ -136,3 +136,34 @@ def gp_bnekrasov_exact(m: list[list[Fraction]], eps: Fraction) -> Fraction:
     ]
     delta = min(beta[i] / w[i] for i in range(n))
     return (n - 1) * max(w) / (min(delta, F(1)) * min(w))
+
+
+def inverse_exact(a: list[list[Fraction]]) -> list[list[Fraction]] | None:
+    """Gauss-Jordan inverse in exact arithmetic; None for a singular matrix."""
+    n = len(a)
+    rows = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [v / lead for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * p for v, p in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def is_h_matrix_exact(m: list[list[Fraction]], max_condition: Fraction) -> bool:
+    """``M`` is an H-matrix: its comparison matrix ``<M>`` is nonsingular with
+    ``<M>^{-1} >= 0``, here also with infinity-norm condition number at most
+    ``max_condition`` (the library counts worse-conditioned ``<M>`` as singular)."""
+    n = len(m)
+    c = [[abs(m[i][j]) if i == j else -abs(m[i][j]) for j in range(n)] for i in range(n)]
+    inv = inverse_exact(c)
+    if inv is None or any(v < 0 for row in inv for v in row):
+        return False
+    norm = max(sum(abs(v) for v in row) for row in c)
+    return norm * max(sum(row) for row in inv) <= max_condition

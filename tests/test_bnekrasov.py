@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _rational
 from lcpbounds import bnekrasov, nekrasov
@@ -14,7 +16,7 @@ from lcpbounds.bnekrasov import (
     new_bnekrasov_bound,
 )
 from lcpbounds.errors import DimensionTooSmall
-from lcpbounds.linalg import inf_norm, inverse
+from lcpbounds.linalg import PIVOT_RTOL, inf_norm, inverse
 from lcpbounds.nekrasov import gp_nekrasov_bound, h_vector, new_nekrasov_bound, scaled_matrix
 
 F = Fraction
@@ -104,6 +106,37 @@ class TestClassify:
         report = classify(np.eye(13))
         assert report.is_p_matrix is None
         assert "skipped" in report.notes
+
+
+_integer_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                       min_size=n, max_size=n)
+)
+
+
+class TestHMatrix:
+    """``is_h_matrix`` is the exact test on ``<M>`` at every scale; an
+    absolute tolerance on ``<M>^{-1}`` would pass any matrix scaled by 1e13."""
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_not_h_at_any_scale(self, scale):
+        report = classify(scale * np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert not report.is_h_matrix
+        assert "singular" not in report.notes
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_singular_comparison_matrix(self, scale):
+        report = classify(scale * np.array([[1.0, -1.0], [1.0, 1.0]]))
+        assert not report.is_h_matrix
+        assert "comparison matrix is singular" in report.notes
+
+    @given(_integer_matrices, st.sampled_from([1e-13, 1.0, 1e13]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_test(self, rows, scale):
+        m = scale * np.array(rows, dtype=float)
+        exact = [[F(float(v)) for v in row] for row in m]
+        want = _rational.is_h_matrix_exact(exact, F(1.0 / PIVOT_RTOL))
+        assert is_b_nekrasov(m).is_h_matrix is want
 
 
 class TestGpBNekrasovBound:

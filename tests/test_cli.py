@@ -217,6 +217,15 @@ class TestLcp:
         _, code = run(capsys, "lcp", "--matrix", str(data_dir / "example2.txt"))
         assert code == 1
 
+    @pytest.mark.parametrize("text", [",,,", ", \n ,"], ids=["commas", "commas_and_lines"])
+    def test_separators_only_q_exit_1(self, capsys, data_dir, tmp_path, text):
+        qpath = tmp_path / "q.txt"
+        qpath.write_text(text)
+        code = main(["lcp", "--matrix", str(data_dir / "example2.txt"), "--q", str(qpath)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: vector file contains no data\n"
+
 
 class TestClassify:
     def test_example3(self, capsys, data_dir):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -105,6 +107,13 @@ class TestEmptyAndVectors:
     def test_empty_vector(self, tmp_path):
         with pytest.raises(EmptyFile):
             parse_vector(write(tmp_path, ""))
+
+    @pytest.mark.parametrize("text", [",,,", ", \n ,"])
+    def test_separators_only_vector(self, tmp_path, text):
+        with pytest.raises(EmptyFile, match="contains no data"):
+            parse_vector(write(tmp_path, text))
+        with pytest.raises(EmptyFile, match="contains no data"):
+            matrixio._scan_vector(text)
 
 
 class TestRoundTrip:
@@ -248,8 +257,11 @@ def _assert_same(got, want):
         assert got.tobytes() == want.tobytes()
 
 
-_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x85"
-_ATOMS = list("0123456789.eE+-/,_") + ["inf", "nan"] + list(_WHITESPACE)
+# "\xa0" and "\u2003" split tokens for str.split; "\x00", a fullwidth 1 and an
+# Arabic-Indic 3 are characters float() reads.  numpy rejects all five.
+_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2003"
+_ATOMS = (list("0123456789.eE+-/,_") + ["inf", "nan", "\x00", "\uff11", "\u0663"]
+          + list(_WHITESPACE))
 _free_text = st.lists(st.sampled_from(_ATOMS), max_size=40).map("".join)
 _junk = st.lists(st.sampled_from([a for a in _ATOMS if a.strip() and a != ","]),
                  min_size=1, max_size=4).map("".join)
@@ -316,6 +328,42 @@ class TestFastPathMatchesScan:
         np.testing.assert_array_equal(parse_matrix(path), m)
         np.testing.assert_array_equal(parse_matrix(csv_path), m)
         np.testing.assert_array_equal(parse_vector(csv_path), m.ravel())
+
+
+class TestConversionPass:
+    """The one numpy pass gives the scan's outcome, and the numpy behaviours
+    it relies on still hold."""
+
+    @pytest.mark.parametrize("text", ["1\n \n", "2\n1 2 3 4 x", "2\n1-2 3 4 5", "2\n1 2 3 4\x00"])
+    def test_same_outcome_as_scan(self, tmp_path, text):
+        path = str(tmp_path / "input.txt")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        _assert_same(_outcome(parse_matrix, path), _outcome(_scan_matrix, path))
+        _assert_same(_outcome(parse_vector, path), _outcome(_scan_vector, path))
+
+    def test_numpy_canary(self):
+        # Blank text reads as [-1.0]; the pass never hands numpy blank text.
+        np.testing.assert_array_equal(np.fromstring(" \n ", sep=" "), [-1.0])
+        # Unmatched data raises (older numpy warned, an error under pytest).
+        with pytest.raises((ValueError, DeprecationWarning)):
+            np.fromstring("1-2 3", sep=" ")
+        assert not np.isfinite(np.fromstring("inf nan", sep=" ")).any()
+
+    def test_warning_counts_as_rejection(self, tmp_path, monkeypatch):
+        """Older numpy warns on unmatched data and returns the prefix it
+        read; a prefix of the right length must not pass for the file."""
+
+        def prefix(text, sep):
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            return np.array([1.0, 2.0, 3.0, 4.0])
+
+        path = write(tmp_path, "2\n1 2 3 4 x\n")
+        monkeypatch.setattr(np, "fromstring", prefix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ParseError, match="trailing data"):
+                parse_matrix(path)
 
 
 class TestLargeFile:
