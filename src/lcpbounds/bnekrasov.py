@@ -45,8 +45,12 @@ class BPlusSplit:
     """The splitting ``M = b_plus + c`` with ``c[i, :] = r_plus[i]``."""
 
     b_plus: np.ndarray
-    c: np.ndarray
     r_plus: np.ndarray
+
+    @property
+    def c(self) -> np.ndarray:
+        """The rank-1 remainder, a read-only view of ``r_plus`` down each row."""
+        return np.broadcast_to(self.r_plus[:, None], self.b_plus.shape)
 
 
 @dataclass(frozen=True)
@@ -70,15 +74,12 @@ class ClassificationReport:
 def bplus_decompose(m) -> BPlusSplit:
     """Split ``M`` into its Z-part ``B+`` and the rank-1 remainder ``C``."""
     mm = as_matrix(m)
-    n = mm.shape[0]
-    if n < 2:
+    if mm.shape[0] < 2:
         raise DimensionTooSmall("the splitting needs at least one off-diagonal entry per row")
     masked = mm.copy()
     np.fill_diagonal(masked, -np.inf)
     r_plus = np.maximum(masked.max(axis=1), 0.0)
-    b_plus = mm - r_plus[:, None]
-    c = np.tile(r_plus[:, None], (1, n))
-    return BPlusSplit(b_plus=b_plus, c=c, r_plus=r_plus)
+    return BPlusSplit(b_plus=mm - r_plus[:, None], r_plus=r_plus)
 
 
 class _BPlusRoute(_Route):
@@ -106,12 +107,12 @@ class _BPlusRoute(_Route):
                                           "h": self.profile.h})
 
 
-def _bplus_route(mm: np.ndarray) -> tuple[BPlusSplit | None, _BPlusRoute]:
-    """The ``B+`` split (None for n = 1) and its route, with the class check
-    and the strict-entry check of the parameterized bound."""
+def _bplus_route(mm: np.ndarray) -> _BPlusRoute:
+    """The route on ``B+`` (on ``M`` for n = 1), with the class check and the
+    strict-entry check of the parameterized bound."""
     n = mm.shape[0]
     if n < 2:
-        return None, _BPlusRoute(mm, is_nekrasov(mm), 0, "DimensionTooSmall", None)
+        return _BPlusRoute(mm, is_nekrasov(mm), 0, "DimensionTooSmall", None)
     split = bplus_decompose(mm)
     b_plus, r_plus = split.b_plus, split.r_plus
     profile = is_nekrasov(b_plus)
@@ -119,17 +120,15 @@ def _bplus_route(mm: np.ndarray) -> tuple[BPlusSplit | None, _BPlusRoute]:
     below = (r_plus - STRICT_RTOL * np.maximum(1.0, r_plus))[:, None]
     strict = np.triu(mm < below, 1).any(axis=1)[:-1]
     open_row = None if strict.all() else f"NoStrictEntry({np.argmin(strict) + 1})"
-    return split, _BPlusRoute(b_plus, profile, n - 1, fault, open_row)
+    return _BPlusRoute(b_plus, profile, n - 1, fault, open_row)
 
 
 @dataclass(frozen=True)
 class _Profiles:
-    """``M`` with its route, and its ``B+`` split (None for n = 1) with that
-    route: what the bounds and the classification read."""
+    """The route on ``M`` and the one on ``B+``, each with its profile: what
+    the bounds and the classification read."""
 
-    m: np.ndarray
     m_route: _Route
-    split: BPlusSplit | None
     b_route: _BPlusRoute
 
     @property
@@ -144,7 +143,7 @@ def _profiles(m) -> _Profiles:
     if isinstance(m, _Profiles):
         return m
     mm = as_matrix(m)
-    return _Profiles(mm, _m_route(mm), *_bplus_route(mm))
+    return _Profiles(_m_route(mm), _bplus_route(mm))
 
 
 def _sdd(mm: np.ndarray) -> bool:
@@ -155,13 +154,13 @@ def _sdd(mm: np.ndarray) -> bool:
 
 
 def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
-    mm, split = p.m, p.split
+    mm, b_plus = p.m_route.a, p.b_route.a
     n = mm.shape[0]
     notes: list[str] = []
     off_mask = ~np.eye(n, dtype=bool)
     z_flag = bool(np.all(mm[off_mask] <= 0.0))
-    if split is not None:
-        b_flag = _sdd(split.b_plus) and _positive_diagonal(split.b_plus)
+    if n >= 2:
+        b_flag = _sdd(b_plus) and _positive_diagonal(b_plus)
     else:
         b_flag = False
         notes.append("B-class tests need n >= 2")
@@ -221,13 +220,13 @@ def gp_bnekrasov_bound(m, epsilon: float) -> BoundReport:
     ``beta_i = bbar_ii - sum_{j != i} |bbar_ij|`` and ``delta = min beta_i/w_i``
     the bound is ``(n-1) max w / (min{delta, 1} min w)``.
     """
-    return _bplus_route(as_matrix(m))[1].gp(epsilon)
+    return _bplus_route(as_matrix(m)).gp(epsilon)
 
 
 def new_bnekrasov_bound(m) -> BoundReport:
     """Parameter-free B-Nekrasov bound: (n - 1) times the new Nekrasov formula
     on ``B+``, ``max_i (n-1) eta_i(B+) / min{b_ii - h_i(B+), 1}``."""
-    return _bplus_route(as_matrix(m))[1].new()
+    return _bplus_route(as_matrix(m)).new()
 
 
 def all_bounds(m, epsilon: float | None = None) -> list[BoundReport]:

@@ -285,7 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--matrix", dest="matrix_path", metavar="MATRIX", required=True,
                        help="matrix file (plain or CSV)")
-        p.add_argument("--format", choices=("json", "csv", "text"))
+        # sweep prints CSV only; the other commands print JSON or text.
+        p.add_argument("--format", choices=("csv",) if name == "sweep" else ("json", "text"))
         if name == "bound":
             p.add_argument("--epsilon", type=float)
             p.add_argument("--theorem", choices=_THEOREM_CHOICES)
@@ -307,9 +308,6 @@ def main(argv: list[str] | None = None) -> int:
     cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
     if cfg.theorem.startswith("gp-") and cfg.epsilon is None:
         print("--epsilon is required with --theorem gp-*", file=sys.stderr)
-        return EXIT_ERROR
-    if cfg.format == "csv" and cfg.command != "sweep":
-        print("--format csv is only available for sweep", file=sys.stderr)
         return EXIT_ERROR
     try:
         text, code = _COMMANDS[cfg.command](cfg)

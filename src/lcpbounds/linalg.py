@@ -4,12 +4,12 @@ Plain ``numpy`` arrays are the carrier type; :func:`as_matrix` /
 :func:`as_vector` validate shape and finiteness at the boundary.  Everything
 here is a pure function of its inputs.
 
-Inverses run on numpy's LAPACK backend, one matrix (:func:`inverse`, and
-the LCP solver's basis solves) or a stack of them in one call
-(:func:`_inverse_stack`, the oracle's chunks).  Either way a matrix is
-singular when LAPACK finds an exact zero pivot or when its infinity-norm
-condition number exceeds ``1 / PIVOT_RTOL``; it then raises
-:class:`SingularMatrix`.
+Inverses run on numpy's LAPACK backend in stacked calls, through
+:func:`_inverse_stack`, the one place where a member counts as singular:
+LAPACK finds an exact zero pivot, or its infinity-norm condition number
+exceeds ``1 / PIVOT_RTOL``.  It reports such members; :func:`inverse` and
+the oracle then raise :class:`SingularMatrix`, and the LCP solver skips
+their bases.
 """
 
 from __future__ import annotations
@@ -46,26 +46,29 @@ def as_vector(v) -> np.ndarray:
 def inverse(a) -> np.ndarray:
     """Matrix inverse on LAPACK; raises :class:`SingularMatrix` for a
     singular or ill-conditioned matrix (see ``PIVOT_RTOL``)."""
-    return _inverse(as_matrix(a))
+    inv, _, ok = _inverse_stack(as_matrix(a)[None])
+    if not ok[0]:
+        raise SingularMatrix("matrix is numerically singular")
+    return inv[0]
 
 
-def _inverse(a: np.ndarray) -> np.ndarray:
-    return _inverse_stack(a[None])[0][0]
-
-
-def _inverse_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of a ``(k, n, n)`` stack and their infinity norms, in one
-    LAPACK call.  Raises :class:`SingularMatrix` if any member is singular."""
+def _inverse_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverses of a ``(k, n, n)`` stack, their infinity norms, and a mask of
+    the nonsingular members.  ``inv`` and the norms of the other members are
+    meaningless.  One LAPACK call, or two when a member has an exact zero pivot."""
     try:
         inv = np.linalg.inv(stack)
+        ok = np.ones(len(stack), dtype=bool)
     except np.linalg.LinAlgError:
-        raise SingularMatrix("matrix is numerically singular") from None
-    inv_norms = np.abs(inv).sum(axis=-1).max(axis=-1)
-    cond = np.abs(stack).sum(axis=-1).max(axis=-1) * inv_norms
+        # One exact zero pivot fails the whole call; slogdet runs the same
+        # getrf, so its zero signs mark those members.  They are inverted as I.
+        ok = np.linalg.slogdet(stack)[0] != 0
+        inv = np.linalg.inv(np.where(ok[:, None, None], stack, np.eye(stack.shape[-1])))
+    inv_norms = np.abs(inv).sum(axis=-1).max(axis=-1, initial=0.0)
+    cond = np.abs(stack).sum(axis=-1).max(axis=-1, initial=0.0) * inv_norms
     # Written so that a NaN condition number also counts as singular.
-    if not np.all(cond <= 1.0 / PIVOT_RTOL):
-        raise SingularMatrix("matrix is numerically singular")
-    return inv, inv_norms
+    ok &= cond <= 1.0 / PIVOT_RTOL
+    return inv, inv_norms, ok
 
 
 def inf_norm(a) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, DomainError, PreconditionFailed
+from .errors import DimensionTooLarge, DomainError, PreconditionFailed, SingularMatrix
 from .linalg import _inverse_stack, as_matrix, inf_norm, inverse
 from .nekrasov import _m_route, _positive_diagonal, _profile, _Route, _scaled, scaled_matrix
 
@@ -95,7 +95,9 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
     best = -np.inf
     best_d = np.zeros(n)
     for ds in _scaling_chunks(n, interior_samples, seed):
-        norms = _inverse_stack(_scaled(mm, ds))[1]
+        _, norms, ok = _inverse_stack(_scaled(mm, ds))
+        if not ok.all():
+            raise SingularMatrix("matrix is numerically singular")
         k = int(np.argmax(norms))
         if norms[k] > best:
             best, best_d = float(norms[k]), ds[k].copy()

@@ -58,6 +58,12 @@ class TestBplusDecompose:
             assert np.all(off <= 0.0)
             assert np.all(split.c >= 0.0)
 
+    def test_c_is_a_read_only_view_of_r_plus(self, ex3):
+        split = bplus_decompose(ex3)
+        np.testing.assert_array_equal(split.c, np.tile(split.r_plus[:, None], (1, 4)))
+        assert not split.c.flags.writeable
+        assert np.shares_memory(split.c, split.r_plus)
+
     def test_rejects_n1(self):
         with pytest.raises(DimensionTooSmall):
             bplus_decompose([[3.0]])

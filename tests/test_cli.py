@@ -14,7 +14,12 @@ from lcpbounds.matrixio import format_matrix, parse_matrix
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """stdout and exit code of one command; a usage error's ``SystemExit``
+    gives its code, as the console script would exit with."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     return capsys.readouterr().out, code
 
 
@@ -99,6 +104,21 @@ class TestBound:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_json_and_text_formats_rejected(self, capsys, data_dir, fmt):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--matrix", str(data_dir / "example1.txt"), "--format", fmt])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice" in captured.err
+
+    def test_csv_format_is_the_default_output(self, capsys, data_dir):
+        argv = ("sweep", "--matrix", str(data_dir / "example1.txt"), "--grid", "5")
+        plain, code = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--format", "csv") == (plain, 0)
+
     def test_example1_grid(self, capsys, data_dir):
         out, code = run(capsys, "sweep", "--matrix", str(data_dir / "example1.txt"),
                         "--grid", "101")

@@ -9,10 +9,10 @@ from lcpbounds.errors import (
     DomainError,
     InapplicableBound,
     NoSolution,
+    SingularMatrix,
 )
 from lcpbounds.lcp import (
     LcpInstance,
-    _basis_solution,
     certify_error_bound,
     feasible_bases,
     is_p_matrix,
@@ -20,7 +20,7 @@ from lcpbounds.lcp import (
     solve_lcp,
     trial_points,
 )
-from lcpbounds.linalg import inf_norm
+from lcpbounds.linalg import inf_norm, inverse
 from lcpbounds.nekrasov import new_nekrasov_bound
 from lcpbounds.bnekrasov import new_bnekrasov_bound
 from conftest import random_nekrasov
@@ -102,6 +102,28 @@ class TestSolve:
         assert solution.basis == (0, 1)
         np.testing.assert_array_equal(solution.x_star, [1.0, 1.0])
 
+    def test_exactly_singular_block_beside_the_answer(self):
+        # Level 1 holds the exactly singular block [0] and the answer (1,).
+        solution = solve_lcp(LcpInstance([[0.0, 0.0], [0.0, 1.0]], [1.0, -1.0]))
+        assert solution.basis == (1,)
+        np.testing.assert_array_equal(solution.x_star, [0.0, 1.0])
+        np.testing.assert_array_equal(solution.w_star, [1.0, 0.0])
+
+    def test_ill_conditioned_block_skipped_within_its_level(self):
+        # The block of basis (0, 1) has condition number about 4.5e15.  Solved
+        # anyway it gives the feasible x = (2, 1, 0), but the walk skips it and
+        # takes the next feasible basis of the same level.
+        delta = 2.0**-50
+        inst = LcpInstance([[1.0, -1.0, 0.0], [-1.0, 1.0 + delta, 1.0], [-1.0, 2.0, 1.0]],
+                           [-1.0, 1.0 - delta, 0.5])
+        x = np.append(np.linalg.solve(inst.m[:2, :2], -inst.q[:2]), 0.0)
+        np.testing.assert_array_equal(x, [2.0, 1.0, 0.0])
+        assert np.all(inst.m @ x + inst.q >= 0.0)
+        assert feasible_bases(inst) == [(0, 2), (0, 1, 2)]
+        solution = solve_lcp(inst)
+        assert solution.basis == (0, 2)
+        np.testing.assert_array_equal(solution.x_star, [1.0, 0.0, 0.5])
+
     def test_no_solution(self):
         with pytest.raises(NoSolution):
             solve_lcp(LcpInstance(-np.eye(2), [-1.0, -1.0]))
@@ -111,13 +133,32 @@ class TestSolve:
             solve_lcp(LcpInstance(np.eye(16), np.ones(16)))
 
 
+def basis_solution(inst, alpha):
+    """Solve the complementary system for basis ``alpha`` on its own; None when
+    ``inverse`` rejects its block (the ``PIVOT_RTOL`` rule) or the result is
+    infeasible beyond 1e-10."""
+    x = np.zeros(inst.n)
+    if alpha:
+        idx = list(alpha)
+        try:
+            x[idx] = inverse(inst.m[np.ix_(idx, idx)]) @ -inst.q[idx]
+        except SingularMatrix:
+            return None
+        if np.any(x[idx] < -1e-10):
+            return None
+    w = inst.m @ x + inst.q
+    if np.any(w < -1e-10):
+        return None
+    return x, w
+
+
 def reference_walk(inst):
     """(basis, x, w) for every feasible basis, one basis at a time over
     ``itertools.combinations`` in (cardinality, lexicographic) order."""
     walk = []
     for size in range(inst.n + 1):
         for alpha in combinations(range(inst.n), size):
-            result = _basis_solution(inst, alpha)
+            result = basis_solution(inst, alpha)
             if result is not None:
                 walk.append((alpha, *result))
     return walk
@@ -128,6 +169,9 @@ def contract_instance(kind, n, rng):
         m = random_nekrasov(n, rng)
         assert is_p_matrix(m)
         return LcpInstance(m, rng.uniform(-2.0, 2.0, n))
+    if kind == "integer":
+        # Entries in {-2..2}: singular blocks, exact and numerical, are common.
+        return LcpInstance(rng.integers(-2, 3, (n, n)), rng.integers(-2, 3, n))
     if kind == "no_basis":
         # M <= 0 and q < 0 make w = Mx + q negative for every x >= 0.
         return LcpInstance(-rng.uniform(0.1, 1.0, (n, n)), -rng.uniform(0.1, 1.0, n))
@@ -144,7 +188,7 @@ class TestSolverContract:
     feasible basis is the solution, and the list is every feasible basis in
     enumeration order."""
 
-    @pytest.mark.parametrize("kind", ["p_matrix", "several_bases", "no_basis"])
+    @pytest.mark.parametrize("kind", ["p_matrix", "several_bases", "no_basis", "integer"])
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_reference_walk(self, kind, n):
         rng = np.random.default_rng(1000 * n + len(kind))
@@ -158,7 +202,7 @@ class TestSolverContract:
             elif kind == "several_bases":
                 assert len(bases) >= 2
             if not bases:
-                assert kind == "no_basis"
+                assert kind in ("no_basis", "integer")
                 with pytest.raises(NoSolution):
                     solve_lcp(inst)
                 continue

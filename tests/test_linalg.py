@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lcpbounds.errors import DomainError, SingularMatrix
 from lcpbounds.linalg import (
+    _inverse_stack,
     as_matrix,
     as_vector,
     comparison_matrix,
@@ -67,6 +68,49 @@ class TestInverse:
         rng = np.random.default_rng(11)
         a = rng.uniform(-1.0, 1.0, (6, 6)) + 12 * np.eye(6)
         np.testing.assert_allclose(inverse(a), np.linalg.inv(a), rtol=1e-10, atol=1e-12)
+
+
+@st.composite
+def mixed_stacks(draw):
+    """Stacks of integer matrices in {-2..2}, some with a zero row (exactly
+    singular) and some with one tiny diagonal entry (ill-conditioned)."""
+    n = draw(st.integers(1, 4))
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        entries = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+        a = np.array(entries, dtype=float).reshape(n, n)
+        kind = draw(st.sampled_from(["integer", "zero_row", "ill_conditioned"]))
+        if kind == "zero_row":
+            a[draw(st.integers(0, n - 1))] = 0.0
+        elif kind == "ill_conditioned":
+            a = np.eye(n)
+            a[-1, -1] = 1e-15
+        members.append(a)
+    return np.stack(members)
+
+
+class TestInverseStack:
+    """The stacked inverse flags exactly the members ``inverse`` rejects, and
+    inverts the others bit for bit as ``inverse`` does."""
+
+    @given(mixed_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_ok_matches_inverse(self, stack):
+        inv, norms, ok = _inverse_stack(stack)
+        for k, a in enumerate(stack):
+            try:
+                expected = inverse(a)
+            except SingularMatrix:
+                assert not ok[k]
+                continue
+            assert ok[k]
+            np.testing.assert_array_equal(inv[k], expected)
+            assert norms[k] == inf_norm(expected)
+
+    def test_empty_members(self):
+        inv, norms, ok = _inverse_stack(np.zeros((1, 0, 0)))
+        assert inv.shape == (1, 0, 0)
+        assert norms.tolist() == [0.0] and ok.tolist() == [True]
 
 
 class TestInfNorm:
