@@ -28,7 +28,7 @@ import numpy as np
 
 from . import lcp, nekrasov
 from .errors import DimensionTooSmall
-from .linalg import PIVOT_RTOL, as_matrix, comparison_matrix
+from .linalg import _well_conditioned, as_matrix, comparison_matrix
 from .nekrasov import (
     STRICT_RTOL,
     BoundReport,
@@ -169,7 +169,7 @@ def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
         x = np.linalg.solve(a, np.ones(n))
         h_flag = bool(np.all(x > 0.0))
         # Then ||<M>^{-1}||_inf = max x, and the PIVOT_RTOL rule holds as for an inverse.
-        singular = h_flag and not np.abs(a).sum(axis=1).max() * x.max() <= 1.0 / PIVOT_RTOL
+        singular = h_flag and not _well_conditioned(a, x.max())
     except np.linalg.LinAlgError:
         singular = True
     if singular:

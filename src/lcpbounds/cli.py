@@ -1,5 +1,8 @@
 """Command-line surface: classify / bound / sweep / verify / lcp.
 
+The parser built here at import is the one definition of the command line,
+defaults and usage rules included; the commands read its namespace.
+
 Exit codes are a stable contract: 0 on success (all requested checks pass),
 2 when no bound is applicable to the input matrix, 1 on operational errors
 (unreadable files, parse failures, unsolvable instances) and usage errors.
@@ -11,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,20 +31,6 @@ EXIT_ERROR = 1
 EXIT_NO_APPLICABLE_BOUND = 2
 
 _THEOREM_CHOICES = ("all", "gp-nekrasov", "new-nekrasov", "gp-bnekrasov", "new-bnekrasov")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    matrix_path: str
-    q_path: str | None = None
-    epsilon: float | None = None
-    theorem: str = "all"
-    grid: int = 101
-    samples: int = 10000
-    seed: int = 42
-    trials: int = 100
-    format: str = "json"
 
 
 def _jsonable(value):
@@ -101,35 +90,33 @@ def _report_entry(report: BoundReport, **extra) -> dict:
     return entry
 
 
-def _by_theorem(reports: list[BoundReport]) -> dict[Theorem, BoundReport]:
-    return {r.theorem: r for r in reports}
-
-
-def cmd_classify(cfg: RunConfig) -> tuple[str, int]:
-    m = parse_matrix(cfg.matrix_path)
+def cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
+    m = parse_matrix(args.matrix_path)
     data = {
-        "matrix": cfg.matrix_path,
+        "matrix": args.matrix_path,
         "n": m.shape[0],
         "classification": asdict(bnekrasov.classify(m)),
     }
-    return _emit(data, cfg.format), EXIT_OK
+    return _emit(data, args.format), EXIT_OK
 
 
-def cmd_bound(cfg: RunConfig) -> tuple[str, int]:
-    m = parse_matrix(cfg.matrix_path)
+def cmd_bound(args: argparse.Namespace) -> tuple[str, int]:
+    if args.theorem.startswith("gp-") and args.epsilon is None:
+        args.parser.error("--epsilon is required with --theorem gp-*")
+    m = parse_matrix(args.matrix_path)
     profiles = bnekrasov._profiles(m)  # shared by the bounds and the classification
-    reports = bnekrasov.all_bounds(profiles, cfg.epsilon)
-    if cfg.theorem != "all":
-        wanted = cfg.theorem.replace("-", "_")
+    reports = bnekrasov.all_bounds(profiles, args.epsilon)
+    if args.theorem != "all":
+        wanted = args.theorem.replace("-", "_")
         reports = [r for r in reports if r.theorem.value == wanted]
     data = {
-        "matrix": cfg.matrix_path,
+        "matrix": args.matrix_path,
         "n": m.shape[0],
         "bounds": [_report_entry(r) for r in reports],
         "classification": asdict(bnekrasov.classify(profiles)),
     }
     code = EXIT_OK if any(r.applicable for r in reports) else EXIT_NO_APPLICABLE_BOUND
-    return _emit(data, cfg.format), code
+    return _emit(data, args.format), code
 
 
 def _format_value(value: float | None, applicable: bool) -> str:
@@ -140,9 +127,9 @@ def _format_value(value: float | None, applicable: bool) -> str:
     return repr(value)
 
 
-def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
-    m = parse_matrix(cfg.matrix_path)
-    if cfg.grid < 2:
+def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
+    m = parse_matrix(args.matrix_path)
+    if args.grid < 2:
         raise LcpBoundsError("sweep needs a grid of at least 2 points")
     # Every grid point reuses the one profile of M (or of B+) taken here.
     route = bnekrasov._profiles(m).route
@@ -150,18 +137,18 @@ def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
         return "no epsilon-parameterized bound applies to this matrix", EXIT_NO_APPLICABLE_BOUND
     upper, new_text = route.upper, _format_value(route.new().value, True)
     lines = ["epsilon,gp_bound,new_bound"]
-    for k in range(1, cfg.grid + 1):
-        epsilon = k * upper / (cfg.grid + 1)
+    for k in range(1, args.grid + 1):
+        epsilon = k * upper / (args.grid + 1)
         report = route.gp(epsilon)
         lines.append(f"{epsilon!r},{_format_value(report.value, report.applicable)},{new_text}")
     return "\n".join(lines), EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
-    m = parse_matrix(cfg.matrix_path)
-    estimate = oracle_max_norm(m, interior_samples=cfg.samples, seed=cfg.seed)
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    m = parse_matrix(args.matrix_path)
+    estimate = oracle_max_norm(m, interior_samples=args.samples, seed=args.seed)
     profiles = bnekrasov._profiles(m)
-    reports = bnekrasov.all_bounds(profiles, cfg.epsilon)
+    reports = bnekrasov.all_bounds(profiles, args.epsilon)
     entries = []
     all_dominated = True
     for report in reports:
@@ -182,12 +169,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     lemma_clean = True
     route = profiles.route  # the lemma suite reads the profile this route carries
     if route is not None:
-        suite = lemma_property_suite(route, trials=1000, seed=cfg.seed)
+        suite = lemma_property_suite(route, trials=1000, seed=args.seed)
         lemma_clean = suite.clean
         lemma_data = {"target": route.name, "trials": suite.trials,
                       "violations": len(suite.violations)}
     data = {
-        "matrix": cfg.matrix_path,
+        "matrix": args.matrix_path,
         "n": m.shape[0],
         "oracle": {
             "max_observed": estimate.max_observed,
@@ -201,21 +188,19 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
         "lemma_suite": lemma_data,
     }
     if not any(r.applicable for r in reports):
-        return _emit(data, cfg.format), EXIT_NO_APPLICABLE_BOUND
+        return _emit(data, args.format), EXIT_NO_APPLICABLE_BOUND
     ok = all_dominated and kol_ok and lemma_clean
-    return _emit(data, cfg.format), EXIT_OK if ok else EXIT_ERROR
+    return _emit(data, args.format), EXIT_OK if ok else EXIT_ERROR
 
 
-def cmd_lcp(cfg: RunConfig) -> tuple[str, int]:
-    m = parse_matrix(cfg.matrix_path)
-    if cfg.q_path is None:
-        raise LcpBoundsError("the lcp command needs --q FILE")
-    q = parse_vector(cfg.q_path)
+def cmd_lcp(args: argparse.Namespace) -> tuple[str, int]:
+    m = parse_matrix(args.matrix_path)
+    q = parse_vector(args.q_path)
     inst = LcpInstance(m, q)
     solution = solve_lcp(inst)
-    reports = _by_theorem(bnekrasov.all_bounds(m, cfg.epsilon))
+    reports = {r.theorem: r for r in bnekrasov.all_bounds(m, args.epsilon)}
     wanted = [Theorem.NEW_NEKRASOV, Theorem.NEW_BNEKRASOV]
-    if cfg.epsilon is not None:
+    if args.epsilon is not None:
         wanted += [Theorem.GP_NEKRASOV, Theorem.GP_BNEKRASOV]
     candidates = [reports[t] for t in wanted]
     applicable = [r for r in candidates if r.applicable and r.value is not None]
@@ -223,7 +208,7 @@ def cmd_lcp(cfg: RunConfig) -> tuple[str, int]:
     certificates = []
     all_hold = True
     if best is not None:
-        for x in trial_points(solution.x_star, cfg.trials, cfg.seed):
+        for x in trial_points(solution.x_star, args.trials, args.seed):
             cert = certify_error_bound(inst, x, best)
             all_hold = all_hold and cert.holds
             certificates.append({
@@ -233,8 +218,8 @@ def cmd_lcp(cfg: RunConfig) -> tuple[str, int]:
                 "holds": cert.holds,
             })
     data = {
-        "matrix": cfg.matrix_path,
-        "q": cfg.q_path,
+        "matrix": args.matrix_path,
+        "q": args.q_path,
         "n": inst.n,
         "x_star": solution.x_star,
         "w_star": solution.w_star,
@@ -245,17 +230,8 @@ def cmd_lcp(cfg: RunConfig) -> tuple[str, int]:
         "all_hold": all_hold if best is not None else None,
     }
     if best is None:
-        return _emit(data, cfg.format), EXIT_NO_APPLICABLE_BOUND
-    return _emit(data, cfg.format), EXIT_OK if all_hold else EXIT_ERROR
-
-
-_COMMANDS = {
-    "classify": cmd_classify,
-    "bound": cmd_bound,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
-    "lcp": cmd_lcp,
-}
+        return _emit(data, args.format), EXIT_NO_APPLICABLE_BOUND
+    return _emit(data, args.format), EXIT_OK if all_hold else EXIT_ERROR
 
 
 class _Parser(argparse.ArgumentParser):
@@ -266,6 +242,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+# Each option after --matrix and --format, with its default.
+_OPTIONS = {
+    "--q": {"dest": "q_path", "required": True, "help": "right-hand-side vector file"},
+    "--epsilon": {"type": float},
+    "--theorem": {"choices": _THEOREM_CHOICES, "default": "all"},
+    "--grid": {"type": int, "default": 101},
+    "--samples": {"type": int, "default": 10000},
+    "--trials": {"type": int, "default": 100},
+    "--seed": {"type": int, "default": 42},
+}
+
+# name -> (handler, help line, its options from _OPTIONS)
+_COMMANDS = {
+    "classify": (cmd_classify, "report matrix-class membership flags", ()),
+    "bound": (cmd_bound, "compute the worst-case inverse-norm bounds", ("--epsilon", "--theorem")),
+    "sweep": (cmd_sweep, "CSV sweep of the parameterized bound over its epsilon interval",
+              ("--grid",)),
+    "verify": (cmd_verify, "sampling oracle plus domination and inequality checks",
+               ("--epsilon", "--samples", "--seed")),
+    "lcp": (cmd_lcp, "solve LCP(M, q) and certify error bounds at random trial points",
+            ("--q", "--epsilon", "--trials", "--seed")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lcp-certify",
@@ -273,44 +273,27 @@ def _build_parser() -> argparse.ArgumentParser:
         "and B-Nekrasov matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subcommands = {
-        "classify": "report matrix-class membership flags",
-        "bound": "compute the worst-case inverse-norm bounds",
-        "sweep": "CSV sweep of the parameterized bound over its epsilon interval",
-        "verify": "sampling oracle plus domination and inequality checks",
-        "lcp": "solve LCP(M, q) and certify error bounds at random trial points",
-    }
-    for name, help_text in subcommands.items():
-        # Options left out keep their RunConfig defaults.
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+    for name, (handler, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler, parser=p)
         p.add_argument("--matrix", dest="matrix_path", metavar="MATRIX", required=True,
                        help="matrix file (plain or CSV)")
         # sweep prints CSV only; the other commands print JSON or text.
-        p.add_argument("--format", choices=("csv",) if name == "sweep" else ("json", "text"))
-        if name == "bound":
-            p.add_argument("--epsilon", type=float)
-            p.add_argument("--theorem", choices=_THEOREM_CHOICES)
-        if name == "sweep":
-            p.add_argument("--grid", type=int)
-        if name == "verify":
-            p.add_argument("--epsilon", type=float)
-            p.add_argument("--samples", type=int)
-            p.add_argument("--seed", type=int)
-        if name == "lcp":
-            p.add_argument("--q", dest="q_path", help="right-hand-side vector file")
-            p.add_argument("--epsilon", type=float)
-            p.add_argument("--trials", type=int)
-            p.add_argument("--seed", type=int)
+        formats = ("csv",) if name == "sweep" else ("json", "text")
+        p.add_argument("--format", choices=formats, default=formats[0])
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
+# Built at import, where a one-shot run of the console script pays for it anyway.
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
-    if cfg.theorem.startswith("gp-") and cfg.epsilon is None:
-        print("--epsilon is required with --theorem gp-*", file=sys.stderr)
-        return EXIT_ERROR
+    args = _PARSER.parse_args(argv)
     try:
-        text, code = _COMMANDS[cfg.command](cfg)
+        text, code = args.handler(args)
     except (LcpBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

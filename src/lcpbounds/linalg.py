@@ -5,11 +5,12 @@ Plain ``numpy`` arrays are the carrier type; :func:`as_matrix` /
 here is a pure function of its inputs.
 
 Inverses run on numpy's LAPACK backend in stacked calls, through
-:func:`_inverse_stack`, the one place where a member counts as singular:
-LAPACK finds an exact zero pivot, or its infinity-norm condition number
-exceeds ``1 / PIVOT_RTOL``.  It reports such members; :func:`inverse` and
-the oracle then raise :class:`SingularMatrix`, and the LCP solver skips
-their bases.
+:func:`_inverse_stack`.  A member counts as singular when LAPACK finds an
+exact zero pivot or when its infinity-norm condition number exceeds
+``1 / PIVOT_RTOL``, the rule :func:`_well_conditioned` states once for these
+inverses and for ``bnekrasov``'s comparison-matrix solve.
+:func:`_inverse_stack` reports such members; :func:`inverse` and the oracle
+then raise :class:`SingularMatrix`, and the LCP solver skips their bases.
 """
 
 from __future__ import annotations
@@ -65,10 +66,15 @@ def _inverse_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         ok = np.linalg.slogdet(stack)[0] != 0
         inv = np.linalg.inv(np.where(ok[:, None, None], stack, np.eye(stack.shape[-1])))
     inv_norms = np.abs(inv).sum(axis=-1).max(axis=-1, initial=0.0)
-    cond = np.abs(stack).sum(axis=-1).max(axis=-1, initial=0.0) * inv_norms
-    # Written so that a NaN condition number also counts as singular.
-    ok &= cond <= 1.0 / PIVOT_RTOL
+    ok &= _well_conditioned(stack, inv_norms)
     return inv, inv_norms, ok
+
+
+def _well_conditioned(a: np.ndarray, inv_norm):
+    """The ``PIVOT_RTOL`` rule ``||A||_inf ||A^{-1}||_inf <= 1 / PIVOT_RTOL``
+    for a matrix or a ``(k, n, n)`` stack, given ``||A^{-1}||_inf``."""
+    # Written so that a NaN condition number also counts as singular.
+    return np.abs(a).sum(axis=-1).max(axis=-1, initial=0.0) * inv_norm <= 1.0 / PIVOT_RTOL
 
 
 def inf_norm(a) -> float:

@@ -15,8 +15,8 @@ The token grammar is Python's ``float`` (underscores and the ``inf``/``nan``
 spellings included; non-finite values are rejected) plus ``p/q`` with
 integer parts, rounded once as ``int(p) / int(q)``.  A well-formed file is
 read in one conversion pass: ``np.fromstring(text, sep=" ")`` turns the text
-(the head split off a plain file, commas made spaces in CSV and vector
-files) into one float64 array, rounding each number with CPython's
+(the head split off a plain file, each line of a CSV file, a vector file,
+commas made spaces) into a float64 array, rounding each number with CPython's
 ``PyOS_string_to_double`` as ``float`` does.  Text numpy rejects or warns
 about (fractions, underscores, separators outside ASCII whitespace), a count
 mismatch, a non-finite value or text with no number falls back to the
@@ -112,11 +112,12 @@ def parse_matrix(path: str) -> np.ndarray:
 
 
 def _parse_csv(text: str) -> np.ndarray:
-    # A line of commas only is a row of width 0, as in the scan.
-    widths = [len(line.replace(",", " ").split()) for line in text.splitlines() if line.strip()]
-    n = len(widths)
-    values = _convert(text.replace(",", " ")) if widths.count(n) == n else None
-    return _scan_csv(text) if values is None else values.reshape(n, n)
+    # A line of commas only converts to None, as a row of width 0 fails the scan.
+    rows = [_convert(line.replace(",", " ")) for line in text.splitlines() if line.strip()]
+    n = len(rows)
+    if all(row is not None and row.size == n for row in rows):
+        return np.stack(rows)
+    return _scan_csv(text)
 
 
 def _scan_csv(text: str) -> np.ndarray:

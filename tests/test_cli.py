@@ -308,6 +308,64 @@ class TestProfileOnce:
         assert [shape for shape in profile_calls if len(shape) == 2] == [(4, 4), (4, 4)]
 
 
+class TestDefaults:
+    """An option left out takes the one default its ``add_argument`` names."""
+
+    @staticmethod
+    def check_classify(out, m):
+        assert json.loads(out)["n"] == 4  # JSON, not text
+
+    @staticmethod
+    def check_bound(out, m):
+        payload = json.loads(out)
+        assert [b["theorem"] for b in payload["bounds"]] == [
+            "gp_nekrasov", "new_nekrasov", "gp_bnekrasov", "new_bnekrasov"]
+        # --theorem all, each parameterized bound at the midpoint of its interval
+        assert bound_by_name(payload, "gp_nekrasov")["epsilon"] == (
+            nekrasov.epsilon_interval_upper(m) / 2)
+        assert bound_by_name(payload, "gp_bnekrasov")["epsilon"] == (
+            bnekrasov.epsilon_interval_upper(m) / 2)
+
+    @staticmethod
+    def check_sweep(out, m):
+        lines = out.strip().splitlines()
+        assert lines[0] == "epsilon,gp_bound,new_bound" and len(lines) == 1 + 101
+
+    @staticmethod
+    def check_verify(out, m):
+        oracle = json.loads(out)["oracle"]
+        assert (oracle["samples"], oracle["seed"]) == (10000, 42)
+
+    @staticmethod
+    def check_lcp(out, m):
+        assert len(json.loads(out)["certificates"]) == 100
+
+    @pytest.mark.parametrize("command", ["classify", "bound", "sweep", "verify", "lcp"])
+    def test_default(self, capsys, data_dir, command):
+        path = str(data_dir / "example1.txt")
+        q = ("--q", str(data_dir / "q_minus_ones.txt")) if command == "lcp" else ()
+        out, code = run(capsys, command, "--matrix", path, *q)
+        assert code == 0
+        getattr(self, f"check_{command}")(out, parse_matrix(path))
+
+
+class TestOneParser:
+    """The parser built at import serves every call; no option carries over."""
+
+    def test_epsilon_does_not_carry_over(self, capsys, data_dir):
+        argv = ("bound", "--matrix", str(data_dir / "example1.txt"))
+        fresh = run(capsys, *argv)
+        assert run(capsys, *argv, "--epsilon", "0.1") != fresh
+        assert run(capsys, *argv) == fresh
+
+    def test_seed_does_not_carry_over(self, capsys, data_dir):
+        argv = ("verify", "--matrix", str(data_dir / "example1.txt"), "--samples", "10")
+        out, _ = run(capsys, *argv, "--seed", "3")
+        assert json.loads(out)["oracle"]["seed"] == 3
+        out, _ = run(capsys, *argv)
+        assert json.loads(out)["oracle"]["seed"] == 42
+
+
 class TestUsageErrorExit1:
     """Usage errors exit 1, as operational errors do; 2 means that no bound applies."""
 
@@ -315,7 +373,10 @@ class TestUsageErrorExit1:
         ["bound"],
         ["bound", "--matrix", "m.txt", "--epsilon", "abc"],
         [],
-    ], ids=["bound_without_matrix", "epsilon_not_a_number", "no_subcommand"])
+        ["bound", "--matrix", "m.txt", "--theorem", "gp-nekrasov"],
+        ["lcp", "--matrix", "m.txt"],
+    ], ids=["bound_without_matrix", "epsilon_not_a_number", "no_subcommand",
+            "gp_theorem_without_epsilon", "lcp_without_q"])
     def test_exit_1_with_usage(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)

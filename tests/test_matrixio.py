@@ -334,7 +334,8 @@ class TestConversionPass:
     """The one numpy pass gives the scan's outcome, and the numpy behaviours
     it relies on still hold."""
 
-    @pytest.mark.parametrize("text", ["1\n \n", "2\n1 2 3 4 x", "2\n1-2 3 4 5", "2\n1 2 3 4\x00"])
+    @pytest.mark.parametrize("text", ["1\n \n", "2\n1 2 3 4 x", "2\n1-2 3 4 5", "2\n1 2 3 4\x00",
+                                      "0.0,0.0\n0.0, "])
     def test_same_outcome_as_scan(self, tmp_path, text):
         path = str(tmp_path / "input.txt")
         with open(path, "w", encoding="utf-8", newline="") as handle:
