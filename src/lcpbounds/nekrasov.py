@@ -18,15 +18,17 @@ its inverse, uniformly in ``d``.  That worst-case norm is exactly the
 constant in the Chen-Xiang error bound for LCP(M, q), which is what makes
 these quantities useful as error certificates.
 
-All three recursions run in one row loop, ``_forward``: in row i each system
-is one product of ``|a_ij| / divisor_j`` (j < i) with the rows above it; h
-and z share the divisors ``|a_jj|`` as two right-hand sides, and eta takes
-``min{|a_jj|, 1}``.  The kernel also takes a ``(k, n, n)`` stack, so the
-oracle's lemma suite profiles a whole chunk of scaled members at once (at
-most ``oracle._CHUNK_ENTRIES`` entries, the bound the oracle's inverses
-use).  A zero diagonal entry matters only where a nonzero entry below it
-uses it as a divisor; the first such use in row-major order makes that row's
-values and every later row's ``+inf``, and ``h_vector``, ``z_vector`` and
+One row loop, ``_profile``, runs all three recursions for ``M`` or for a
+``(k, n)`` array of scalings of its family.  Row i of a member is ``d_i``
+times row i of ``M`` off the diagonal, so row i of every member and every
+recursion is one product of ``|m_i,:i|`` with the finished rows above it,
+each over its divisor: ``|a_jj|`` for h and z, ``min{|a_jj|, 1}`` for eta.
+No member is built, and ``M`` is the member ``d = 1``.  The oracle's lemma
+suite passes its scalings in chunks of at most ``_CHUNK_ENTRIES // (3n)``,
+so each array of the loop stays within ``oracle._CHUNK_ENTRIES`` entries.
+A zero diagonal entry matters only where a nonzero entry below it uses it as
+a divisor; the first such use in row-major order makes that row's values and
+every later row's ``+inf``, and ``h_vector``, ``z_vector`` and
 ``eta_vector`` raise ``ZeroDiagonal`` with its 1-based index.
 
 The bounds run on a route, ``_Route``: the matrix of a bound family with its
@@ -105,59 +107,54 @@ def _not_applicable(theorem: Theorem, reason: str) -> BoundReport:
     return BoundReport(theorem=theorem, applicable=False, reason=reason)
 
 
-def _forward(abs_a: np.ndarray, divisors: np.ndarray, rhs: np.ndarray):
-    """Evaluate ``v_i = rhs_i + sum_{j<i} (abs_a[i, j] / divisors[j]) v_j``
-    and, in the same row loop, ``u_i = 1 + sum_{j<i} (abs_a[i, j] / c_j) u_j``
-    with ``c = min{divisors, 1}``.
+def _profile(m: np.ndarray, ds: np.ndarray | None = None) -> tuple[NekrasovProfile, np.ndarray]:
+    """Recursion profile of ``M``, or of every member ``I - D + D M`` of its
+    family for a ``(k, n)`` array ``ds`` of scalings, with the first used
+    zero divisor (1-based, 0 for none).
 
-    ``abs_a`` is ``(..., n, n)``, ``divisors`` is ``(..., n)`` and ``rhs`` is
-    ``(..., n, r)``: one solve per stack member, with ``r`` right-hand sides
-    sharing its divisors; ``u`` is ``(..., n, 1)``.  Each row is one product
-    with the rows above it per system.  A zero divisor matters only where a
-    nonzero numerator uses it.  The first such use in row-major order sets
-    ``bad`` to its 1-based column (0 where there is none), and makes that
-    row's values and every later row's ``+inf``.
+    With ``ds`` each field gains a leading axis of length k and
+    ``is_nekrasov`` is a bool array; without it the loop runs for the one
+    member ``d = 1``, which is ``M``.  A member's diagonal is
+    ``1 - d + d diag(M)``, as ``_scaled`` builds it, and its row i is
+    ``d_i`` times row i of ``M`` off the diagonal, so row i of all three
+    recursions for all members is ``rhs_i + d_i (|m_i,:i| @ W[:i])``: one
+    product per row.  ``W`` holds the finished rows over their divisors,
+    laid out ``(n, 3, k)`` (row, recursion, member), so ``W[:i]`` is one
+    contiguous ``(i, 3k)`` block.  A member entry is used where
+    ``d_i |m_ij| > 0``, exactly where the built member's entry is nonzero;
+    that ``(k, n, n)`` mask is built only when some divisor is zero.
     """
-    n = abs_a.shape[-1]
-    zero = divisors <= _ZERO_FLOOR
-    used = np.tril((abs_a > 0.0) & zero[..., None, :], -1)
-    # Used entries divide by inf (1 once clamped); their rows become +inf below.
-    # Each row divides its own entries, so no n x n ratio array is held.
-    safe = np.where(zero, np.inf, divisors)[..., None, :]
-    clamped = np.minimum(safe, 1.0)
-    values = np.array(rhs, dtype=float)
-    u = np.ones(values.shape[:-1] + (1,))
-    for i in range(1, n):
-        row = abs_a[..., i : i + 1, :i]
-        values[..., i, :] += ((row / safe[..., :i]) @ values[..., :i, :])[..., 0, :]
-        u[..., i, :] += ((row / clamped[..., :i]) @ u[..., :i, :])[..., 0, :]
-    flat = used.reshape(used.shape[:-2] + (n * n,))
-    hit = flat.any(axis=-1)
-    first = flat.argmax(axis=-1)
-    later = np.arange(n) >= np.where(hit, first // n, n)[..., None]
-    values[later] = u[later] = np.inf
-    return values, u, np.where(hit, first % n + 1, 0)
-
-
-def _profile(m: np.ndarray) -> tuple[NekrasovProfile, np.ndarray]:
-    """Recursion profile of a matrix, or of every member of a ``(k, n, n)``
-    stack, with the first used zero divisor (1-based, 0 for none).
-
-    For a stack each field gains the leading axis and ``is_nekrasov`` is a
-    bool array.  One row loop runs all three recursions: h and z as two
-    right-hand sides over the divisors ``|a_jj|``, and eta over
-    ``min{|a_jj|, 1}``, which is zero exactly where ``|a_jj|`` is.
-    """
+    n = m.shape[0]
+    d = np.ones((1, n)) if ds is None else ds
+    k = d.shape[0]
     abs_m = np.abs(m)
-    abs_diag = np.abs(np.diagonal(m, axis1=-2, axis2=-1))
-    tail = np.triu(abs_m, 1).sum(axis=-1)
-    hz, eta, bad = _forward(abs_m, abs_diag, np.stack([tail, np.ones_like(tail)], axis=-1))
-    h = hz[..., 0]
+    abs_diag = np.abs(1.0 - d + d * np.diag(m))
+    zero = abs_diag <= _ZERO_FLOOR
+    # Used zero divisors divide by inf; their rows become +inf below.
+    safe = np.where(zero, np.inf, abs_diag).T
+    divisors = np.stack([safe, safe, np.minimum(safe, 1.0)], axis=1)
+    scale = d.T
+    values = np.ones((n, 3, k))
+    values[:, 0] = np.triu(abs_m, 1).sum(axis=1)[:, None] * scale
+    w = np.empty_like(values)
+    w[0] = values[0] / divisors[0]
+    for i in range(1, n):
+        values[i] += scale[i] * (abs_m[i, :i] @ w[:i].reshape(i, 3 * k)).reshape(3, k)
+        w[i] = values[i] / divisors[i]
+    bad = np.zeros(k, dtype=int)
+    if zero.any():
+        used = np.tril(d[:, :, None] * abs_m > 0.0, -1) & zero[:, None, :]
+        flat = used.reshape(k, n * n)
+        hit = flat.any(axis=1)
+        first = flat.argmax(axis=1)
+        values.transpose(0, 2, 1)[np.arange(n)[:, None] >= np.where(hit, first // n, n)] = np.inf
+        bad = np.where(hit, first % n + 1, 0)
+    h, z, eta = np.ascontiguousarray(values.transpose(1, 2, 0))
     margins = abs_diag - h
     flags = np.all(margins > STRICT_RTOL * np.maximum(1.0, abs_diag), axis=-1)
-    profile = NekrasovProfile(h=h, z=hz[..., 1], eta=eta[..., 0], margins=margins,
-                              is_nekrasov=flags)
-    return profile, bad
+    if ds is None:
+        h, z, eta, margins, flags, bad = h[0], z[0], eta[0], margins[0], flags[0], bad[0]
+    return NekrasovProfile(h=h, z=z, eta=eta, margins=margins, is_nekrasov=flags), bad
 
 
 def _checked(a) -> NekrasovProfile:

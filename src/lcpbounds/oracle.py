@@ -13,9 +13,11 @@ LAPACK backend.  A chunk holds at most ``_CHUNK_ENTRIES`` float64 entries
 ranges, so memory stays flat in n.  Ties keep the first point evaluated, and
 a singular member raises :class:`SingularMatrix` (see ``linalg.PIVOT_RTOL``).
 
-The lemma suite uses the same chunk bound: it builds the members for a chunk
-of its scaling vectors and runs the stacked h/z/eta kernel of ``nekrasov``
-on them in one call, then tests the inequalities as array masks.
+The lemma suite builds no members: it passes a chunk of its scaling vectors
+to the family kernel of ``nekrasov``, which profiles every member from the
+rows of ``M`` in one row loop, then tests the inequalities as array masks.
+A chunk holds at most ``_CHUNK_ENTRIES // (3n)`` vectors, so the kernel's
+three values per row and member stay within the same entry bound.
 """
 
 from __future__ import annotations
@@ -135,9 +137,10 @@ def lemma_property_suite(m, trials: int = 1000, seed: int = 0) -> LemmaSuiteRepo
       * ``z_i(Mt) <= eta_i(M)``,
       * ``z_i(Mt)/mt_ii <= eta_i(M)/min{m_ii, 1}``.
 
-    The members are built and profiled in stacked chunks of at most
-    ``_CHUNK_ENTRIES`` entries; violations are listed by trial, then check
-    (in the order above, the Nekrasov test last), then row.
+    The members are profiled from the rows of ``M``, never built, in chunks
+    of at most ``_CHUNK_ENTRIES // (3n)`` scaling vectors; violations are
+    listed by trial, then check (in the order above, the Nekrasov test
+    last), then row.
 
     Requires a Nekrasov ``M`` with positive diagonal; any violation reported
     here indicates an implementation bug, not an unlucky sample.  ``m`` may
@@ -155,13 +158,12 @@ def lemma_property_suite(m, trials: int = 1000, seed: int = 0) -> LemmaSuiteRepo
     rhs = np.stack([profile.h / diag, profile.eta, profile.eta / np.minimum(diag, 1.0)])
     rng = np.random.default_rng(seed)
     scalings = np.vstack([np.ones((1, n)), rng.random((trials, n))])
-    chunk = max(1, _CHUNK_ENTRIES // (n * n))
+    chunk = max(1, _CHUNK_ENTRIES // (3 * n))
     violations: list[LemmaViolation] = []
     for start in range(0, scalings.shape[0], chunk):
         ds = scalings[start : start + chunk]
-        mt = _scaled(mm, ds)
-        mt_profile, _ = _profile(mt)
-        mt_diag = np.diagonal(mt, axis1=-2, axis2=-1)
+        mt_profile, _ = _profile(mm, ds)
+        mt_diag = 1.0 - ds + ds * diag
         lhs = np.stack([mt_profile.h / mt_diag, mt_profile.z, mt_profile.z / mt_diag], axis=1)
         flagged = lhs > rhs + _LEMMA_SLACK
         failed = flagged.any(axis=(1, 2)) | ~mt_profile.is_nekrasov

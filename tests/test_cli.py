@@ -23,6 +23,15 @@ def run(capsys, *argv):
     return capsys.readouterr().out, code
 
 
+def run_fresh(*argv):
+    """One command in a fresh interpreter, so that a traceback reaches stderr."""
+    src = str(Path(lcpbounds.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "lcpbounds.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 def bound_by_name(payload, name):
     return next(b for b in payload["bounds"] if b["theorem"] == name)
 
@@ -263,6 +272,15 @@ class TestClassify:
         assert "is_nekrasov: True" in out
 
     @pytest.mark.parametrize("command", ["bound", "classify"])
+    def test_large_entries_are_p(self, tmp_path, command):
+        path = tmp_path / "m.txt"
+        path.write_text("2\n1e200 0\n0 1e200\n")
+        proc = run_fresh(command, "--matrix", str(path))
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["classification"]["is_p_matrix"] is True
+
+    @pytest.mark.parametrize("command", ["bound", "classify"])
     @pytest.mark.parametrize("n", [4, 13], ids=["p_tested", "p_skipped"])
     def test_classification_keys_in_order(self, capsys, tmp_path, command, n):
         path = tmp_path / "m.txt"
@@ -301,7 +319,7 @@ class TestProfileOnce:
     @pytest.mark.parametrize("name", ["example1", "example3"])
     def test_verify_two_profiles(self, capsys, data_dir, profile_calls, name):
         # The lemma suite reads the profile of its route (M or B+); only the
-        # stacked (k, n, n) profiles of its scaled members are new.
+        # profiles of its scaled members, from (k, n) arrays of scalings, are new.
         _, code = run(capsys, "verify", "--samples", "10",
                       "--matrix", str(data_dir / f"{name}.txt"))
         assert code == 0
@@ -398,11 +416,7 @@ class TestFaultyFileExit1:
 
     @staticmethod
     def assert_error_line(*argv):
-        src = str(Path(lcpbounds.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "lcpbounds.cli", *argv],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = run_fresh(*argv)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr

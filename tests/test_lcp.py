@@ -251,6 +251,22 @@ class TestIsPMatrix:
             verdicts.add(expected)
         assert verdicts == {True, False}
 
+    def test_verdict_invariant_under_power_of_two_scaling(self):
+        # Scaling by 2**e is exact, and every matrix here has an entry of
+        # magnitude at least 1, so each verdict must equal the base one.  Most
+        # of these matrices have minors that overflow a double.
+        rng = np.random.default_rng(31)
+        verdicts = set()
+        for _ in range(40):
+            n = int(rng.integers(1, 8))
+            m = rng.uniform(-1.0, 1.0, (n, n)) + rng.uniform(1.0, 3.0) * np.eye(n)
+            base = 2.0**500 * m
+            expected = is_p_matrix(base)
+            for e in (-500, -100, 100, 500):
+                assert is_p_matrix(2.0**e * base) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
     def test_too_large(self):
         with pytest.raises(DimensionTooLarge):
             is_p_matrix(np.eye(13))

@@ -11,6 +11,7 @@ from lcpbounds.linalg import inf_norm, inverse
 from lcpbounds.nekrasov import (
     Theorem,
     _profile,
+    _scaled,
     eta_vector,
     gp_nekrasov_bound,
     h_vector,
@@ -62,6 +63,19 @@ def stacks(draw):
     return np.array(flat).reshape(k, n, n)
 
 
+@st.composite
+def families(draw):
+    """A matrix and a ``(k, n)`` array of scalings with entries 0, 1 or uniform."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 9))
+    m = draw(st.lists(_ENTRIES, min_size=n * n, max_size=n * n))
+    # Bounded away from the subnormals, whose products with the entries lose
+    # the digits the exact comparison needs.
+    scales = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-100, 1.0))
+    ds = draw(st.lists(scales, min_size=k * n, max_size=k * n))
+    return np.array(m).reshape(n, n), np.array(ds).reshape(k, n)
+
+
 def first_used_zero(rows):
     """0-based (row, column) of the first zero divisor that a nonzero entry
     below it uses, in row-major order, or None."""
@@ -72,39 +86,53 @@ def first_used_zero(rows):
     return None
 
 
+def assert_exact_where_finite(member, h, z, eta):
+    """``h``, ``z`` and ``eta`` match the exact recursions of ``member`` up
+    to its first used zero divisor and are +inf from there on; returns that
+    divisor as ``first_used_zero`` does."""
+    n = member.shape[0]
+    rows = [[F(v) for v in row] for row in member]
+    used = first_used_zero(rows)
+    cut = n if used is None else used[0]
+    # Rows from the cut on get zero rows, so the exact recursion never
+    # divides by zero and its first ``cut`` values are unchanged.
+    prefix = rows[:cut] + [[F(0)] * n for _ in range(n - cut)]
+    for values, exact in ((h, _rational.h_exact), (z, _rational.z_exact),
+                          (eta, _rational.eta_exact)):
+        assert np.all(np.isfinite(values[:cut]))
+        assert np.all(np.isinf(values[cut:]))
+        expected = [float(v) for v in exact(prefix)[:cut]]
+        np.testing.assert_allclose(values[:cut], expected, rtol=1e-12, atol=0.0)
+    return used
+
+
 class TestRecursionKernel:
-    @given(stacks())
+    @given(families())
     @settings(max_examples=200, deadline=None)
-    def test_stack_matches_members(self, a):
-        stacked, bad = _profile(a)
-        for k, member in enumerate(a):
-            single, single_bad = _profile(member)
-            for name in ("h", "z", "eta", "margins"):
-                np.testing.assert_allclose(getattr(stacked, name)[k], getattr(single, name),
-                                           rtol=1e-15, atol=0.0)
-            assert stacked.is_nekrasov[k] == single.is_nekrasov
-            assert bad[k] == single_bad
-            assert is_nekrasov(member).is_nekrasov == single.is_nekrasov
+    def test_family_matches_built_members(self, drawn):
+        m, ds = drawn
+        single, single_bad = _profile(m)
+        family, bad = _profile(m, ds)
+        ones, ones_bad = _profile(m, np.ones((1, m.shape[0])))
+        for name in ("h", "z", "eta", "margins", "is_nekrasov"):
+            np.testing.assert_array_equal(getattr(ones, name)[0], getattr(single, name))
+        assert ones_bad[0] == single_bad
+        for t, d in enumerate(ds):
+            member = _scaled(m, d)
+            built, built_bad = _profile(member)
+            assert family.is_nekrasov[t] == built.is_nekrasov
+            assert bad[t] == built_bad
+            for name in ("h", "z", "eta"):
+                np.testing.assert_array_equal(np.isinf(getattr(family, name)[t]),
+                                              np.isinf(getattr(built, name)))
+            assert_exact_where_finite(member, family.h[t], family.z[t], family.eta[t])
 
     @given(stacks())
     @settings(max_examples=200, deadline=None)
     def test_matches_exact_recursions_where_finite(self, a):
         for member in a:
-            n = member.shape[0]
-            rows = [[F(v) for v in row] for row in member]
-            used = first_used_zero(rows)
-            cut = n if used is None else used[0]
-            # Rows from the cut on get zero rows, so the exact recursion never
-            # divides by zero and its first ``cut`` values are unchanged.
-            prefix = rows[:cut] + [[F(0)] * n for _ in range(n - cut)]
             profile = is_nekrasov(member)
-            for name, exact in (("h", _rational.h_exact), ("z", _rational.z_exact),
-                                ("eta", _rational.eta_exact)):
-                values = getattr(profile, name)
-                assert np.all(np.isfinite(values[:cut]))
-                assert np.all(np.isinf(values[cut:]))
-                expected = [float(v) for v in exact(prefix)[:cut]]
-                np.testing.assert_allclose(values[:cut], expected, rtol=1e-12, atol=0.0)
+            used = assert_exact_where_finite(member, profile.h, profile.z, profile.eta)
             if used is None:
                 np.testing.assert_array_equal(h_vector(member), profile.h)
             else:

@@ -178,6 +178,17 @@ class TestLemmaSuite:
         report = lemma_property_suite(bplus_decompose(ex3).b_plus, trials=300, seed=3)
         assert report.clean
 
+    def test_builds_no_members(self, ex1, monkeypatch):
+        # The members are profiled from the rows of M; only the oracle's
+        # inverses need them built.
+        def refuse(m, d):
+            raise AssertionError("a member was built")
+
+        monkeypatch.setattr(oracle, "_scaled", refuse)
+        report = lemma_property_suite(ex1, trials=300, seed=3)
+        assert report.clean
+        assert report.trials == 301
+
     def test_precondition(self, ex3):
         with pytest.raises(PreconditionFailed):
             lemma_property_suite(ex3, trials=10, seed=0)
@@ -207,6 +218,9 @@ class TestLemmaSuite:
     def test_random_n11_spans_four_chunks(self, monkeypatch, slack):
         # 32768 // 11**2 = 270 members per chunk: the 1001 trials take four.
         assert -(-1001 // (oracle._CHUNK_ENTRIES // 121)) == 4
+        # The suite's chunks hold _CHUNK_ENTRIES // (3 n) members (992 here),
+        # so the entry bound is set to give the same 270.
+        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 3 * 11 * 270)
         monkeypatch.setattr(oracle, "_LEMMA_SLACK", slack)
         rng = np.random.default_rng(11)
         for _ in range(3):
