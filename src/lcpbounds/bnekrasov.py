@@ -28,11 +28,12 @@ import numpy as np
 
 from . import lcp, nekrasov
 from .errors import DimensionTooSmall
-from .linalg import _well_conditioned, as_matrix, comparison_matrix
+from .linalg import _well_conditioned, as_matrix, comparison_matrix, inf_norm
 from .nekrasov import (
     STRICT_RTOL,
     BoundReport,
     Theorem,
+    _applicable,
     _m_route,
     _not_applicable,
     _positive_diagonal,
@@ -58,7 +59,8 @@ class ClassificationReport:
     """Membership flags for the matrix classes relevant to the bounds.
 
     ``is_p_matrix`` is ``None`` when the principal-minor test was skipped
-    (dimension above the enumeration limit).
+    (dimension above the enumeration limit), unless the matrix is P by
+    class: Nekrasov with positive diagonal, or B-Nekrasov.
     """
 
     is_sdd: bool
@@ -102,7 +104,7 @@ class _BPlusRoute(_Route):
             return _not_applicable(theorem, "BbarNotSDDZ")
         delta = beta / w
         value = float(self.factor * w.max() / (min(float(np.min(delta)), 1.0) * w.min()))
-        return BoundReport(theorem=theorem, applicable=True, value=value, epsilon=epsilon,
+        return _applicable(theorem, value, epsilon=epsilon,
                            intermediates={"w": w, "beta": beta, "delta": delta,
                                           "h": self.profile.h})
 
@@ -169,7 +171,7 @@ def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
         x = np.linalg.solve(a, np.ones(n))
         h_flag = bool(np.all(x > 0.0))
         # Then ||<M>^{-1}||_inf = max x, and the PIVOT_RTOL rule holds as for an inverse.
-        singular = h_flag and not _well_conditioned(a, x.max())
+        singular = h_flag and not _well_conditioned(inf_norm(a), x.max())
     except np.linalg.LinAlgError:
         singular = True
     if singular:
@@ -180,8 +182,14 @@ def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
         p_flag = None
         notes.append("P-matrix test skipped")
     elif n > lcp._P_TEST_MAX_N:
-        p_flag = None
+        # Nekrasov with positive diagonal implies H with positive diagonal,
+        # hence P; B-Nekrasov matrices are P as well.
+        cls = ("Nekrasov with positive diagonal" if p.m_route.fault is None
+               else "B-Nekrasov" if p.b_route.fault is None else None)
+        p_flag = True if cls else None
         notes.append(f"P-matrix test skipped: n > {lcp._P_TEST_MAX_N}")
+        if cls:
+            notes.append(f"P by class: {cls}")
     else:
         p_flag = lcp.is_p_matrix(mm)
     return ClassificationReport(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 
@@ -75,7 +74,9 @@ def _emit(data: dict, fmt: str) -> str:
     data = _jsonable(data)
     if fmt == "text":
         return _render_text(data)
-    return json.dumps(data, indent=2)
+    # Bound values past the float range are reported as not applicable
+    # (reason Overflow), so the output is strict JSON (RFC 8259).
+    return json.dumps(data, indent=2, allow_nan=False)
 
 
 def _report_entry(report: BoundReport, **extra) -> dict:
@@ -119,12 +120,8 @@ def cmd_bound(args: argparse.Namespace) -> tuple[str, int]:
     return _emit(data, args.format), code
 
 
-def _format_value(value: float | None, applicable: bool) -> str:
-    if not applicable or value is None:
-        return "n/a"
-    if math.isinf(value):
-        return "inf"
-    return repr(value)
+def _format_value(report: BoundReport) -> str:
+    return "n/a" if report.value is None else repr(report.value)
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
@@ -135,12 +132,12 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     route = bnekrasov._profiles(m).route
     if route is None:
         return "no epsilon-parameterized bound applies to this matrix", EXIT_NO_APPLICABLE_BOUND
-    upper, new_text = route.upper, _format_value(route.new().value, True)
+    upper, new_text = route.upper, _format_value(route.new())
     lines = ["epsilon,gp_bound,new_bound"]
     for k in range(1, args.grid + 1):
         epsilon = k * upper / (args.grid + 1)
         report = route.gp(epsilon)
-        lines.append(f"{epsilon!r},{_format_value(report.value, report.applicable)},{new_text}")
+        lines.append(f"{epsilon!r},{_format_value(report)},{new_text}")
     return "\n".join(lines), EXIT_OK
 
 

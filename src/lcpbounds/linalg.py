@@ -7,10 +7,12 @@ here is a pure function of its inputs.
 Inverses run on numpy's LAPACK backend in stacked calls, through
 :func:`_inverse_stack`.  A member counts as singular when LAPACK finds an
 exact zero pivot or when its infinity-norm condition number exceeds
-``1 / PIVOT_RTOL``, the rule :func:`_well_conditioned` states once for these
-inverses and for ``bnekrasov``'s comparison-matrix solve.
-:func:`_inverse_stack` reports such members; :func:`inverse` and the oracle
-then raise :class:`SingularMatrix`, and the LCP solver skips their bases.
+``1 / PIVOT_RTOL``, the rule :func:`_well_conditioned` states once, given
+``||A||_inf`` and ``||A^{-1}||_inf``, for these inverses, for the oracle's
+scaled family (whose member norms it takes from the rows of ``M``) and for
+``bnekrasov``'s comparison-matrix solve.  :func:`_inverse_stack` reports
+such members; :func:`inverse` and the oracle then raise
+:class:`SingularMatrix`, and the LCP solver skips their bases.
 """
 
 from __future__ import annotations
@@ -65,16 +67,21 @@ def _inverse_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         # getrf, so its zero signs mark those members.  They are inverted as I.
         ok = np.linalg.slogdet(stack)[0] != 0
         inv = np.linalg.inv(np.where(ok[:, None, None], stack, np.eye(stack.shape[-1])))
-    inv_norms = np.abs(inv).sum(axis=-1).max(axis=-1, initial=0.0)
-    ok &= _well_conditioned(stack, inv_norms)
+    inv_norms = _inf_norms(inv)
+    ok &= _well_conditioned(_inf_norms(stack), inv_norms)
     return inv, inv_norms, ok
 
 
-def _well_conditioned(a: np.ndarray, inv_norm):
-    """The ``PIVOT_RTOL`` rule ``||A||_inf ||A^{-1}||_inf <= 1 / PIVOT_RTOL``
-    for a matrix or a ``(k, n, n)`` stack, given ``||A^{-1}||_inf``."""
+def _inf_norms(stack: np.ndarray) -> np.ndarray:
+    """Infinity norms of the members of a ``(k, n, n)`` stack."""
+    return np.abs(stack).sum(axis=-1).max(axis=-1, initial=0.0)
+
+
+def _well_conditioned(norm, inv_norm):
+    """The ``PIVOT_RTOL`` rule ``||A||_inf ||A^{-1}||_inf <= 1 / PIVOT_RTOL``,
+    given both norms, for one matrix or elementwise for arrays of them."""
     # Written so that a NaN condition number also counts as singular.
-    return np.abs(a).sum(axis=-1).max(axis=-1, initial=0.0) * inv_norm <= 1.0 / PIVOT_RTOL
+    return norm * inv_norm <= 1.0 / PIVOT_RTOL
 
 
 def inf_norm(a) -> float:

@@ -26,6 +26,9 @@ each over its divisor: ``|a_jj|`` for h and z, ``min{|a_jj|, 1}`` for eta.
 No member is built, and ``M`` is the member ``d = 1``.  The oracle's lemma
 suite passes its scalings in chunks of at most ``_CHUNK_ENTRIES // (3n)``,
 so each array of the loop stays within ``oracle._CHUNK_ENTRIES`` entries.
+eta grows like a product of row sums, so on large inputs it can pass the
+float range; it is then ``+inf``, and a bound whose value is not finite
+is reported as not applicable, with reason ``Overflow``.
 A zero diagonal entry matters only where a nonzero entry below it uses it as
 a divisor; the first such use in row-major order makes that row's values and
 every later row's ``+inf``, and ``h_vector``, ``z_vector`` and
@@ -90,9 +93,9 @@ class BoundReport:
     """Outcome of one bound computation.
 
     ``value`` is present iff ``applicable``; ``reason`` explains
-    inapplicability.  ``intermediates`` holds the named vectors that entered
-    the formula (``w``, ``s``, ``h``, ``z``, ``eta``, ``beta``, ``delta`` as
-    relevant).
+    inapplicability (``Overflow`` where the value left the float range).
+    ``intermediates`` holds the named vectors that entered the formula
+    (``w``, ``s``, ``h``, ``z``, ``eta``, ``beta``, ``delta`` as relevant).
     """
 
     theorem: Theorem
@@ -105,6 +108,14 @@ class BoundReport:
 
 def _not_applicable(theorem: Theorem, reason: str) -> BoundReport:
     return BoundReport(theorem=theorem, applicable=False, reason=reason)
+
+
+def _applicable(theorem: Theorem, value: float, **fields) -> BoundReport:
+    """The report of a bound that applies, or reason ``Overflow`` where its
+    value left the float range (eta grows like a product of row sums)."""
+    if not np.isfinite(value):
+        return _not_applicable(theorem, "Overflow")
+    return BoundReport(theorem=theorem, applicable=True, value=value, **fields)
 
 
 def _profile(m: np.ndarray, ds: np.ndarray | None = None) -> tuple[NekrasovProfile, np.ndarray]:
@@ -120,38 +131,53 @@ def _profile(m: np.ndarray, ds: np.ndarray | None = None) -> tuple[NekrasovProfi
     recursions for all members is ``rhs_i + d_i (|m_i,:i| @ W[:i])``: one
     product per row.  ``W`` holds the finished rows over their divisors,
     laid out ``(n, 3, k)`` (row, recursion, member), so ``W[:i]`` is one
-    contiguous ``(i, 3k)`` block.  A member entry is used where
+    contiguous ``(i, 3k)`` block; the values and the divisors fill blocks
+    of the same layout, preallocated, with one division per row.  h, z, eta
+    and the margins are returned as ``(k, n)`` views of those rows-first
+    arrays, not as copies.  A member entry is used where
     ``d_i |m_ij| > 0``, exactly where the built member's entry is nonzero;
-    that ``(k, n, n)`` mask is built only when some divisor is zero.
+    that ``(k, n, n)`` mask is built only when some divisor is zero.  A value
+    past the float range is ``+inf``, without a warning.
     """
     n = m.shape[0]
-    d = np.ones((1, n)) if ds is None else ds
-    k = d.shape[0]
+    # Row i of scale holds d_i of every member; the arrays below are laid
+    # out rows first, (n, k) or (n, 3, k), so that each row is contiguous.
+    scale = np.ones((n, 1)) if ds is None else np.ascontiguousarray(ds.T)
+    k = scale.shape[1]
     abs_m = np.abs(m)
-    abs_diag = np.abs(1.0 - d + d * np.diag(m))
+    abs_diag = 1.0 - scale
+    abs_diag += scale * np.diag(m)[:, None]
+    np.abs(abs_diag, out=abs_diag)
     zero = abs_diag <= _ZERO_FLOOR
+    divisors = np.empty((n, 3, k))
+    divisors[:, 0] = abs_diag
     # Used zero divisors divide by inf; their rows become +inf below.
-    safe = np.where(zero, np.inf, abs_diag).T
-    divisors = np.stack([safe, safe, np.minimum(safe, 1.0)], axis=1)
-    scale = d.T
-    values = np.ones((n, 3, k))
-    values[:, 0] = np.triu(abs_m, 1).sum(axis=1)[:, None] * scale
+    np.copyto(divisors[:, 0], np.inf, where=zero)
+    divisors[:, 1] = divisors[:, 0]
+    np.minimum(divisors[:, 0], 1.0, out=divisors[:, 2])
+    values = np.empty((n, 3, k))
+    np.multiply(np.triu(abs_m, 1).sum(axis=1)[:, None], scale, out=values[:, 0])
+    values[:, 1:] = 1.0
     w = np.empty_like(values)
-    w[0] = values[0] / divisors[0]
-    for i in range(1, n):
-        values[i] += scale[i] * (abs_m[i, :i] @ w[:i].reshape(i, 3 * k)).reshape(3, k)
-        w[i] = values[i] / divisors[i]
+    np.divide(values[0], divisors[0], out=w[0])
+    # eta grows like a product of row sums; past the float range it is +inf.
+    with np.errstate(over="ignore"):
+        for i in range(1, n):
+            values[i] += scale[i] * (abs_m[i, :i] @ w[:i].reshape(i, 3 * k)).reshape(3, k)
+            np.divide(values[i], divisors[i], out=w[i])
     bad = np.zeros(k, dtype=int)
     if zero.any():
-        used = np.tril(d[:, :, None] * abs_m > 0.0, -1) & zero[:, None, :]
+        used = np.tril(scale.T[:, :, None] * abs_m > 0.0, -1) & zero.T[:, None, :]
         flat = used.reshape(k, n * n)
         hit = flat.any(axis=1)
         first = flat.argmax(axis=1)
         values.transpose(0, 2, 1)[np.arange(n)[:, None] >= np.where(hit, first // n, n)] = np.inf
         bad = np.where(hit, first % n + 1, 0)
-    h, z, eta = np.ascontiguousarray(values.transpose(1, 2, 0))
-    margins = abs_diag - h
-    flags = np.all(margins > STRICT_RTOL * np.maximum(1.0, abs_diag), axis=-1)
+    margins = abs_diag - values[:, 0]
+    flags = np.all(margins > STRICT_RTOL * np.maximum(1.0, abs_diag), axis=0)
+    # Each field is a (k, n) view of its rows-first array.
+    h, z, eta = values.transpose(1, 2, 0)
+    margins = margins.T
     if ds is None:
         h, z, eta, margins, flags, bad = h[0], z[0], eta[0], margins[0], flags[0], bad[0]
     return NekrasovProfile(h=h, z=z, eta=eta, margins=margins, is_nekrasov=flags), bad
@@ -203,12 +229,13 @@ def scaled_matrix(m, d) -> np.ndarray:
     return _scaled(mm, dd)
 
 
-def _scaled(m: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _scaled(m: np.ndarray, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``I - D + D M`` for one scaling vector, or a stack of members for a
-    ``(k, n)`` array of them."""
-    out = m * d[..., None]
-    idx = np.arange(m.shape[0])
-    out[..., idx, idx] = 1.0 - d + d * np.diag(m)
+    ``(k, n)`` array of them, written into the C-contiguous ``out`` if given."""
+    n = m.shape[0]
+    out = np.multiply(m, d[..., None], out=out)
+    # The diagonal of each member, as a strided view of its n*n entries.
+    out.reshape(d.shape[:-1] + (n * n,))[..., :: n + 1] = 1.0 - d + d * np.diag(m)
     return out
 
 
@@ -221,12 +248,8 @@ def _kolotilina(profile: NekrasovProfile) -> BoundReport:
     if not profile.is_nekrasov:
         return _not_applicable(Theorem.KOLOTILINA, "NotNekrasov")
     value = float(np.max(profile.z / profile.margins))
-    return BoundReport(
-        theorem=Theorem.KOLOTILINA,
-        applicable=True,
-        value=value,
-        intermediates={"h": profile.h, "z": profile.z, "margins": profile.margins},
-    )
+    return _applicable(Theorem.KOLOTILINA, value,
+                       intermediates={"h": profile.h, "z": profile.z, "margins": profile.margins})
 
 
 def epsilon_interval_upper(m) -> float:
@@ -303,8 +326,8 @@ class _Route:
         if np.min(s) <= STRICT_RTOL * max(1.0, float(np.abs(self.a).max())):
             return _not_applicable(Theorem.GP_NEKRASOV, "DegenerateS")
         value = float(max(w.max() / s.min(), w.max() / w.min()))
-        return BoundReport(theorem=Theorem.GP_NEKRASOV, applicable=True, value=value,
-                           epsilon=epsilon, intermediates={"w": w, "s": s, "h": self.profile.h})
+        return _applicable(Theorem.GP_NEKRASOV, value, epsilon=epsilon,
+                           intermediates={"w": w, "s": s, "h": self.profile.h})
 
     def new(self) -> BoundReport:
         """The parameter-free bound ``factor * max_i eta_i / min{margin_i, 1}``."""
@@ -312,7 +335,7 @@ class _Route:
             return _not_applicable(self.theorems[1], self.fault)
         p = self.profile
         value = float(self.factor * np.max(p.eta / np.minimum(p.margins, 1.0)))
-        return BoundReport(theorem=self.theorems[1], applicable=True, value=value,
+        return _applicable(self.theorems[1], value,
                            intermediates={"h": p.h, "eta": p.eta, "margins": p.margins})
 
 

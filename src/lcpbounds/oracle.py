@@ -10,14 +10,21 @@ bound must dominate it.
 The family members are built and inverted in stacked chunks on numpy's
 LAPACK backend.  A chunk holds at most ``_CHUNK_ENTRIES`` float64 entries
 (about 256 KB per temporary), and vertex chunks are decoded from integer
-ranges, so memory stays flat in n.  Ties keep the first point evaluated, and
-a singular member raises :class:`SingularMatrix` (see ``linalg.PIVOT_RTOL``).
+ranges, so memory stays flat in n.  Each call builds its chunks into one
+``(chunk, n, n)`` buffer that it reuses, with the products of ``_scaled``,
+and takes the inverse norms after an in-place ``abs``.  A member's own norm
+comes from the rows of ``M``: row i sums to ``|1 - d_i + d_i m_ii| + d_i r_i``,
+with ``r`` the off-diagonal absolute row sums of ``M``.  Ties keep the
+first point evaluated, and a singular member (an exact zero pivot, or one
+past the ``linalg.PIVOT_RTOL`` rule) raises :class:`SingularMatrix`.
 
 The lemma suite builds no members: it passes a chunk of its scaling vectors
 to the family kernel of ``nekrasov``, which profiles every member from the
-rows of ``M`` in one row loop, then tests the inequalities as array masks.
-A chunk holds at most ``_CHUNK_ENTRIES // (3n)`` vectors, so the kernel's
-three values per row and member stay within the same entry bound.
+rows of ``M`` in one row loop, then tests each inequality as one array mask
+over the kernel's rows-first arrays; the details of a violation are built
+only for the members that fail.  A chunk holds at most
+``_CHUNK_ENTRIES // (3n)`` vectors, so the kernel's three values per row and
+member stay within the same entry bound.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge, DomainError, PreconditionFailed, SingularMatrix
-from .linalg import _inverse_stack, as_matrix, inf_norm, inverse
+from .linalg import _well_conditioned, as_matrix, inf_norm, inverse
 from .nekrasov import _m_route, _positive_diagonal, _profile, _Route, _scaled, scaled_matrix
 
 _ORACLE_MAX_N = 20
@@ -94,11 +101,24 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
         raise DomainError("interior_samples must be nonnegative")
     if not 0 <= seed < 2**128:
         raise DomainError("seed must lie in [0, 2**128)")
+    # Off-diagonal absolute row sums: row i of a member has the absolute
+    # sum |1 - d_i + d_i m_ii| + d_i r_i.
+    off = np.abs(mm)
+    np.fill_diagonal(off, 0.0)
+    r = off.sum(axis=1)
+    chunk = max(1, _CHUNK_ENTRIES // (n * n))
+    members = np.empty((min(chunk, max(2**n, interior_samples)), n, n))
     best = -np.inf
     best_d = np.zeros(n)
-    for ds in _scaling_chunks(n, interior_samples, seed):
-        _, norms, ok = _inverse_stack(_scaled(mm, ds))
-        if not ok.all():
+    for ds in _scaling_chunks(n, interior_samples, seed, chunk):
+        stack = _scaled(mm, ds, out=members[: len(ds)])
+        try:
+            inv = np.linalg.inv(stack)
+        except np.linalg.LinAlgError:  # an exact zero pivot
+            raise SingularMatrix("matrix is numerically singular") from None
+        norms = np.abs(inv, out=inv).sum(axis=-1).max(axis=-1)
+        member_norms = (np.abs(stack.diagonal(axis1=1, axis2=2)) + ds * r).max(axis=-1)
+        if not _well_conditioned(member_norms, norms).all():
             raise SingularMatrix("matrix is numerically singular")
         k = int(np.argmax(norms))
         if norms[k] > best:
@@ -112,10 +132,9 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
     )
 
 
-def _scaling_chunks(n: int, interior_samples: int, seed: int):
+def _scaling_chunks(n: int, interior_samples: int, seed: int, chunk: int):
     """The oracle's scaling vectors in evaluation order, as ``(k, n)`` arrays
-    of at most ``_CHUNK_ENTRIES // n**2`` rows: the vertices, then the samples."""
-    chunk = max(1, _CHUNK_ENTRIES // (n * n))
+    of at most ``chunk`` rows: the vertices, then the samples."""
     # Bit n-1-i of vertex number k is d_i: binary order, first coordinate
     # most significant, as itertools.product((0, 1), repeat=n) enumerates.
     shifts = np.arange(n - 1, -1, -1)
@@ -155,28 +174,41 @@ def lemma_property_suite(m, trials: int = 1000, seed: int = 0) -> LemmaSuiteRepo
         raise PreconditionFailed("requires a Nekrasov matrix with positive diagonal")
     n = mm.shape[0]
     diag = np.diag(mm)
-    rhs = np.stack([profile.h / diag, profile.eta, profile.eta / np.minimum(diag, 1.0)])
+    rhs = (profile.h / diag, profile.eta, profile.eta / np.minimum(diag, 1.0))
+    limits = [side + _LEMMA_SLACK for side in rhs]
     rng = np.random.default_rng(seed)
-    scalings = np.vstack([np.ones((1, n)), rng.random((trials, n))])
+    scalings = np.empty((trials + 1, n))
+    scalings[0] = 1.0
+    rng.random(out=scalings[1:])
     chunk = max(1, _CHUNK_ENTRIES // (3 * n))
     violations: list[LemmaViolation] = []
     for start in range(0, scalings.shape[0], chunk):
         ds = scalings[start : start + chunk]
         mt_profile, _ = _profile(mm, ds)
-        mt_diag = 1.0 - ds + ds * diag
-        lhs = np.stack([mt_profile.h / mt_diag, mt_profile.z, mt_profile.z / mt_diag], axis=1)
-        flagged = lhs > rhs + _LEMMA_SLACK
-        failed = flagged.any(axis=(1, 2)) | ~mt_profile.is_nekrasov
+        # Rows first, (n, k), as the profile's arrays are laid out.
+        d = ds.T
+        mt_diag = np.subtract(1.0, d, order="C")
+        mt_diag += np.multiply(d, diag[:, None], order="C")
+        failed = ~mt_profile.is_nekrasov
+        for lhs, limit in zip(_lemma_sides(mt_profile.h.T, mt_profile.z.T, mt_diag), limits):
+            failed |= (lhs > limit[:, None]).any(axis=0)
         for t in np.nonzero(failed)[0]:
-            for c, i in zip(*np.nonzero(flagged[t])):
-                violations.append(
-                    LemmaViolation(check=_LEMMA_CHECKS[c], row=int(i) + 1, d=ds[t].copy(),
-                                   lhs=float(lhs[t, c, i]), rhs=float(rhs[c, i]))
-                )
+            sides = _lemma_sides(mt_profile.h[t], mt_profile.z[t], mt_diag[:, t])
+            for check, lhs, right, limit in zip(_LEMMA_CHECKS, sides, rhs, limits):
+                for i in np.nonzero(lhs > limit)[0]:
+                    violations.append(
+                        LemmaViolation(check=check, row=int(i) + 1, d=ds[t].copy(),
+                                       lhs=float(lhs[i]), rhs=float(right[i]))
+                    )
             if not mt_profile.is_nekrasov[t]:
                 i = int(np.argmin(mt_profile.margins[t]))
                 violations.append(
                     LemmaViolation(check="nekrasov", row=i + 1, d=ds[t].copy(),
-                                   lhs=float(mt_profile.h[t, i]), rhs=float(abs(mt_diag[t, i])))
+                                   lhs=float(mt_profile.h[t, i]), rhs=float(abs(mt_diag[i, t])))
                 )
     return LemmaSuiteReport(trials=scalings.shape[0], violations=violations)
+
+
+def _lemma_sides(h, z, mt_diag):
+    """The left-hand sides of the three inequalities, in ``_LEMMA_CHECKS`` order."""
+    return (h / mt_diag, z, z / mt_diag)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _rational
-from lcpbounds import bnekrasov, nekrasov
+from conftest import random_bnekrasov, random_nekrasov
+from lcpbounds import bnekrasov, lcp, nekrasov
 from lcpbounds.bnekrasov import (
     all_bounds,
     bplus_decompose,
@@ -109,9 +110,38 @@ class TestClassify:
         assert report.is_p_matrix is False
 
     def test_large_n_skips_p(self):
-        report = classify(np.eye(13))
+        # -I is in neither class (its diagonal is negative), so P stays unknown.
+        report = classify(-np.eye(13))
         assert report.is_p_matrix is None
         assert "skipped" in report.notes
+
+    @pytest.mark.parametrize("m, cls", [
+        (np.eye(13), "Nekrasov with positive diagonal"),
+        # B+ = I, so I + J is B-Nekrasov; h_1 = 12 > 2, so it is not Nekrasov.
+        (np.eye(13) + 1.0, "B-Nekrasov"),
+    ])
+    def test_large_n_p_by_class(self, m, cls):
+        report = classify(m)
+        assert report.is_p_matrix is True
+        assert report.notes.endswith(f"P by class: {cls}")
+
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["nekrasov", "bnekrasov", "perturbed"]))
+    @settings(max_examples=60, deadline=None)
+    def test_class_agrees_with_enumeration(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        m = (random_nekrasov(n, rng) if kind == "nekrasov" or n == 1
+             else random_bnekrasov(n, rng))
+        if kind == "perturbed":
+            # Scaled off-diagonal entries can leave both classes, and P.
+            m = m * np.where(np.eye(n, dtype=bool), 1.0, rng.uniform(0.0, 3.0, (n, n)))
+        enumerated = classify(m).is_p_matrix
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lcp, "_P_TEST_MAX_N", 0)  # every n takes the class rule
+            by_class = classify(m).is_p_matrix
+        assert by_class in (None, enumerated)
+        if kind != "perturbed":
+            assert by_class is True
 
 
 _integer_matrices = st.integers(1, 6).flatmap(

@@ -106,6 +106,26 @@ class TestBound:
         assert code == 0
         assert json.loads(out)["classification"]["is_nekrasov"] is True
 
+    def test_overflowed_bound_is_strict_json(self, tmp_path):
+        # A 250 x 250 Nekrasov Z-matrix whose eta, and so both new bounds,
+        # pass the float range; the gp bounds stay finite.
+        m = np.full((250, 250), -20.0)
+        np.fill_diagonal(m, 5000.0)
+        path = tmp_path / "m.txt"
+        path.write_text(format_matrix(m))
+        proc = run_fresh("bound", "--matrix", str(path))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(proc.stdout, parse_constant=reject)
+        for name in ("new_nekrasov", "new_bnekrasov"):
+            assert bound_by_name(payload, name) == {
+                "theorem": name, "applicable": False, "reason": "Overflow"}
+        assert bound_by_name(payload, "gp_nekrasov")["applicable"] is True
+
     def test_csv_format_rejected_outside_sweep(self, capsys, data_dir):
         _, code = run(capsys, "bound", "--matrix", str(data_dir / "example2.txt"),
                       "--format", "csv")

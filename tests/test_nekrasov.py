@@ -372,6 +372,16 @@ class TestNewNekrasovBound:
         assert new_nekrasov_bound(ex3).reason == "NotNekrasov"
         assert new_nekrasov_bound([[-2.0, 1.0], [0.5, -2.0]]).reason == "NonPositiveDiagonal"
 
+    def test_overflow_is_not_applicable(self):
+        # Strictly diagonally dominant, so Nekrasov; eta_i = 21**(i-1) leaves
+        # the float range at row 235, while h stays small.  No warning either.
+        m = np.full((250, 250), -20.0)
+        np.fill_diagonal(m, 5000.0)
+        report = new_nekrasov_bound(m)
+        assert (report.applicable, report.reason, report.value) == (False, "Overflow", None)
+        assert np.isinf(is_nekrasov(m).eta[-1])
+        assert kolotilina_bound(m).applicable
+
 
 class TestScalingInequalities:
     """Sampled checks of the inequalities that make the bounds valid."""

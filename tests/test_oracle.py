@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_nekrasov
+from conftest import random_bnekrasov, random_nekrasov
 from lcpbounds import oracle
 from lcpbounds.bnekrasov import bplus_decompose, new_bnekrasov_bound
 from lcpbounds.errors import DimensionTooLarge, DomainError, PreconditionFailed, SingularMatrix
@@ -26,6 +26,20 @@ def pointwise_max_norm(m, interior_samples, seed):
         value = norm_at_d(m, d)
         if value > best:
             best, best_d = value, d
+    return best, best_d
+
+
+def chunked_pointwise_max_norm(m, interior_samples, seed):
+    """Reference oracle, point by point in ``_scaling_chunks`` order: one
+    ``scaled_matrix`` and one ``inverse`` per point, strict ``>``."""
+    n = m.shape[0]
+    chunk = max(1, oracle._CHUNK_ENTRIES // (n * n))
+    best, best_d = -np.inf, None
+    for ds in oracle._scaling_chunks(n, interior_samples, seed, chunk):
+        for d in ds:
+            value = inf_norm(inverse(scaled_matrix(m, d)))
+            if value > best:
+                best, best_d = value, d
     return best, best_d
 
 
@@ -153,6 +167,29 @@ class TestOracleMaxNorm:
         # The all-ones vertex is M itself.
         with pytest.raises(SingularMatrix):
             oracle_max_norm(m, interior_samples=0)
+
+    def test_member_norm_counts_off_diagonal_row_sums(self):
+        # [[1, a], [0, 1]] and its inverse both have norm 1 + a, so the
+        # condition number (1 + a)**2 passes 1 / PIVOT_RTOL between these a.
+        est = oracle_max_norm([[1.0, 9.9e6], [0.0, 1.0]], interior_samples=0)
+        assert est.max_observed == 1.0 + 9.9e6
+        with pytest.raises(SingularMatrix):
+            oracle_max_norm([[1.0, 1e7], [0.0, 1.0]], interior_samples=0)
+
+    # 48 entries split the vertices and samples into many chunks, the last
+    # one short, so the reused member buffer is only partly rewritten.
+    @pytest.mark.parametrize("chunk_entries", [oracle._CHUNK_ENTRIES, 48])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bit_identical_to_pointwise_reference(self, monkeypatch, n, chunk_entries):
+        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", chunk_entries)
+        rng = np.random.default_rng(n)
+        general = rng.uniform(-1.0, 1.0, (n, n)) + np.diag(rng.uniform(0.5, 3.0, n))
+        # Every member of I's family is I: a tie at every point, won by the first.
+        for m in (random_nekrasov(n, rng), random_bnekrasov(max(n, 2), rng), general, np.eye(n)):
+            best, best_d = chunked_pointwise_max_norm(m, 300, 7)
+            est = oracle_max_norm(m, interior_samples=300, seed=7)
+            assert est.max_observed == best
+            np.testing.assert_array_equal(est.argmax_d, best_d)
 
     @given(n=st.integers(2, 7), matrix_seed=st.integers(0, 2**32 - 1),
            samples=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
