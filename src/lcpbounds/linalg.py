@@ -8,11 +8,12 @@ Inverses run on numpy's LAPACK backend in stacked calls, through
 :func:`_inverse_stack`.  A member counts as singular when LAPACK finds an
 exact zero pivot or when its infinity-norm condition number exceeds
 ``1 / PIVOT_RTOL``, the rule :func:`_well_conditioned` states once, given
-``||A||_inf`` and ``||A^{-1}||_inf``, for these inverses, for the oracle's
-scaled family (whose member norms it takes from the rows of ``M``) and for
+``||A||_inf`` and ``||A^{-1}||_inf``, for these inverses and for
 ``bnekrasov``'s comparison-matrix solve.  :func:`_inverse_stack` reports
 such members; :func:`inverse` and the oracle then raise
-:class:`SingularMatrix`, and the LCP solver skips their bases.
+:class:`SingularMatrix`, and the LCP solver skips their bases.  A caller
+that knows the members' norms passes them in (the oracle takes them from
+the rows of ``M``); otherwise they are summed from the stack.
 """
 
 from __future__ import annotations
@@ -55,10 +56,13 @@ def inverse(a) -> np.ndarray:
     return inv[0]
 
 
-def _inverse_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _inverse_stack(stack: np.ndarray, norms: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverses of a ``(k, n, n)`` stack, their infinity norms, and a mask of
     the nonsingular members.  ``inv`` and the norms of the other members are
-    meaningless.  One LAPACK call, or two when a member has an exact zero pivot."""
+    meaningless.  One LAPACK call, or two when a member has an exact zero pivot.
+    ``norms`` are the members' own infinity norms, where the caller has them;
+    otherwise they are summed from the stack."""
     try:
         inv = np.linalg.inv(stack)
         ok = np.ones(len(stack), dtype=bool)
@@ -68,7 +72,7 @@ def _inverse_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         ok = np.linalg.slogdet(stack)[0] != 0
         inv = np.linalg.inv(np.where(ok[:, None, None], stack, np.eye(stack.shape[-1])))
     inv_norms = _inf_norms(inv)
-    ok &= _well_conditioned(_inf_norms(stack), inv_norms)
+    ok &= _well_conditioned(_inf_norms(stack) if norms is None else norms, inv_norms)
     return inv, inv_norms, ok
 
 

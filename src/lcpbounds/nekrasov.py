@@ -112,7 +112,9 @@ def _not_applicable(theorem: Theorem, reason: str) -> BoundReport:
 
 def _applicable(theorem: Theorem, value: float, **fields) -> BoundReport:
     """The report of a bound that applies, or reason ``Overflow`` where its
-    value left the float range (eta grows like a product of row sums)."""
+    value left the float range (eta grows like a product of row sums).
+    Callers evaluate the value under ``np.errstate(over="ignore")``, so that
+    an overflow is reported here and not warned about."""
     if not np.isfinite(value):
         return _not_applicable(theorem, "Overflow")
     return BoundReport(theorem=theorem, applicable=True, value=value, **fields)
@@ -159,9 +161,9 @@ def _profile(m: np.ndarray, ds: np.ndarray | None = None) -> tuple[NekrasovProfi
     np.multiply(np.triu(abs_m, 1).sum(axis=1)[:, None], scale, out=values[:, 0])
     values[:, 1:] = 1.0
     w = np.empty_like(values)
-    np.divide(values[0], divisors[0], out=w[0])
     # eta grows like a product of row sums; past the float range it is +inf.
     with np.errstate(over="ignore"):
+        np.divide(values[0], divisors[0], out=w[0])
         for i in range(1, n):
             values[i] += scale[i] * (abs_m[i, :i] @ w[:i].reshape(i, 3 * k)).reshape(3, k)
             np.divide(values[i], divisors[i], out=w[i])
@@ -231,9 +233,11 @@ def scaled_matrix(m, d) -> np.ndarray:
 
 def _scaled(m: np.ndarray, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``I - D + D M`` for one scaling vector, or a stack of members for a
-    ``(k, n)`` array of them, written into the C-contiguous ``out`` if given."""
+    ``(k, n)`` array of them, in C order: written into the C-contiguous
+    ``out`` if given, else into a new array."""
     n = m.shape[0]
-    out = np.multiply(m, d[..., None], out=out)
+    # C order also where ``m`` is not, so that the reshape below is a view.
+    out = np.multiply(m, d[..., None], out=out, order="C")
     # The diagonal of each member, as a strided view of its n*n entries.
     out.reshape(d.shape[:-1] + (n * n,))[..., :: n + 1] = 1.0 - d + d * np.diag(m)
     return out
@@ -247,7 +251,8 @@ def kolotilina_bound(a) -> BoundReport:
 def _kolotilina(profile: NekrasovProfile) -> BoundReport:
     if not profile.is_nekrasov:
         return _not_applicable(Theorem.KOLOTILINA, "NotNekrasov")
-    value = float(np.max(profile.z / profile.margins))
+    with np.errstate(over="ignore"):
+        value = float(np.max(profile.z / profile.margins))
     return _applicable(Theorem.KOLOTILINA, value,
                        intermediates={"h": profile.h, "z": profile.z, "margins": profile.margins})
 
@@ -319,7 +324,8 @@ class _Route:
         w[-1] += epsilon
         s = np.triu(np.abs(self.a), 1) @ (1.0 - w)
         s[-1] = epsilon * diag[-1]
-        return self._finish(w, s, epsilon)
+        with np.errstate(over="ignore"):
+            return self._finish(w, s, epsilon)
 
     def _finish(self, w: np.ndarray, s: np.ndarray, epsilon: float) -> BoundReport:
         """GP-Nekrasov: ``max{max w / min s, max w / min w}``."""
@@ -334,7 +340,8 @@ class _Route:
         if self.fault is not None:
             return _not_applicable(self.theorems[1], self.fault)
         p = self.profile
-        value = float(self.factor * np.max(p.eta / np.minimum(p.margins, 1.0)))
+        with np.errstate(over="ignore"):
+            value = float(self.factor * np.max(p.eta / np.minimum(p.margins, 1.0)))
         return _applicable(self.theorems[1], value,
                            intermediates={"h": p.h, "eta": p.eta, "margins": p.margins})
 

@@ -11,18 +11,17 @@ The family members are built and inverted in stacked chunks on numpy's
 LAPACK backend.  A chunk holds at most ``_CHUNK_ENTRIES`` float64 entries
 (about 256 KB per temporary), and vertex chunks are decoded from integer
 ranges, so memory stays flat in n.  Each call builds its chunks into one
-``(chunk, n, n)`` buffer that it reuses, with the products of ``_scaled``,
-and takes the inverse norms after an in-place ``abs``.  A member's own norm
-comes from the rows of ``M``: row i sums to ``|1 - d_i + d_i m_ii| + d_i r_i``,
-with ``r`` the off-diagonal absolute row sums of ``M``.  Ties keep the
-first point evaluated, and a singular member (an exact zero pivot, or one
-past the ``linalg.PIVOT_RTOL`` rule) raises :class:`SingularMatrix`.
+``(chunk, n, n)`` buffer that it reuses, with ``_scaled``, and inverts them
+through ``linalg._inverse_stack``, passing each member's own norm, which it
+takes from the rows of ``M`` in O(kn).  Ties keep the first point
+evaluated, and a singular member (an exact zero pivot, or one past the
+``linalg.PIVOT_RTOL`` rule) raises :class:`SingularMatrix`.
 
 The lemma suite builds no members: it passes a chunk of its scaling vectors
 to the family kernel of ``nekrasov``, which profiles every member from the
-rows of ``M`` in one row loop, then tests each inequality as one array mask
-over the kernel's rows-first arrays; the details of a violation are built
-only for the members that fail.  A chunk holds at most
+rows of ``M`` in one row loop, then tests the inequalities as one array
+mask over the kernel's rows-first arrays; the details of a violation are
+built only for the members that fail.  A chunk holds at most
 ``_CHUNK_ENTRIES // (3n)`` vectors, so the kernel's three values per row and
 member stay within the same entry bound.
 """
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge, DomainError, PreconditionFailed, SingularMatrix
-from .linalg import _well_conditioned, as_matrix, inf_norm, inverse
+from .linalg import _inverse_stack, as_matrix, inf_norm, inverse
 from .nekrasov import _m_route, _positive_diagonal, _profile, _Route, _scaled, scaled_matrix
 
 _ORACLE_MAX_N = 20
@@ -101,8 +100,8 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
         raise DomainError("interior_samples must be nonnegative")
     if not 0 <= seed < 2**128:
         raise DomainError("seed must lie in [0, 2**128)")
-    # Off-diagonal absolute row sums: row i of a member has the absolute
-    # sum |1 - d_i + d_i m_ii| + d_i r_i.
+    # Row i of a member has the absolute sum |1 - d_i + d_i m_ii| + d_i r_i,
+    # with r the off-diagonal absolute row sums of M.
     off = np.abs(mm)
     np.fill_diagonal(off, 0.0)
     r = off.sum(axis=1)
@@ -112,13 +111,9 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
     best_d = np.zeros(n)
     for ds in _scaling_chunks(n, interior_samples, seed, chunk):
         stack = _scaled(mm, ds, out=members[: len(ds)])
-        try:
-            inv = np.linalg.inv(stack)
-        except np.linalg.LinAlgError:  # an exact zero pivot
-            raise SingularMatrix("matrix is numerically singular") from None
-        norms = np.abs(inv, out=inv).sum(axis=-1).max(axis=-1)
         member_norms = (np.abs(stack.diagonal(axis1=1, axis2=2)) + ds * r).max(axis=-1)
-        if not _well_conditioned(member_norms, norms).all():
+        _, norms, ok = _inverse_stack(stack, member_norms)
+        if not ok.all():
             raise SingularMatrix("matrix is numerically singular")
         k = int(np.argmax(norms))
         if norms[k] > best:
@@ -174,8 +169,7 @@ def lemma_property_suite(m, trials: int = 1000, seed: int = 0) -> LemmaSuiteRepo
         raise PreconditionFailed("requires a Nekrasov matrix with positive diagonal")
     n = mm.shape[0]
     diag = np.diag(mm)
-    rhs = (profile.h / diag, profile.eta, profile.eta / np.minimum(diag, 1.0))
-    limits = [side + _LEMMA_SLACK for side in rhs]
+    rhs = np.stack([profile.h / diag, profile.eta, profile.eta / np.minimum(diag, 1.0)])
     rng = np.random.default_rng(seed)
     scalings = np.empty((trials + 1, n))
     scalings[0] = 1.0
@@ -189,17 +183,16 @@ def lemma_property_suite(m, trials: int = 1000, seed: int = 0) -> LemmaSuiteRepo
         d = ds.T
         mt_diag = np.subtract(1.0, d, order="C")
         mt_diag += np.multiply(d, diag[:, None], order="C")
-        failed = ~mt_profile.is_nekrasov
-        for lhs, limit in zip(_lemma_sides(mt_profile.h.T, mt_profile.z.T, mt_diag), limits):
-            failed |= (lhs > limit[:, None]).any(axis=0)
+        h, z = mt_profile.h.T, mt_profile.z.T
+        lhs = np.stack([h / mt_diag, z, z / mt_diag])
+        flagged = lhs > (rhs + _LEMMA_SLACK)[:, :, None]
+        failed = flagged.any(axis=(0, 1)) | ~mt_profile.is_nekrasov
         for t in np.nonzero(failed)[0]:
-            sides = _lemma_sides(mt_profile.h[t], mt_profile.z[t], mt_diag[:, t])
-            for check, lhs, right, limit in zip(_LEMMA_CHECKS, sides, rhs, limits):
-                for i in np.nonzero(lhs > limit)[0]:
-                    violations.append(
-                        LemmaViolation(check=check, row=int(i) + 1, d=ds[t].copy(),
-                                       lhs=float(lhs[i]), rhs=float(right[i]))
-                    )
+            for c, i in zip(*np.nonzero(flagged[:, :, t])):
+                violations.append(
+                    LemmaViolation(check=_LEMMA_CHECKS[c], row=int(i) + 1, d=ds[t].copy(),
+                                   lhs=float(lhs[c, i, t]), rhs=float(rhs[c, i]))
+                )
             if not mt_profile.is_nekrasov[t]:
                 i = int(np.argmin(mt_profile.margins[t]))
                 violations.append(
@@ -207,8 +200,3 @@ def lemma_property_suite(m, trials: int = 1000, seed: int = 0) -> LemmaSuiteRepo
                                    lhs=float(mt_profile.h[t, i]), rhs=float(abs(mt_diag[i, t])))
                 )
     return LemmaSuiteReport(trials=scalings.shape[0], violations=violations)
-
-
-def _lemma_sides(h, z, mt_diag):
-    """The left-hand sides of the three inequalities, in ``_LEMMA_CHECKS`` order."""
-    return (h / mt_diag, z, z / mt_diag)

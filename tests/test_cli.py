@@ -106,10 +106,16 @@ class TestBound:
         assert code == 0
         assert json.loads(out)["classification"]["is_nekrasov"] is True
 
-    def test_overflowed_bound_is_strict_json(self, tmp_path):
-        # A 250 x 250 Nekrasov Z-matrix whose eta, and so both new bounds,
-        # pass the float range; the gp bounds stay finite.
-        m = np.full((250, 250), -20.0)
+    # Nekrasov Z-matrices with eta_n = 21**(n-1); the gp bounds stay finite.
+    # At n = 250 eta, and so both new bounds, pass the float range.  At
+    # n = 234 eta is finite, about 1.2e308, and only the B-Nekrasov bound's
+    # factor n - 1 overflows.
+    @pytest.mark.parametrize("n, overflowed", [
+        (250, ("new_nekrasov", "new_bnekrasov")),
+        (234, ("new_bnekrasov",)),
+    ])
+    def test_overflowed_bound_is_strict_json(self, tmp_path, n, overflowed):
+        m = np.full((n, n), -20.0)
         np.fill_diagonal(m, 5000.0)
         path = tmp_path / "m.txt"
         path.write_text(format_matrix(m))
@@ -122,8 +128,11 @@ class TestBound:
 
         payload = json.loads(proc.stdout, parse_constant=reject)
         for name in ("new_nekrasov", "new_bnekrasov"):
-            assert bound_by_name(payload, name) == {
-                "theorem": name, "applicable": False, "reason": "Overflow"}
+            entry = bound_by_name(payload, name)
+            if name in overflowed:
+                assert entry == {"theorem": name, "applicable": False, "reason": "Overflow"}
+            else:
+                assert entry["applicable"] is True
         assert bound_by_name(payload, "gp_nekrasov")["applicable"] is True
 
     def test_csv_format_rejected_outside_sweep(self, capsys, data_dir):

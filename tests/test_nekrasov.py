@@ -255,6 +255,15 @@ class TestScaledMatrix:
         assert mt[0, 0] == 0.5 + 0.5 * 5.0
         assert mt[0, 1] == pytest.approx(-0.1, rel=1e-15)
 
+    @pytest.mark.parametrize("layout", [np.asfortranarray, np.transpose],
+                             ids=["fortran", "transpose"])
+    def test_any_memory_layout(self, ex1, layout):
+        m = layout(ex1)
+        np.testing.assert_array_equal(scaled_matrix(m, np.zeros(4)), np.eye(4))
+        d = np.array([0.0, 0.25, 0.5, 1.0])
+        np.testing.assert_array_equal(scaled_matrix(m, d),
+                                      scaled_matrix(np.ascontiguousarray(m), d))
+
     def test_rejects_out_of_range(self, ex1):
         with pytest.raises(DomainError):
             scaled_matrix(ex1, [0.5, 0.5, 0.5, 1.5])
