@@ -1,7 +1,9 @@
 """Command-line surface: classify / bound / sweep / verify / lcp.
 
 The parser built here at import is the one definition of the command line,
-defaults and usage rules included; the commands read its namespace.
+defaults and usage rules included; the commands read its namespace. Each
+command returns its report as data with its exit code, and ``main`` renders
+it once.
 
 Exit codes are a stable contract: 0 on success (all requested checks pass),
 2 when no bound is applicable to the input matrix, 1 on operational errors
@@ -14,8 +16,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-
-import numpy as np
 
 from . import bnekrasov, nekrasov
 from .errors import LcpBoundsError
@@ -32,22 +32,6 @@ EXIT_NO_APPLICABLE_BOUND = 2
 _THEOREM_CHOICES = ("all", "gp-nekrasov", "new-nekrasov", "gp-bnekrasov", "new-bnekrasov")
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    return value
-
-
 def _render_text(data, indent: int = 0) -> str:
     pad = "  " * indent
     lines = []
@@ -58,25 +42,27 @@ def _render_text(data, indent: int = 0) -> str:
                 lines.append(_render_text(value, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {value}")
-    elif isinstance(data, list):
+    else:
         for value in data:
             if isinstance(value, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.append(_render_text(value, indent + 1))
             else:
                 lines.append(f"{pad}- {value}")
-    else:
-        lines.append(f"{pad}{data}")
     return "\n".join(lines)
 
 
-def _emit(data: dict, fmt: str) -> str:
-    data = _jsonable(data)
-    if fmt == "text":
-        return _render_text(data)
-    # Bound values past the float range are reported as not applicable
-    # (reason Overflow), so the output is strict JSON (RFC 8259).
-    return json.dumps(data, indent=2, allow_nan=False)
+def _emit(data, fmt: str) -> str:
+    """One command's report: ``sweep``'s lines as CSV, any other report as JSON
+    or as text rendered from the values that JSON holds."""
+    if fmt == "csv":
+        return "\n".join(data)
+    # numpy arrays and scalars other than np.float64 (a float) become plain
+    # values. Bound values past the float range are reported as not applicable
+    # (reason Overflow), so the JSON output is strict (RFC 8259); text allows
+    # non-finite values.
+    text = json.dumps(data, indent=2, allow_nan=fmt == "text", default=lambda v: v.tolist())
+    return _render_text(json.loads(text)) if fmt == "text" else text
 
 
 def _report_entry(report: BoundReport, **extra) -> dict:
@@ -91,17 +77,17 @@ def _report_entry(report: BoundReport, **extra) -> dict:
     return entry
 
 
-def cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
     m = parse_matrix(args.matrix_path)
     data = {
         "matrix": args.matrix_path,
         "n": m.shape[0],
         "classification": asdict(bnekrasov.classify(m)),
     }
-    return _emit(data, args.format), EXIT_OK
+    return data, EXIT_OK
 
 
-def cmd_bound(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_bound(args: argparse.Namespace) -> tuple[dict, int]:
     if args.theorem.startswith("gp-") and args.epsilon is None:
         args.parser.error("--epsilon is required with --theorem gp-*")
     m = parse_matrix(args.matrix_path)
@@ -117,31 +103,31 @@ def cmd_bound(args: argparse.Namespace) -> tuple[str, int]:
         "classification": asdict(bnekrasov.classify(profiles)),
     }
     code = EXIT_OK if any(r.applicable for r in reports) else EXIT_NO_APPLICABLE_BOUND
-    return _emit(data, args.format), code
+    return data, code
 
 
 def _format_value(report: BoundReport) -> str:
     return "n/a" if report.value is None else repr(report.value)
 
 
-def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_sweep(args: argparse.Namespace) -> tuple[list[str], int]:
     m = parse_matrix(args.matrix_path)
     if args.grid < 2:
         raise LcpBoundsError("sweep needs a grid of at least 2 points")
     # Every grid point reuses the one profile of M (or of B+) taken here.
     route = bnekrasov._profiles(m).route
     if route is None:
-        return "no epsilon-parameterized bound applies to this matrix", EXIT_NO_APPLICABLE_BOUND
+        return ["no epsilon-parameterized bound applies to this matrix"], EXIT_NO_APPLICABLE_BOUND
     upper, new_text = route.upper, _format_value(route.new())
     lines = ["epsilon,gp_bound,new_bound"]
     for k in range(1, args.grid + 1):
         epsilon = k * upper / (args.grid + 1)
         report = route.gp(epsilon)
         lines.append(f"{epsilon!r},{_format_value(report)},{new_text}")
-    return "\n".join(lines), EXIT_OK
+    return lines, EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     m = parse_matrix(args.matrix_path)
     estimate = oracle_max_norm(m, interior_samples=args.samples, seed=args.seed)
     profiles = bnekrasov._profiles(m)
@@ -149,7 +135,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     entries = []
     all_dominated = True
     for report in reports:
-        if report.applicable and report.value is not None:
+        if report.applicable:
             dominated = estimate.max_observed <= report.value * (1.0 + 1e-9)
             all_dominated = all_dominated and dominated
             entries.append(_report_entry(report, dominated=dominated))
@@ -158,7 +144,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     kol = nekrasov._kolotilina(profiles.m_route.profile)
     kol_entry = _report_entry(kol)
     kol_ok = True
-    if kol.applicable and kol.value is not None:
+    if kol.applicable:
         inverse_norm = inf_norm(inverse(m))
         kol_ok = inverse_norm <= kol.value * (1.0 + 1e-9)
         kol_entry.update(inverse_norm=inverse_norm, dominates_inverse_norm=kol_ok)
@@ -185,12 +171,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         "lemma_suite": lemma_data,
     }
     if not any(r.applicable for r in reports):
-        return _emit(data, args.format), EXIT_NO_APPLICABLE_BOUND
+        return data, EXIT_NO_APPLICABLE_BOUND
     ok = all_dominated and kol_ok and lemma_clean
-    return _emit(data, args.format), EXIT_OK if ok else EXIT_ERROR
+    return data, EXIT_OK if ok else EXIT_ERROR
 
 
-def cmd_lcp(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_lcp(args: argparse.Namespace) -> tuple[dict, int]:
     m = parse_matrix(args.matrix_path)
     q = parse_vector(args.q_path)
     inst = LcpInstance(m, q)
@@ -200,7 +186,7 @@ def cmd_lcp(args: argparse.Namespace) -> tuple[str, int]:
     if args.epsilon is not None:
         wanted += [Theorem.GP_NEKRASOV, Theorem.GP_BNEKRASOV]
     candidates = [reports[t] for t in wanted]
-    applicable = [r for r in candidates if r.applicable and r.value is not None]
+    applicable = [r for r in candidates if r.applicable]
     best = min(applicable, key=lambda r: r.value) if applicable else None
     certificates = []
     all_hold = True
@@ -227,8 +213,8 @@ def cmd_lcp(args: argparse.Namespace) -> tuple[str, int]:
         "all_hold": all_hold if best is not None else None,
     }
     if best is None:
-        return _emit(data, args.format), EXIT_NO_APPLICABLE_BOUND
-    return _emit(data, args.format), EXIT_OK if all_hold else EXIT_ERROR
+        return data, EXIT_NO_APPLICABLE_BOUND
+    return data, EXIT_OK if all_hold else EXIT_ERROR
 
 
 class _Parser(argparse.ArgumentParser):
@@ -290,11 +276,11 @@ _PARSER = _build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        text, code = args.handler(args)
+        data, code = args.handler(args)
     except (LcpBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    print(text)
+    print(_emit(data, args.format))
     return code
 
 

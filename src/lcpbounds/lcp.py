@@ -173,10 +173,14 @@ def certify_error_bound(inst: LcpInstance, x, bound: BoundReport) -> ErrorCertif
 
 
 def trial_points(x_star, count: int, seed: int) -> np.ndarray:
-    """Seeded trial points, uniform in [0, 3(1 + ||x*||_inf)] per coordinate."""
+    """Seeded trial points, uniform in [0, 3(1 + ||x*||_inf)] per coordinate;
+    a range past the float range raises ``DomainError``."""
     if count < 0 or seed < 0:
         raise DomainError("count and seed must be nonnegative")
     xs = as_vector(x_star)
     rng = np.random.default_rng(seed)
-    high = 3.0 * (1.0 + inf_norm(xs))
+    norm = inf_norm(xs)
+    high = 3.0 * (1.0 + norm)
+    if not np.isfinite(high):
+        raise DomainError(f"trial range 3(1 + ||x*||_inf) overflows at ||x*||_inf = {norm!r}")
     return rng.uniform(0.0, high, size=(count, xs.shape[0]))

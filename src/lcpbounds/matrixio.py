@@ -42,11 +42,11 @@ _TOKEN_RE = re.compile(r"[^\s,]+")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 
 
-def _tokens(text: str, split_commas: bool):
-    """Yield (token, line, column), 1-based positions."""
-    pattern = _TOKEN_RE if split_commas else re.compile(r"\S+")
+def _tokens(text: str):
+    """Yield (token, line, column), 1-based positions; tokens are separated
+    by whitespace and commas."""
     for line_no, line in enumerate(text.splitlines(), start=1):
-        for match in pattern.finditer(line):
+        for match in _TOKEN_RE.finditer(line):
             yield match.group(0), line_no, match.start() + 1
 
 
@@ -145,7 +145,7 @@ def _parse_plain(text: str) -> np.ndarray:
 
 
 def _scan_plain(text: str) -> np.ndarray:
-    stream = list(_tokens(text, split_commas=False))
+    stream = list(_tokens(text))
     token, line, column = stream[0]
     try:
         n = int(token) if _INT_RE.match(token) else 0
@@ -173,7 +173,7 @@ def parse_vector(path: str) -> np.ndarray:
 
 
 def _scan_vector(text: str) -> np.ndarray:
-    values = [_parse_number(tok, ln, col) for tok, ln, col in _tokens(text, split_commas=True)]
+    values = [_parse_number(tok, ln, col) for tok, ln, col in _tokens(text)]
     if not values:  # separators only
         raise EmptyFile("vector file contains no data")
     return np.array(values)

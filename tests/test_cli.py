@@ -321,6 +321,36 @@ class TestClassify:
         ]
 
 
+def render_text(value, indent=0):
+    """The text format by its definition: ``key: value`` leaves, ``-`` list
+    items, each nested block indented two more spaces under its key or ``-``."""
+    pad = "  " * indent
+    items = ([(f"{key}:", item) for key, item in value.items()] if isinstance(value, dict)
+             else [("-", item) for item in value])
+    lines = []
+    for label, item in items:
+        if isinstance(item, (dict, list)):
+            lines += [pad + label, render_text(item, indent + 1)]
+        else:
+            lines.append(f"{pad}{label} {item}")
+    return "\n".join(lines)
+
+
+class TestTextFormat:
+    """``--format text`` prints the values of ``--format json``."""
+
+    @pytest.mark.parametrize("argv", [
+        ("classify",), ("bound",), ("verify", "--samples", "10"), ("lcp", "--trials", "2"),
+    ], ids=["classify", "bound", "verify", "lcp"])
+    def test_text_renders_the_json_values(self, capsys, data_dir, argv):
+        q = ("--q", str(data_dir / "q_minus_ones.txt")) if argv[0] == "lcp" else ()
+        argv = (*argv, "--matrix", str(data_dir / "example1.txt"), *q)
+        json_out, json_code = run(capsys, *argv, "--format", "json")
+        text_out, text_code = run(capsys, *argv, "--format", "text")
+        assert text_code == json_code == 0
+        assert text_out == render_text(json.loads(json_out)) + "\n"
+
+
 class TestProfileOnce:
     """A command profiles M and B+ once each, however many bounds, grid
     points and class tests read the profiles."""
@@ -470,3 +500,10 @@ class TestFaultyFileExit1:
     def test_argument_error_line(self, data_dir, argv):
         q = ("--q", str(data_dir / "q_minus_ones.txt")) if argv[0] == "lcp" else ()
         self.assert_error_line(*argv, "--matrix", str(data_dir / "example2.txt"), *q)
+
+    def test_trial_range_overflow(self, tmp_path):
+        # M = I: x* = (0, 1e308), so the trial range 3(1 + ||x*||_inf) is inf.
+        matrix, q = tmp_path / "m.txt", tmp_path / "q.txt"
+        matrix.write_text(format_matrix(np.eye(2)))
+        q.write_text("1e308 -1e308\n")
+        self.assert_error_line("lcp", "--matrix", str(matrix), "--q", str(q))

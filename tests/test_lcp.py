@@ -315,3 +315,12 @@ class TestTrialPoints:
     def test_negative_count_or_seed_rejected(self, count, seed):
         with pytest.raises(DomainError):
             trial_points([1.0, 2.0], count, seed)
+
+    @pytest.mark.parametrize("x_star", [[0.0, 1e308], [7e307, 0.0]])
+    def test_range_past_the_float_range_rejected(self, x_star):
+        with pytest.raises(DomainError, match="overflows"):
+            trial_points(x_star, 5, seed=0)
+
+    def test_largest_finite_range_accepted(self):
+        points = trial_points([5e307], 5, seed=0)
+        assert np.isfinite(points).all() and np.all(points <= 3.0 * (1.0 + 5e307))
