@@ -86,11 +86,13 @@ class ErrorCertificate:
 
 
 def residual(inst: LcpInstance, x) -> np.ndarray:
-    """Natural residual ``min(x, Mx + q)``; zero exactly at solutions."""
+    """Natural residual ``min(x, Mx + q)``; zero exactly at solutions.  An
+    entry of ``Mx + q`` past the float range is ``+-inf``, without a warning."""
     xx = as_vector(x)
     if xx.shape[0] != inst.n:
         raise DimensionMismatch(f"x has length {xx.shape[0]}, expected {inst.n}")
-    return np.minimum(xx, inst.m @ xx + inst.q)
+    with np.errstate(over="ignore"):
+        return np.minimum(xx, inst.m @ xx + inst.q)
 
 
 def _enumerate_bases(n: int):

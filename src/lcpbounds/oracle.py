@@ -7,15 +7,32 @@ cube and a seeded batch of interior points; sampling can only undershoot, so
 ``max_observed`` is a lower bound on the true maximum and any certified upper
 bound must dominate it.
 
-The family members are built and inverted in stacked chunks on numpy's
-LAPACK backend.  A chunk holds at most ``_CHUNK_ENTRIES`` float64 entries
-(about 256 KB per temporary), and vertex chunks are decoded from integer
-ranges, so memory stays flat in n.  Each call builds its chunks into one
-``(chunk, n, n)`` buffer that it reuses, with ``_scaled``, and inverts them
-through ``linalg._inverse_stack``, passing each member's own norm, which it
-takes from the rows of ``M`` in O(kn).  Ties keep the first point
-evaluated, and a singular member (an exact zero pivot, or one past the
-``linalg.PIVOT_RTOL`` rule) raises :class:`SingularMatrix`.
+The vertices are walked, not inverted one by one.  With
+``w = min(_WALK_BITS, n)``, one walker starts from each setting of the first
+n - w coordinates, the last w set to 0; a chunk of these anchors is built
+with ``_scaled`` and inverted in one ``linalg._inverse_stack`` call.  Each
+walker then flips its last w coordinates in binary-reflected Gray order
+(Knuth, TAOCP 4A, 7.2.1.1).  A flip of ``d_j`` switches row j of the member
+between ``e_j^T`` and ``m_j^T``, so one Sherman-Morrison update, batched
+over the chunk, gives each walker's next inverse and norm in O(n^2).
+
+The walk only ranks the vertices; LAPACK decides every output.  A walker is
+flagged when one of its members has a walked condition number
+``||A||_inf ||A^{-1}||_inf`` past ``_WALK_COND_CAP``, which also catches a
+zero or non-finite denominator; below the cap a walked norm is within about
+``2**w * cap * eps``, far less than ``_WALK_RTOL``, of its LAPACK value.
+Every vertex of a flagged walker, and every vertex whose walked norm lies
+within ``_WALK_RTOL`` of the largest unflagged walked norm of its chunk, is
+evaluated again on LAPACK, like the samples: built into one
+``(chunk, n, n)`` buffer that each call reuses and inverted through
+``_inverse_stack``, which is passed each member's own norm, taken from the
+rows of ``M`` in O(kn).  So the value and its argmax are those of a
+per-point LAPACK loop, ties keep the first point in that loop's order, and
+a member is singular only where LAPACK says so (an exact zero pivot, or one
+past the ``linalg.PIVOT_RTOL`` rule), which raises :class:`SingularMatrix`.
+A stack of members, and a chunk of walkers with their walked row sums, holds
+at most ``_CHUNK_ENTRIES`` float64 entries (about 256 KB per temporary), and
+vertices are decoded from integer ranges, so memory stays flat in n.
 
 The lemma suite builds no members: it passes a chunk of its scaling vectors
 to the family kernel of ``nekrasov``, which profiles every member from the
@@ -29,6 +46,7 @@ member stay within the same entry bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -40,6 +58,15 @@ _ORACLE_MAX_N = 20
 
 # Upper limit on the float64 entries of one stacked chunk of family members.
 _CHUNK_ENTRIES = 32768
+
+# The vertex walk (see the module docstring).  Each walker flips the last
+# _WALK_BITS coordinates: 4 makes the median verify job, n = 7, no slower
+# than one LAPACK inverse per vertex.  A walked condition number past
+# _WALK_COND_CAP, far below PIVOT_RTOL's 1e14, flags its walker; walked norms
+# within a relative _WALK_RTOL of the walked maximum are evaluated again.
+_WALK_BITS = 4
+_WALK_COND_CAP = 1e6
+_WALK_RTOL = 1e-6
 
 # Slack on the sampled inequalities, and their names in report order.
 _LEMMA_SLACK = 1e-12
@@ -89,8 +116,10 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
     """Maximum observed norm over all cube vertices plus seeded interior points.
 
     Deterministic for a fixed seed: the interior batch comes from a
-    counter-based generator and ties keep the earliest point evaluated
-    (vertices in binary order, then samples in batch order).
+    counter-based generator and ties keep the earliest point (vertices in
+    binary order, then samples in batch order).  A Gray-code walk ranks the
+    vertices, and those it cannot rule out are evaluated on LAPACK with the
+    samples (see the module docstring).
     """
     mm = as_matrix(m)
     n = mm.shape[0]
@@ -109,7 +138,8 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
     members = np.empty((min(chunk, max(2**n, interior_samples)), n, n))
     best = -np.inf
     best_d = np.zeros(n)
-    for ds in _scaling_chunks(n, interior_samples, seed, chunk):
+    points = chain(_vertex_candidates(mm, r, chunk), _scaling_chunks(n, interior_samples, seed, chunk))
+    for ds in points:
         stack = _scaled(mm, ds, out=members[: len(ds)])
         member_norms = (np.abs(stack.diagonal(axis1=1, axis2=2)) + ds * r).max(axis=-1)
         _, norms, ok = _inverse_stack(stack, member_norms)
@@ -127,15 +157,76 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
     )
 
 
+def _vertex_candidates(mm: np.ndarray, r: np.ndarray, chunk: int):
+    """The vertices the walk cannot rule out, in binary order, as ``(k, n)``
+    arrays of at most ``chunk`` rows: per chunk of walkers, every vertex of a
+    flagged walker and every vertex whose walked norm lies within
+    ``_WALK_RTOL`` of the largest unflagged one."""
+    n = mm.shape[0]
+    w = min(_WALK_BITS, n)
+    walkers = 2 ** (n - w)
+    # Each walker holds an (n, n) inverse and (2**w, n) walked row sums.
+    per_chunk = max(1, _CHUNK_ENTRIES // (n * max(n, 2**w)))
+    row_sums = np.abs(np.diag(mm)) + r
+    for start in range(0, walkers, per_chunk):
+        leads = np.arange(start, min(start + per_chunk, walkers))
+        walked, flagged = _walk(mm, row_sums, leads, w)
+        top = walked[~flagged].max(initial=-np.inf)
+        keep = (walked >= (1.0 - _WALK_RTOL) * top) | flagged[:, None]
+        ks = (start << w) + np.flatnonzero(keep)
+        for i in range(0, len(ks), chunk):
+            yield _vertices(ks[i : i + chunk], n)
+
+
+def _walk(mm: np.ndarray, row_sums: np.ndarray, leads: np.ndarray, w: int):
+    """Walked inverse norms of the vertices ``(lead << w) + g``, as a
+    ``(walkers, 2**w)`` array indexed by ``g``, and a mask of the flagged
+    walkers, whose norms are meaningless.  ``row_sums`` are the absolute row
+    sums of ``M``: a vertex member's norm is their max over the rows with
+    ``d_i = 1``, and at least 1."""
+    n = mm.shape[0]
+    anchors = _vertices(leads << w, n)
+    lead_norms = np.where(anchors > 0, row_sums, 1.0).max(axis=1)
+    inv, _, ok = _inverse_stack(_scaled(mm, anchors), lead_norms)
+    # Absolute row sums of every walked inverse, the anchors' from LAPACK.
+    row_abs = np.empty((len(leads), 2**w, n))
+    np.abs(inv).sum(axis=2, out=row_abs[:, 0])
+    outer = np.empty_like(inv)
+    g = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t in range(1, 2**w):
+            # Reflected Gray order: step t flips bit p, the lowest set bit of t,
+            # which is coordinate j = n - 1 - p.
+            p = (t & -t).bit_length() - 1
+            g ^= 1 << p
+            j = n - 1 - p
+            # Row j of the member becomes a = m_j (d_j = 1) or e_j (d_j = 0).
+            # With v = a B and u = B e_j / v_j, Sherman-Morrison gives
+            # B - u v, with column j replaced by u.
+            v = mm[j] @ inv if g >> p & 1 else inv[:, j]
+            u = inv[:, :, j] / v[:, j, None]
+            np.multiply(u[:, :, None], v[:, None, :], out=outer)
+            inv -= outer
+            inv[:, :, j] = u
+            np.abs(inv, out=outer)
+            np.add.reduce(outer, axis=2, out=row_abs[:, g])
+        walked = row_abs.max(axis=2)
+        trail_norms = np.where(_vertices(np.arange(2**w), w) > 0, row_sums[n - w :], 1.0).max(axis=1)
+        cond = walked * np.maximum(lead_norms[:, None], trail_norms)
+    # Written so that a NaN condition number also flags its walker.
+    return walked, ~ok | ~(cond <= _WALK_COND_CAP).all(axis=1)
+
+
+def _vertices(ks: np.ndarray, n: int) -> np.ndarray:
+    """The scaling vectors of vertex numbers ``ks``: bit n-1-i of a vertex
+    number is d_i, so binary order has the first coordinate most significant,
+    as itertools.product((0, 1), repeat=n) enumerates."""
+    return ((ks[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
+
+
 def _scaling_chunks(n: int, interior_samples: int, seed: int, chunk: int):
-    """The oracle's scaling vectors in evaluation order, as ``(k, n)`` arrays
-    of at most ``chunk`` rows: the vertices, then the samples."""
-    # Bit n-1-i of vertex number k is d_i: binary order, first coordinate
-    # most significant, as itertools.product((0, 1), repeat=n) enumerates.
-    shifts = np.arange(n - 1, -1, -1)
-    for start in range(0, 2**n, chunk):
-        ks = np.arange(start, min(start + chunk, 2**n))
-        yield ((ks[:, None] >> shifts) & 1).astype(float)
+    """The oracle's interior samples in draw order, as ``(k, n)`` arrays of at
+    most ``chunk`` rows."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     for start in range(0, interior_samples, chunk):
         yield rng.random((min(chunk, interior_samples - start), n))

@@ -264,6 +264,16 @@ class TestLcp:
         assert len(payload["certificates"]) == 20
         assert all(c["holds"] for c in payload["certificates"])
 
+    def test_overflowing_residual_writes_no_stderr(self, tmp_path):
+        # x* = (0, 1e108): trial points near it take M x past the float range.
+        matrix, q = tmp_path / "m.txt", tmp_path / "q.txt"
+        matrix.write_text(format_matrix(1e200 * np.eye(2)))
+        q.write_text("1e308 -1e308\n")
+        proc = run_fresh("lcp", "--matrix", str(matrix), "--q", str(q), "--trials", "5")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["all_hold"] is True
+
     def test_dimension_mismatch_exit_1(self, capsys, data_dir, tmp_path):
         qpath = tmp_path / "q.txt"
         qpath.write_text("-1 -1\n")

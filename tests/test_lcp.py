@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -58,6 +59,13 @@ class TestResidual:
         inst = LcpInstance(np.eye(2), [1.0, 1.0])
         with pytest.raises(DimensionMismatch):
             residual(inst, [1.0, 2.0, 3.0])
+
+    def test_overflow_is_silent(self):
+        # M x = (1e309, 1e309) passes the float range; min(x, inf) is x.
+        inst = LcpInstance(1e200 * np.eye(2), [1e308, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(residual(inst, [1e109, 1e109]), [1e109, 1e109])
 
 
 class TestSolve:

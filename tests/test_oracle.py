@@ -1,4 +1,5 @@
-from itertools import product
+import warnings
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from conftest import random_bnekrasov, random_nekrasov
 from lcpbounds import oracle
 from lcpbounds.bnekrasov import bplus_decompose, new_bnekrasov_bound
 from lcpbounds.errors import DimensionTooLarge, DomainError, PreconditionFailed, SingularMatrix
-from lcpbounds.linalg import inf_norm, inverse
+from lcpbounds.linalg import _inverse_stack, inf_norm, inverse
 from lcpbounds.nekrasov import is_nekrasov, new_nekrasov_bound, scaled_matrix
 from lcpbounds.oracle import lemma_property_suite, norm_at_d, oracle_max_norm
 
@@ -30,12 +31,14 @@ def pointwise_max_norm(m, interior_samples, seed):
 
 
 def chunked_pointwise_max_norm(m, interior_samples, seed):
-    """Reference oracle, point by point in ``_scaling_chunks`` order: one
-    ``scaled_matrix`` and one ``inverse`` per point, strict ``>``."""
+    """Reference oracle, point by point: the vertices in binary order, then
+    the samples in ``_scaling_chunks`` order; one ``scaled_matrix`` and one
+    ``inverse`` per point, strict ``>``."""
     n = m.shape[0]
     chunk = max(1, oracle._CHUNK_ENTRIES // (n * n))
+    vertices = np.array(list(product((0.0, 1.0), repeat=n)))
     best, best_d = -np.inf, None
-    for ds in oracle._scaling_chunks(n, interior_samples, seed, chunk):
+    for ds in chain([vertices], oracle._scaling_chunks(n, interior_samples, seed, chunk)):
         for d in ds:
             value = inf_norm(inverse(scaled_matrix(m, d)))
             if value > best:
@@ -176,10 +179,27 @@ class TestOracleMaxNorm:
         with pytest.raises(SingularMatrix):
             oracle_max_norm([[1.0, 1e7], [0.0, 1.0]], interior_samples=0)
 
-    # 48 entries split the vertices and samples into many chunks, the last
-    # one short, so the reused member buffer is only partly rewritten.
+    # The same block in a walked (trailing) or an anchored (leading) pair of
+    # coordinates of I_6.
+    @pytest.mark.parametrize("i", [4, 0])
+    def test_pivot_rule_in_walked_and_anchored_coordinates(self, i):
+        def block(a):
+            m = np.eye(6)
+            m[i, i + 1] = a
+            return m
+
+        # Past the walk's cap, far below 1 / PIVOT_RTOL: LAPACK decides.
+        assert walk_every_vertex(block(9.9e6))[1].any()
+        est = oracle_max_norm(block(9.9e6), interior_samples=0)
+        assert est.max_observed == 1.0 + 9.9e6
+        with pytest.raises(SingularMatrix):
+            oracle_max_norm(block(1e7), interior_samples=0)
+
+    # 48 entries split the walkers, the candidates and the samples into many
+    # chunks, the last one short, so the reused member buffer is only partly
+    # rewritten.  n = 9..11 has 32..128 walkers in one default chunk.
     @pytest.mark.parametrize("chunk_entries", [oracle._CHUNK_ENTRIES, 48])
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 12))
     def test_bit_identical_to_pointwise_reference(self, monkeypatch, n, chunk_entries):
         monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", chunk_entries)
         rng = np.random.default_rng(n)
@@ -199,6 +219,74 @@ class TestOracleMaxNorm:
         vertices_only = oracle_max_norm(m, interior_samples=0).max_observed
         est = oracle_max_norm(m, interior_samples=samples, seed=seed)
         assert est.max_observed == pytest.approx(vertices_only, rel=1e-12)
+
+
+def walk_every_vertex(m):
+    """The walked norms of every vertex of ``m`` in binary order, and a mask
+    of the vertices whose walker is flagged."""
+    n = m.shape[0]
+    w = min(oracle._WALK_BITS, n)
+    walked, flagged = oracle._walk(m, np.abs(m).sum(axis=1), np.arange(2 ** (n - w)), w)
+    return walked.ravel(), np.repeat(flagged, 2**w)
+
+
+class TestVertexWalk:
+    # Rows i and i + 1 are equal at d_i = d_i+1 = 1.  Coordinates 4 and 5 are
+    # walked: every anchor is nonsingular and every walker meets a singular
+    # member, with a zero Sherman-Morrison denominator.  Coordinates 0 and 1
+    # are anchored: LAPACK finds an exact zero pivot in a quarter of the anchors.
+    @pytest.mark.parametrize("i, share", [(4, 1.0), (0, 0.25)])
+    def test_singular_member_flags_its_walker(self, i, share):
+        m = np.eye(6)
+        m[i, i + 1] = m[i + 1, i] = 1.0
+        assert walk_every_vertex(m)[1].mean() == share
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix):
+                oracle_max_norm(m, interior_samples=0)
+
+    def test_stacks_stay_within_the_entry_bound(self, monkeypatch):
+        # Three 9x9 members per chunk.  Every vertex of I's family ties, so
+        # all 512 are evaluated again, in chunks of three.
+        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 3 * 81)
+        sizes = []
+
+        def recording(stack, norms=None):
+            sizes.append(stack.size)
+            return _inverse_stack(stack, norms)
+
+        monkeypatch.setattr(oracle, "_inverse_stack", recording)
+        est = oracle_max_norm(np.eye(9), interior_samples=10)
+        assert est.max_observed == 1.0
+        np.testing.assert_array_equal(est.argmax_d, np.zeros(9))
+        assert max(sizes) == 3 * 81
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 9])
+    def test_cap_zero_sends_every_walker_to_lapack(self, monkeypatch, n):
+        monkeypatch.setattr(oracle, "_WALK_COND_CAP", 0.0)
+        rng = np.random.default_rng(n)
+        for m in (random_nekrasov(n, rng), random_bnekrasov(max(n, 2), rng)):
+            assert walk_every_vertex(m)[1].all()
+            best, best_d = chunked_pointwise_max_norm(m, 0, 7)
+            est = oracle_max_norm(m, interior_samples=0, seed=7)
+            assert est.max_observed == best
+            np.testing.assert_array_equal(est.argmax_d, best_d)
+
+    @given(n=st.integers(1, 11), kind=st.sampled_from(["nekrasov", "b_nekrasov", "general"]),
+           matrix_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_walked_norms_match_lapack(self, n, kind, matrix_seed):
+        rng = np.random.default_rng(matrix_seed)
+        if kind == "nekrasov":
+            m = random_nekrasov(n, rng)
+        elif kind == "b_nekrasov":
+            m = random_bnekrasov(max(n, 2), rng)
+        else:
+            m = rng.uniform(-1.0, 1.0, (n, n)) + np.diag(rng.uniform(0.5, 3.0, n) + n / 2)
+        walked, flagged = walk_every_vertex(m)
+        assert not flagged.any()
+        lapack = [norm_at_d(m, np.array(d)) for d in product((0.0, 1.0), repeat=m.shape[0])]
+        np.testing.assert_allclose(walked, lapack, rtol=1e-12, atol=0.0)
 
 
 class TestLemmaSuite:
