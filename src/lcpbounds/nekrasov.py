@@ -24,8 +24,8 @@ times row i of ``M`` off the diagonal, so row i of every member and every
 recursion is one product of ``|m_i,:i|`` with the finished rows above it,
 each over its divisor: ``|a_jj|`` for h and z, ``min{|a_jj|, 1}`` for eta.
 No member is built, and ``M`` is the member ``d = 1``.  The oracle's lemma
-suite passes its scalings in chunks of at most ``_CHUNK_ENTRIES // (3n)``,
-so each array of the loop stays within ``oracle._CHUNK_ENTRIES`` entries.
+suite reads its checks off the profiles' ``ratios``, in chunks of at most
+``_CHUNK_ENTRIES // (3n)`` scalings, within ``oracle._CHUNK_ENTRIES`` entries.
 eta grows like a product of row sums, so on large inputs it can pass the
 float range; it is then ``+inf``, and a bound whose value is not finite
 is reported as not applicable, with reason ``Overflow``.
@@ -79,6 +79,7 @@ class NekrasovProfile:
     strictly positive.  When a recursion would divide by a zero diagonal
     entry, the entries from that row on are ``+inf`` (and the matrix cannot
     be Nekrasov, since the zero-diagonal row already fails its margin test).
+    ``ratios`` stacks ``h/|a_ii|``, ``z/|a_ii|`` and ``eta/min{|a_ii|, 1}``.
     """
 
     h: np.ndarray
@@ -86,6 +87,7 @@ class NekrasovProfile:
     eta: np.ndarray
     margins: np.ndarray
     is_nekrasov: bool
+    ratios: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -134,9 +136,9 @@ def _profile(m: np.ndarray, ds: np.ndarray | None = None) -> tuple[NekrasovProfi
     product per row.  ``W`` holds the finished rows over their divisors,
     laid out ``(n, 3, k)`` (row, recursion, member), so ``W[:i]`` is one
     contiguous ``(i, 3k)`` block; the values and the divisors fill blocks
-    of the same layout, preallocated, with one division per row.  h, z, eta
-    and the margins are returned as ``(k, n)`` views of those rows-first
-    arrays, not as copies.  A member entry is used where
+    of the same layout, preallocated, with one division per row.  h, z, eta,
+    the margins and the ratio rows ``W`` are returned as ``(k, n)`` views of
+    those rows-first arrays, not as copies.  A member entry is used where
     ``d_i |m_ij| > 0``, exactly where the built member's entry is nonzero;
     that ``(k, n, n)`` mask is built only when some divisor is zero.  A value
     past the float range is ``+inf``, without a warning.
@@ -147,9 +149,7 @@ def _profile(m: np.ndarray, ds: np.ndarray | None = None) -> tuple[NekrasovProfi
     scale = np.ones((n, 1)) if ds is None else np.ascontiguousarray(ds.T)
     k = scale.shape[1]
     abs_m = np.abs(m)
-    abs_diag = 1.0 - scale
-    abs_diag += scale * np.diag(m)[:, None]
-    np.abs(abs_diag, out=abs_diag)
+    abs_diag = np.abs(_member_diagonal(m, scale.T)).T
     zero = abs_diag <= _ZERO_FLOOR
     divisors = np.empty((n, 3, k))
     divisors[:, 0] = abs_diag
@@ -179,10 +179,11 @@ def _profile(m: np.ndarray, ds: np.ndarray | None = None) -> tuple[NekrasovProfi
     flags = np.all(margins > STRICT_RTOL * np.maximum(1.0, abs_diag), axis=0)
     # Each field is a (k, n) view of its rows-first array.
     h, z, eta = values.transpose(1, 2, 0)
-    margins = margins.T
+    margins, ratios = margins.T, w.transpose(1, 2, 0)
     if ds is None:
         h, z, eta, margins, flags, bad = h[0], z[0], eta[0], margins[0], flags[0], bad[0]
-    return NekrasovProfile(h=h, z=z, eta=eta, margins=margins, is_nekrasov=flags), bad
+        ratios = ratios[:, 0]
+    return NekrasovProfile(h, z, eta, margins, flags, ratios), bad
 
 
 def _checked(a) -> NekrasovProfile:
@@ -239,8 +240,21 @@ def _scaled(m: np.ndarray, d: np.ndarray, out: np.ndarray | None = None) -> np.n
     # C order also where ``m`` is not, so that the reshape below is a view.
     out = np.multiply(m, d[..., None], out=out, order="C")
     # The diagonal of each member, as a strided view of its n*n entries.
-    out.reshape(d.shape[:-1] + (n * n,))[..., :: n + 1] = 1.0 - d + d * np.diag(m)
+    out.reshape(d.shape[:-1] + (n * n,))[..., :: n + 1] = _member_diagonal(m, d)
     return out
+
+
+def _member_diagonal(m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The diagonal ``1 - d + d diag(M)`` of each member ``d``."""
+    return 1.0 - d + d * np.diag(m)
+
+
+def _member_norms(m: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """``||I - D + D M||_inf`` of each member, ``max_i |1 - d_i + d_i m_ii| +
+    d_i r_i`` with ``r`` the off-diagonal absolute row sums of ``M``."""
+    off = np.abs(m)
+    np.fill_diagonal(off, 0.0)
+    return (np.abs(_member_diagonal(m, ds)) + ds * off.sum(axis=1)).max(axis=-1)
 
 
 def kolotilina_bound(a) -> BoundReport:
@@ -319,11 +333,10 @@ class _Route:
                 reason = "EpsilonOutOfRange"
         if reason is not None:
             return _not_applicable(self.theorems[0], reason)
-        diag = np.diag(self.a)
-        w = self.profile.h / diag
+        w = self.profile.ratios[0].copy()
         w[-1] += epsilon
         s = np.triu(np.abs(self.a), 1) @ (1.0 - w)
-        s[-1] = epsilon * diag[-1]
+        s[-1] = epsilon * self.a[-1, -1]
         with np.errstate(over="ignore"):
             return self._finish(w, s, epsilon)
 

@@ -8,9 +8,9 @@ cube and a seeded batch of interior points; sampling can only undershoot, so
 bound must dominate it.
 
 The vertices are walked, not inverted one by one.  With
-``w = min(_WALK_BITS, n)``, one walker starts from each setting of the first
-n - w coordinates, the last w set to 0; a chunk of these anchors is built
-with ``_scaled`` and inverted in one ``linalg._inverse_stack`` call.  Each
+``w = max(0, min(_WALK_BITS, n - _WALK_BITS))``, one walker starts from each
+of the 2**(n-w) settings of the first n - w coordinates, the last w set to 0,
+and a chunk of them is inverted in one ``linalg._inverse_stack`` call.  Each
 walker then flips its last w coordinates in binary-reflected Gray order
 (Knuth, TAOCP 4A, 7.2.1.1).  A flip of ``d_j`` switches row j of the member
 between ``e_j^T`` and ``m_j^T``, so one Sherman-Morrison update, batched
@@ -25,8 +25,8 @@ Every vertex of a flagged walker, and every vertex whose walked norm lies
 within ``_WALK_RTOL`` of the largest unflagged walked norm of its chunk, is
 evaluated again on LAPACK, like the samples: built into one
 ``(chunk, n, n)`` buffer that each call reuses and inverted through
-``_inverse_stack``, which is passed each member's own norm, taken from the
-rows of ``M`` in O(kn).  So the value and its argmax are those of a
+``_inverse_stack``; every member norm comes from the rows of ``M`` in O(kn),
+by ``nekrasov._member_norms``.  So the value and its argmax are those of a
 per-point LAPACK loop, ties keep the first point in that loop's order, and
 a member is singular only where LAPACK says so (an exact zero pivot, or one
 past the ``linalg.PIVOT_RTOL`` rule), which raises :class:`SingularMatrix`.
@@ -37,8 +37,8 @@ vertices are decoded from integer ranges, so memory stays flat in n.
 The lemma suite builds no members: it passes a chunk of its scaling vectors
 to the family kernel of ``nekrasov``, which profiles every member from the
 rows of ``M`` in one row loop, then tests the inequalities as one array
-mask over the kernel's rows-first arrays; the details of a violation are
-built only for the members that fail.  A chunk holds at most
+mask over the two profiles' rows; the details of a violation are built
+only for the members that fail.  A chunk holds at most
 ``_CHUNK_ENTRIES // (3n)`` vectors, so the kernel's three values per row and
 member stay within the same entry bound.
 """
@@ -52,16 +52,16 @@ import numpy as np
 
 from .errors import DimensionTooLarge, DomainError, PreconditionFailed, SingularMatrix
 from .linalg import _inverse_stack, as_matrix, inf_norm, inverse
-from .nekrasov import _m_route, _positive_diagonal, _profile, _Route, _scaled, scaled_matrix
+from .nekrasov import _m_route, _member_diagonal, _member_norms, _positive_diagonal, _profile
+from .nekrasov import _Route, _scaled, scaled_matrix
 
 _ORACLE_MAX_N = 20
 
 # Upper limit on the float64 entries of one stacked chunk of family members.
 _CHUNK_ENTRIES = 32768
 
-# The vertex walk (see the module docstring).  Each walker flips the last
-# _WALK_BITS coordinates: 4 makes the median verify job, n = 7, no slower
-# than one LAPACK inverse per vertex.  A walked condition number past
+# The vertex walk (see the module docstring): at most _WALK_BITS flipped
+# coordinates, at least 2**_WALK_BITS walkers.  A walked condition number past
 # _WALK_COND_CAP, far below PIVOT_RTOL's 1e14, flags its walker; walked norms
 # within a relative _WALK_RTOL of the walked maximum are evaluated again.
 _WALK_BITS = 4
@@ -129,20 +129,14 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
         raise DomainError("interior_samples must be nonnegative")
     if not 0 <= seed < 2**128:
         raise DomainError("seed must lie in [0, 2**128)")
-    # Row i of a member has the absolute sum |1 - d_i + d_i m_ii| + d_i r_i,
-    # with r the off-diagonal absolute row sums of M.
-    off = np.abs(mm)
-    np.fill_diagonal(off, 0.0)
-    r = off.sum(axis=1)
     chunk = max(1, _CHUNK_ENTRIES // (n * n))
     members = np.empty((min(chunk, max(2**n, interior_samples)), n, n))
     best = -np.inf
     best_d = np.zeros(n)
-    points = chain(_vertex_candidates(mm, r, chunk), _scaling_chunks(n, interior_samples, seed, chunk))
+    points = chain(_vertex_candidates(mm, chunk), _scaling_chunks(n, interior_samples, seed, chunk))
     for ds in points:
         stack = _scaled(mm, ds, out=members[: len(ds)])
-        member_norms = (np.abs(stack.diagonal(axis1=1, axis2=2)) + ds * r).max(axis=-1)
-        _, norms, ok = _inverse_stack(stack, member_norms)
+        _, norms, ok = _inverse_stack(stack, _member_norms(mm, ds))
         if not ok.all():
             raise SingularMatrix("matrix is numerically singular")
         k = int(np.argmax(norms))
@@ -157,37 +151,38 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
     )
 
 
-def _vertex_candidates(mm: np.ndarray, r: np.ndarray, chunk: int):
+def _vertex_candidates(mm: np.ndarray, chunk: int):
     """The vertices the walk cannot rule out, in binary order, as ``(k, n)``
     arrays of at most ``chunk`` rows: per chunk of walkers, every vertex of a
     flagged walker and every vertex whose walked norm lies within
     ``_WALK_RTOL`` of the largest unflagged one."""
     n = mm.shape[0]
-    w = min(_WALK_BITS, n)
+    w = max(0, min(_WALK_BITS, n - _WALK_BITS))
     walkers = 2 ** (n - w)
     # Each walker holds an (n, n) inverse and (2**w, n) walked row sums.
     per_chunk = max(1, _CHUNK_ENTRIES // (n * max(n, 2**w)))
-    row_sums = np.abs(np.diag(mm)) + r
     for start in range(0, walkers, per_chunk):
-        leads = np.arange(start, min(start + per_chunk, walkers))
-        walked, flagged = _walk(mm, row_sums, leads, w)
-        top = walked[~flagged].max(initial=-np.inf)
-        keep = (walked >= (1.0 - _WALK_RTOL) * top) | flagged[:, None]
-        ks = (start << w) + np.flatnonzero(keep)
+        ks = np.arange(start, min(start + per_chunk, walkers))
+        if w:  # else every vertex is an anchor, evaluated once, on LAPACK
+            walked, flagged = _walk(mm, ks, w)
+            top = walked[~flagged].max(initial=-np.inf)
+            keep = (walked >= (1.0 - _WALK_RTOL) * top) | flagged[:, None]
+            ks = (start << w) + np.flatnonzero(keep)
         for i in range(0, len(ks), chunk):
             yield _vertices(ks[i : i + chunk], n)
 
 
-def _walk(mm: np.ndarray, row_sums: np.ndarray, leads: np.ndarray, w: int):
+def _walk(mm: np.ndarray, leads: np.ndarray, w: int):
     """Walked inverse norms of the vertices ``(lead << w) + g``, as a
     ``(walkers, 2**w)`` array indexed by ``g``, and a mask of the flagged
-    walkers, whose norms are meaningless.  ``row_sums`` are the absolute row
-    sums of ``M``: a vertex member's norm is their max over the rows with
-    ``d_i = 1``, and at least 1."""
+    walkers, whose norms are meaningless."""
     n = mm.shape[0]
-    anchors = _vertices(leads << w, n)
-    lead_norms = np.where(anchors > 0, row_sums, 1.0).max(axis=1)
-    inv, _, ok = _inverse_stack(_scaled(mm, anchors), lead_norms)
+    # The anchors, then the vertices with only walked coordinates set: a
+    # vertex member's norm is at most the larger of those of its two parts.
+    parts = _vertices(np.concatenate([leads << w, np.arange(2**w)]), n)
+    norms = _member_norms(mm, parts)
+    anchors, anchor_norms, flip_norms = parts[: len(leads)], norms[: len(leads)], norms[len(leads) :]
+    inv, _, ok = _inverse_stack(_scaled(mm, anchors), anchor_norms)
     # Absolute row sums of every walked inverse, the anchors' from LAPACK.
     row_abs = np.empty((len(leads), 2**w, n))
     np.abs(inv).sum(axis=2, out=row_abs[:, 0])
@@ -211,8 +206,7 @@ def _walk(mm: np.ndarray, row_sums: np.ndarray, leads: np.ndarray, w: int):
             np.abs(inv, out=outer)
             np.add.reduce(outer, axis=2, out=row_abs[:, g])
         walked = row_abs.max(axis=2)
-        trail_norms = np.where(_vertices(np.arange(2**w), w) > 0, row_sums[n - w :], 1.0).max(axis=1)
-        cond = walked * np.maximum(lead_norms[:, None], trail_norms)
+        cond = walked * np.maximum(anchor_norms[:, None], flip_norms)
     # Written so that a NaN condition number also flags its walker.
     return walked, ~ok | ~(cond <= _WALK_COND_CAP).all(axis=1)
 
@@ -238,9 +232,9 @@ def lemma_property_suite(m, trials: int = 1000, seed: int = 0) -> LemmaSuiteRepo
     For each scaling vector d (all-ones first, then ``trials`` uniform draws)
     and ``Mt = I - D + D M`` this verifies, with ``_LEMMA_SLACK``:
 
-      * ``h_i(Mt)/mt_ii <= h_i(M)/m_ii`` and ``Mt`` stays Nekrasov,
+      * ``h_i(Mt)/|mt_ii| <= h_i(M)/|m_ii|`` and ``Mt`` stays Nekrasov,
       * ``z_i(Mt) <= eta_i(M)``,
-      * ``z_i(Mt)/mt_ii <= eta_i(M)/min{m_ii, 1}``.
+      * ``z_i(Mt)/|mt_ii| <= eta_i(M)/min{|m_ii|, 1}``.
 
     The members are profiled from the rows of ``M``, never built, in chunks
     of at most ``_CHUNK_ENTRIES // (3n)`` scaling vectors; violations are
@@ -259,8 +253,7 @@ def lemma_property_suite(m, trials: int = 1000, seed: int = 0) -> LemmaSuiteRepo
     if not profile.is_nekrasov or not _positive_diagonal(mm):
         raise PreconditionFailed("requires a Nekrasov matrix with positive diagonal")
     n = mm.shape[0]
-    diag = np.diag(mm)
-    rhs = np.stack([profile.h / diag, profile.eta, profile.eta / np.minimum(diag, 1.0)])
+    rhs = np.stack([profile.ratios[0], profile.eta, profile.ratios[2]])
     rng = np.random.default_rng(seed)
     scalings = np.empty((trials + 1, n))
     scalings[0] = 1.0
@@ -270,24 +263,17 @@ def lemma_property_suite(m, trials: int = 1000, seed: int = 0) -> LemmaSuiteRepo
     for start in range(0, scalings.shape[0], chunk):
         ds = scalings[start : start + chunk]
         mt_profile, _ = _profile(mm, ds)
-        # Rows first, (n, k), as the profile's arrays are laid out.
-        d = ds.T
-        mt_diag = np.subtract(1.0, d, order="C")
-        mt_diag += np.multiply(d, diag[:, None], order="C")
-        h, z = mt_profile.h.T, mt_profile.z.T
-        lhs = np.stack([h / mt_diag, z, z / mt_diag])
-        flagged = lhs > (rhs + _LEMMA_SLACK)[:, :, None]
-        failed = flagged.any(axis=(0, 1)) | ~mt_profile.is_nekrasov
+        lhs = np.stack([mt_profile.ratios[0], mt_profile.z, mt_profile.ratios[1]])
+        flagged = lhs > (rhs + _LEMMA_SLACK)[:, None]
+        failed = flagged.any(axis=(0, 2)) | ~mt_profile.is_nekrasov
         for t in np.nonzero(failed)[0]:
-            for c, i in zip(*np.nonzero(flagged[:, :, t])):
-                violations.append(
-                    LemmaViolation(check=_LEMMA_CHECKS[c], row=int(i) + 1, d=ds[t].copy(),
-                                   lhs=float(lhs[c, i, t]), rhs=float(rhs[c, i]))
-                )
+            for c, i in zip(*np.nonzero(flagged[:, t])):
+                violations.append(LemmaViolation(
+                    check=_LEMMA_CHECKS[c], row=int(i) + 1, d=ds[t].copy(),
+                    lhs=float(lhs[c, t, i]), rhs=float(rhs[c, i])))
             if not mt_profile.is_nekrasov[t]:
                 i = int(np.argmin(mt_profile.margins[t]))
-                violations.append(
-                    LemmaViolation(check="nekrasov", row=i + 1, d=ds[t].copy(),
-                                   lhs=float(mt_profile.h[t, i]), rhs=float(abs(mt_diag[i, t])))
-                )
+                violations.append(LemmaViolation(
+                    check="nekrasov", row=i + 1, d=ds[t].copy(),
+                    lhs=float(mt_profile.h[t, i]), rhs=float(abs(_member_diagonal(mm, ds[t])[i]))))
     return LemmaSuiteReport(trials=scalings.shape[0], violations=violations)

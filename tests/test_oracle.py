@@ -48,10 +48,11 @@ def chunked_pointwise_max_norm(m, interior_samples, seed):
 
 def per_trial_suite(m, trials, seed):
     """Reference lemma suite: one member and one ``is_nekrasov`` per trial,
-    violations by trial, then check, then row."""
+    violations by trial, then check, then row.  The ratios are over
+    ``|a_ii|``, as the recursions divide."""
     profile = is_nekrasov(m)
     n = m.shape[0]
-    diag = np.diag(m)
+    diag = np.abs(np.diag(m))
     rhs = (profile.h / diag, profile.eta, profile.eta / np.minimum(diag, 1.0))
     rng = np.random.default_rng(seed)
     scalings = np.vstack([np.ones((1, n)), rng.random((trials, n))])
@@ -59,7 +60,7 @@ def per_trial_suite(m, trials, seed):
     for d in scalings:
         mt = scaled_matrix(m, d)
         mt_profile = is_nekrasov(mt)
-        mt_diag = np.diag(mt)
+        mt_diag = np.abs(np.diag(mt))
         lhs = (mt_profile.h / mt_diag, mt_profile.z, mt_profile.z / mt_diag)
         for check, left, right in zip(("h_ratio", "z_vs_eta", "z_ratio"), lhs, rhs):
             for i in np.nonzero(left > right + oracle._LEMMA_SLACK)[0]:
@@ -225,8 +226,8 @@ def walk_every_vertex(m):
     """The walked norms of every vertex of ``m`` in binary order, and a mask
     of the vertices whose walker is flagged."""
     n = m.shape[0]
-    w = min(oracle._WALK_BITS, n)
-    walked, flagged = oracle._walk(m, np.abs(m).sum(axis=1), np.arange(2 ** (n - w)), w)
+    w = max(0, min(oracle._WALK_BITS, n - oracle._WALK_BITS))
+    walked, flagged = oracle._walk(m, np.arange(2 ** (n - w)), w)
     return walked.ravel(), np.repeat(flagged, 2**w)
 
 
