@@ -79,7 +79,8 @@ class NekrasovProfile:
     strictly positive.  When a recursion would divide by a zero diagonal
     entry, the entries from that row on are ``+inf`` (and the matrix cannot
     be Nekrasov, since the zero-diagonal row already fails its margin test).
-    ``ratios`` stacks ``h/|a_ii|``, ``z/|a_ii|`` and ``eta/min{|a_ii|, 1}``.
+    ``ratios`` stacks ``h/|a_ii|``, ``z/|a_ii|`` and ``eta/min{|a_ii|, 1}``,
+    ``+inf`` over a zero divisor and from its first use on.
     """
 
     h: np.ndarray
@@ -158,14 +159,25 @@ def _profile(m: np.ndarray, ds: np.ndarray | None = None) -> tuple[NekrasovProfi
     divisors[:, 1] = divisors[:, 0]
     np.minimum(divisors[:, 0], 1.0, out=divisors[:, 2])
     values = np.empty((n, 3, k))
-    np.multiply(np.triu(abs_m, 1).sum(axis=1)[:, None], scale, out=values[:, 0])
-    values[:, 1:] = 1.0
     w = np.empty_like(values)
     # eta grows like a product of row sums; past the float range it is +inf.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail = np.triu(abs_m, 1).sum(axis=1)
+        np.multiply(tail[:, None], scale, out=values[:, 0])
+        values[:, 1:] = 1.0
         np.divide(values[0], divisors[0], out=w[0])
         for i in range(1, n):
             values[i] += scale[i] * (abs_m[i, :i] @ w[:i].reshape(i, 3 * k)).reshape(3, k)
+            np.divide(values[i], divisors[i], out=w[i])
+        # An unused entry (|m_ij| = 0 or d_i = 0) that meets a row past the
+        # float range gives 0 * inf = nan.  The rows above the first nan are
+        # right; the rest are taken again over the used entries only.
+        nan = np.isnan(values).any(axis=(1, 2))
+        for i in range(int(np.argmax(nan)) if nan.any() else n, n):
+            j = np.flatnonzero(abs_m[i, :i])
+            row = (abs_m[i, j] @ w[j].reshape(len(j), 3 * k)).reshape(3, k)
+            row[0] += tail[i]
+            values[i] = np.where(scale[i] > 0.0, scale[i] * row, 0.0) + [[0.0], [1.0], [1.0]]
             np.divide(values[i], divisors[i], out=w[i])
     bad = np.zeros(k, dtype=int)
     if zero.any():
@@ -173,7 +185,9 @@ def _profile(m: np.ndarray, ds: np.ndarray | None = None) -> tuple[NekrasovProfi
         flat = used.reshape(k, n * n)
         hit = flat.any(axis=1)
         first = flat.argmax(axis=1)
-        values.transpose(0, 2, 1)[np.arange(n)[:, None] >= np.where(hit, first // n, n)] = np.inf
+        cut = np.arange(n)[:, None] >= np.where(hit, first // n, n)
+        values.transpose(0, 2, 1)[cut] = np.inf
+        w.transpose(0, 2, 1)[cut | zero] = np.inf
         bad = np.where(hit, first % n + 1, 0)
     margins = abs_diag - values[:, 0]
     flags = np.all(margins > STRICT_RTOL * np.maximum(1.0, abs_diag), axis=0)

@@ -169,8 +169,64 @@ class TestRecursionKernel:
         np.testing.assert_allclose(z_vector(a), [1.0, 1.0, 4 / 3], rtol=1e-15)
         np.testing.assert_allclose(eta_vector(a), [1.0, 1.0, 2.0], rtol=1e-15)
         np.testing.assert_allclose(h_vector(a), [3.0, 1.0, 1 / 3], rtol=1e-15)
-        assert not is_nekrasov(a).is_nekrasov
+        profile = is_nekrasov(a)
+        assert not profile.is_nekrasov
+        # The ratio rows are +inf over the zero divisor only.
+        np.testing.assert_array_equal(profile.ratios[:, 0], np.inf)
+        np.testing.assert_array_equal(profile.ratios[:, 1:], [[1 / 3, (1 / 3) / 4],
+                                                               [1 / 3, (4 / 3) / 4],
+                                                               [1.0, 2.0 / 1.0]])
 
+
+# Every used coefficient is at least 1 and every divisor at most 1, so a row
+# past the float range makes every row that uses it pass it too, exactly as
+# in float: the exact value of each row is then +inf or close to the float one.
+_HUGE_ENTRIES = st.sampled_from([0.0, 0.0, 1.0, -1.0, 1e10, -1e10, 1e200, -1e200])
+_SMALL_DIAGONAL = st.sampled_from([1.0, 0.5, 1e-299, -1e-299])
+_FLOAT_MAX = F(float(np.finfo(float).max))
+
+
+@st.composite
+def overflowing(draw):
+    """A matrix whose rows overflow, with zero entries, and ``(k, n)`` vertex scalings."""
+    n = draw(st.integers(1, 6))
+    m = np.array(draw(st.lists(_HUGE_ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(m, draw(st.lists(_SMALL_DIAGONAL, min_size=n, max_size=n)))
+    k = draw(st.integers(1, 4))
+    ds = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=k * n, max_size=k * n))
+    return m, np.array(ds).reshape(k, n)
+
+
+def exact_or_inf(values):
+    """The exact recursion values, rounded to floats, +inf past the float range."""
+    return [np.inf if v > _FLOAT_MAX else float(v) for v in values]
+
+
+class TestOverflowingRows:
+    """A zero entry, or a zero scaling, that meets a row past the float range
+    contributes nothing: 0 * inf is not allowed to make the values nan."""
+
+    def test_zero_entry_below_an_overflowed_row(self):
+        a = [[1e-299, 0.0, 0.0], [1e10, 1.0, 0.0], [1.0, 0.0, 1.0]]
+        # Row 2 uses row 0 (1e299) and not row 1 (1e309): the exact value is 1e299 + 1.
+        np.testing.assert_array_equal(eta_vector(a), [1.0, np.inf, 1e299])
+        np.testing.assert_array_equal(z_vector(a), [1.0, np.inf, 1e299])
+        np.testing.assert_array_equal(h_vector(a), [0.0, 0.0, 0.0])
+
+    @given(overflowing())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_recursions(self, drawn):
+        m, ds = drawn
+        single = is_nekrasov(m)
+        family, _ = _profile(m, ds)
+        members = [(m, (single.h, single.z, single.eta))]
+        members += [(_scaled(m, d), (family.h[t], family.z[t], family.eta[t]))
+                    for t, d in enumerate(ds)]
+        for member, values in members:
+            rows = [[F(v) for v in row] for row in member]
+            for got, exact in zip(values, (_rational.h_exact, _rational.z_exact,
+                                           _rational.eta_exact)):
+                np.testing.assert_allclose(got, exact_or_inf(exact(rows)), rtol=1e-12, atol=0.0)
 
 class TestZVector:
     def test_diagonal(self):
