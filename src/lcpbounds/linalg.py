@@ -69,7 +69,8 @@ def _inverse_stack(stack: np.ndarray, norms: np.ndarray | None = None
     except np.linalg.LinAlgError:
         # One exact zero pivot fails the whole call; slogdet runs the same
         # getrf, so its zero signs mark those members.  They are inverted as I.
-        ok = np.linalg.slogdet(stack)[0] != 0
+        with np.errstate(divide="ignore"):
+            ok = np.linalg.slogdet(stack)[0] != 0
         inv = np.linalg.inv(np.where(ok[:, None, None], stack, np.eye(stack.shape[-1])))
     inv_norms = _inf_norms(inv)
     ok &= _well_conditioned(_inf_norms(stack) if norms is None else norms, inv_norms)
@@ -84,8 +85,10 @@ def _inf_norms(stack: np.ndarray) -> np.ndarray:
 def _well_conditioned(norm, inv_norm):
     """The ``PIVOT_RTOL`` rule ``||A||_inf ||A^{-1}||_inf <= 1 / PIVOT_RTOL``,
     given both norms, for one matrix or elementwise for arrays of them."""
-    # Written so that a NaN condition number also counts as singular.
-    return norm * inv_norm <= 1.0 / PIVOT_RTOL
+    # Written so that a NaN condition number also counts as singular; one
+    # past the float range is +inf, singular as well.
+    with np.errstate(over="ignore"):
+        return norm * inv_norm <= 1.0 / PIVOT_RTOL
 
 
 def inf_norm(a) -> float:

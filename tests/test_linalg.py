@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from lcpbounds.errors import DomainError, SingularMatrix
 from lcpbounds.linalg import (
     _inverse_stack,
+    _well_conditioned,
     as_matrix,
     as_vector,
     comparison_matrix,
@@ -111,6 +112,20 @@ class TestInverseStack:
         inv, norms, ok = _inverse_stack(np.zeros((1, 0, 0)))
         assert inv.shape == (1, 0, 0)
         assert norms.tolist() == [0.0] and ok.tolist() == [True]
+
+    # Warnings are errors in this suite (pyproject.toml), so each case below
+    # also checks that nothing is warned.
+    def test_condition_number_past_the_float_range_is_singular(self):
+        assert not _well_conditioned(1e200, 1e200)
+        assert not _well_conditioned(np.array([1e200]), np.array([1e200]))[0]
+        assert not _inverse_stack(np.diag([1e200, 1e-200])[None])[2][0]
+
+    def test_zero_pivot_fallback(self):
+        # The zero member fails the stacked inverse; the other member's
+        # factorization then meets log(0) in slogdet.
+        a = np.array([[0.5, 0.0, -1e13], [-1e-13, 0.0, -1.0], [1e13, 1e-300, 0.0]])
+        _, _, ok = _inverse_stack(np.stack([np.zeros((3, 3)), a, np.eye(3)]))
+        assert ok.tolist() == [False, False, True]
 
 
 class TestInfNorm:
