@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict
 
 from . import bnekrasov, nekrasov
-from .errors import LcpBoundsError
+from .errors import DomainError, LcpBoundsError
 from .lcp import LcpInstance, certify_error_bound, solve_lcp, trial_points
 from .linalg import inf_norm, inverse
 from .matrixio import parse_matrix, parse_vector
@@ -59,9 +59,12 @@ def _emit(data, fmt: str) -> str:
         return "\n".join(data)
     # numpy arrays and scalars other than np.float64 (a float) become plain
     # values. Bound values past the float range are reported as not applicable
-    # (reason Overflow), so the JSON output is strict (RFC 8259); text allows
-    # non-finite values.
-    text = json.dumps(data, indent=2, allow_nan=fmt == "text", default=lambda v: v.tolist())
+    # (reason Overflow); any other non-finite value is an error, so the JSON
+    # output is strict (RFC 8259), and the text holds the same values.
+    try:
+        text = json.dumps(data, indent=2, allow_nan=False, default=lambda v: v.tolist())
+    except ValueError:
+        raise DomainError("a reported value lies past the float range") from None
     return _render_text(json.loads(text)) if fmt == "text" else text
 
 
@@ -277,10 +280,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         data, code = args.handler(args)
+        text = _emit(data, args.format)
     except (LcpBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    print(_emit(data, args.format))
+    print(text)
     return code
 
 

@@ -112,18 +112,21 @@ def _levels(m: np.ndarray):
 
 def _feasible(inst: LcpInstance):
     """Yield ``(alpha, x, w)`` for each feasible complementary basis, in
-    enumeration order, solving one level of bases at a time."""
+    enumeration order, solving one level of bases at a time.  A basis whose
+    ``x`` or ``w`` leaves the float range is not feasible."""
     if inst.n > _SOLVER_MAX_N:
         raise DimensionTooLarge(f"basis enumeration is limited to n <= {_SOLVER_MAX_N}")
     m, q = inst.m, inst.q
     for a, stack in _levels(m):
         inv, _, ok = _inverse_stack(stack)
         a, inv = a[ok], inv[ok]
-        x_a = (inv @ -q[a][..., None])[..., 0]
-        x = np.zeros((len(a), inst.n))
-        np.put_along_axis(x, a, x_a, axis=1)
-        w = (m @ x[..., None])[..., 0] + q
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_a = (inv @ -q[a][..., None])[..., 0]
+            x = np.zeros((len(a), inst.n))
+            np.put_along_axis(x, a, x_a, axis=1)
+            w = (m @ x[..., None])[..., 0] + q
         infeasible = (x_a < -FEASIBILITY_TOL).any(axis=1) | (w < -FEASIBILITY_TOL).any(axis=1)
+        infeasible |= ~np.isfinite(x_a).all(axis=1) | ~np.isfinite(w).all(axis=1)
         for k in np.flatnonzero(~infeasible):
             yield tuple(a[k].tolist()), x[k], w[k]
 
@@ -135,8 +138,11 @@ def solve_lcp(inst: LcpInstance) -> LcpSolution:
     matters for degenerate or non-P instances.
     """
     for alpha, x, w in _feasible(inst):
-        return LcpSolution(x_star=x, w_star=w, basis=alpha, complementarity_gap=float(abs(x @ w)))
-    raise NoSolution("no feasible complementary basis")
+        # A gap past the float range is +inf, without a warning.
+        with np.errstate(over="ignore"):
+            gap = float(abs(x @ w))
+        return LcpSolution(x_star=x, w_star=w, basis=alpha, complementarity_gap=gap)
+    raise NoSolution("no feasible complementary basis with x and Mx + q in the float range")
 
 
 def feasible_bases(inst: LcpInstance) -> list[tuple[int, ...]]:
@@ -176,7 +182,8 @@ def certify_error_bound(inst: LcpInstance, x, bound: BoundReport) -> ErrorCertif
 
 def trial_points(x_star, count: int, seed: int) -> np.ndarray:
     """Seeded trial points, uniform in [0, 3(1 + ||x*||_inf)] per coordinate;
-    a range past the float range raises ``DomainError``."""
+    a range past the float range, or more points than fit in memory, raises
+    ``DomainError``."""
     if count < 0 or seed < 0:
         raise DomainError("count and seed must be nonnegative")
     xs = as_vector(x_star)
@@ -185,4 +192,7 @@ def trial_points(x_star, count: int, seed: int) -> np.ndarray:
     high = 3.0 * (1.0 + norm)
     if not np.isfinite(high):
         raise DomainError(f"trial range 3(1 + ||x*||_inf) overflows at ||x*||_inf = {norm!r}")
-    return rng.uniform(0.0, high, size=(count, xs.shape[0]))
+    try:
+        return rng.uniform(0.0, high, size=(count, xs.shape[0]))
+    except MemoryError as exc:
+        raise DomainError(f"cannot draw {count} trial points: {exc}") from None

@@ -1,15 +1,22 @@
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lcpbounds
 from lcpbounds import bnekrasov, nekrasov
-from lcpbounds.cli import main
+from lcpbounds.cli import _emit, main
+from lcpbounds.errors import DomainError
 from lcpbounds.matrixio import format_matrix, parse_matrix
 
 
@@ -274,6 +281,21 @@ class TestLcp:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["all_hold"] is True
 
+    def test_trial_points_past_memory_exit_1(self, capsys, data_dir, monkeypatch):
+        # The allocation fails as numpy's would for 10**12 points, without
+        # asking for the 30 TB.
+        class NoMemory:
+            def uniform(self, low, high, size):
+                raise MemoryError(f"Unable to allocate an array with shape {size}")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoMemory())
+        code = main(["lcp", "--matrix", str(data_dir / "example1.txt"),
+                     "--q", str(data_dir / "q_minus_ones.txt"), "--trials", "1000000000000"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cannot draw 1000000000000 trial points: Unable to allocate")
+        assert err.count("\n") == 1
+
     def test_dimension_mismatch_exit_1(self, capsys, data_dir, tmp_path):
         qpath = tmp_path / "q.txt"
         qpath.write_text("-1 -1\n")
@@ -319,6 +341,15 @@ class TestClassify:
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["classification"]["is_p_matrix"] is True
 
+    def test_singular_comparison_matrix_writes_no_stderr(self, tmp_path):
+        # ||<M>||_inf ||<M>^{-1}||_inf = 1e400: singular by the PIVOT_RTOL rule.
+        path = tmp_path / "m.txt"
+        path.write_text("2\n1e200 0\n0 1e-200\n")
+        proc = run_fresh("classify", "--matrix", str(path))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["classification"]["is_h_matrix"] is False
+
     @pytest.mark.parametrize("command", ["bound", "classify"])
     @pytest.mark.parametrize("n", [4, 13], ids=["p_tested", "p_skipped"])
     def test_classification_keys_in_order(self, capsys, tmp_path, command, n):
@@ -359,6 +390,11 @@ class TestTextFormat:
         text_out, text_code = run(capsys, *argv, "--format", "text")
         assert text_code == json_code == 0
         assert text_out == render_text(json.loads(json_out)) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_non_finite_value_is_an_error(self, fmt):
+        with pytest.raises(DomainError, match="float range"):
+            _emit({"value": float("nan")}, fmt)
 
 
 class TestProfileOnce:
@@ -489,6 +525,7 @@ class TestFaultyFileExit1:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("content", [
         b"2\n1,0\n\xe9,1\n",
@@ -511,9 +548,74 @@ class TestFaultyFileExit1:
         q = ("--q", str(data_dir / "q_minus_ones.txt")) if argv[0] == "lcp" else ()
         self.assert_error_line(*argv, "--matrix", str(data_dir / "example2.txt"), *q)
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_solution_past_the_float_range(self, tmp_path, fmt):
+        # Basis {0} gives x* = (1e300, 0), where w*_2 = 1e500: no float solution.
+        matrix, q = tmp_path / "m.txt", tmp_path / "q.txt"
+        matrix.write_text("2\n1e-100 0\n1e200 1\n")
+        q.write_text("-1e200 1\n")
+        self.assert_error_line("lcp", "--matrix", str(matrix), "--q", str(q), "--trials", "2",
+                               "--format", fmt)
+
     def test_trial_range_overflow(self, tmp_path):
         # M = I: x* = (0, 1e308), so the trial range 3(1 + ||x*||_inf) is inf.
         matrix, q = tmp_path / "m.txt", tmp_path / "q.txt"
         matrix.write_text(format_matrix(np.eye(2)))
         q.write_text("1e308 -1e308\n")
         self.assert_error_line("lcp", "--matrix", str(matrix), "--q", str(q))
+
+
+# Exact and inexact, tiny, huge and past-the-square-root magnitudes: the
+# inputs on which overflow, 0 * inf and ill-conditioning show.
+_FUZZ_ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e-13, -1e-13, 1e13, -1e13,
+                                 1e200, -1e200, 1e-300])
+_FUZZ_COMMANDS = (("classify",), ("bound",), ("sweep", "--grid", "3"),
+                  ("verify", "--samples", "20"), ("lcp", "--trials", "3"))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@st.composite
+def lcp_inputs(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.lists(_FUZZ_ENTRIES, min_size=n * n, max_size=n * n))
+    q = draw(st.lists(_FUZZ_ENTRIES, min_size=n, max_size=n))
+    return np.array(m).reshape(n, n), np.array(q)
+
+
+class TestContractFuzz:
+    """Every command ends in exit 0, 1 or 2.  On 0 or 2 stdout is strict
+    JSON (CSV for sweep) and stderr is empty; on 1 stderr is one ``error:``
+    line.  A warning fails the run (see pyproject.toml), as it would reach
+    stderr."""
+
+    @given(lcp_inputs())
+    @settings(max_examples=50, deadline=None)
+    def test_exit_codes_and_output(self, drawn):
+        m, q = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            matrix, q_path = Path(tmp) / "m.txt", Path(tmp) / "q.txt"
+            matrix.write_text(format_matrix(m))
+            q_path.write_text(" ".join(repr(float(v)) for v in q) + "\n")
+            for command in _FUZZ_COMMANDS:
+                argv = [*command, "--matrix", str(matrix)]
+                if command[0] == "lcp":
+                    argv += ["--q", str(q_path)]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                out, err = out.getvalue(), err.getvalue()
+                assert code in (0, 1, 2), argv
+                if code == 1:
+                    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+                    continue
+                assert err == "", (argv, err)
+                if command[0] != "sweep":
+                    json.loads(out, parse_constant=_reject_constant)
+                elif code == 0:
+                    header, *rows = list(csv.reader(out.splitlines()))
+                    assert header == ["epsilon", "gp_bound", "new_bound"]
+                    for row in rows:
+                        assert all(v == "n/a" or np.isfinite(float(v)) for v in row), row

@@ -132,6 +132,14 @@ class TestSolve:
         assert solution.basis == (0, 2)
         np.testing.assert_array_equal(solution.x_star, [1.0, 0.0, 0.5])
 
+    def test_basis_past_the_float_range_skipped(self):
+        # Basis {0} gives x* = (1e300, 0) and w*_2 = 1e500: not a float solution,
+        # and no other basis is feasible.
+        inst = LcpInstance(np.array([[1e-100, 0.0], [1e200, 1.0]]), np.array([-1e200, 1.0]))
+        assert feasible_bases(inst) == []
+        with pytest.raises(NoSolution, match="float range"):
+            solve_lcp(inst)
+
     def test_no_solution(self):
         with pytest.raises(NoSolution):
             solve_lcp(LcpInstance(-np.eye(2), [-1.0, -1.0]))
