@@ -113,22 +113,24 @@ def _levels(m: np.ndarray):
 def _feasible(inst: LcpInstance):
     """Yield ``(alpha, x, w)`` for each feasible complementary basis, in
     enumeration order, solving one level of bases at a time.  A basis whose
-    ``x`` or ``w`` leaves the float range is not feasible."""
+    ``x`` or ``w`` leaves the float range is not feasible; callers iterate
+    under ``np.errstate(over="ignore", invalid="ignore")``, so that it is
+    skipped without a warning."""
     if inst.n > _SOLVER_MAX_N:
         raise DimensionTooLarge(f"basis enumeration is limited to n <= {_SOLVER_MAX_N}")
     m, q = inst.m, inst.q
     for a, stack in _levels(m):
         inv, _, ok = _inverse_stack(stack)
         a, inv = a[ok], inv[ok]
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_a = (inv @ -q[a][..., None])[..., 0]
-            x = np.zeros((len(a), inst.n))
-            np.put_along_axis(x, a, x_a, axis=1)
-            w = (m @ x[..., None])[..., 0] + q
+        x_a = (inv @ -q[a][..., None])[..., 0]
+        x = np.zeros((len(a), inst.n))
+        np.put_along_axis(x, a, x_a, axis=1)
+        w = (m @ x[..., None])[..., 0] + q
         infeasible = (x_a < -FEASIBILITY_TOL).any(axis=1) | (w < -FEASIBILITY_TOL).any(axis=1)
-        infeasible |= ~np.isfinite(x_a).all(axis=1) | ~np.isfinite(w).all(axis=1)
         for k in np.flatnonzero(~infeasible):
-            yield tuple(a[k].tolist()), x[k], w[k]
+            # An entry of x past the float range makes one of w inf or nan.
+            if np.isfinite(w[k]).all():
+                yield tuple(a[k].tolist()), x[k], w[k]
 
 
 def solve_lcp(inst: LcpInstance) -> LcpSolution:
@@ -137,17 +139,18 @@ def solve_lcp(inst: LcpInstance) -> LcpSolution:
     For P-matrix inputs the feasible basis is unique, so the ordering only
     matters for degenerate or non-P instances.
     """
-    for alpha, x, w in _feasible(inst):
-        # A gap past the float range is +inf, without a warning.
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for alpha, x, w in _feasible(inst):
+            # A gap past the float range is +inf.
             gap = float(abs(x @ w))
-        return LcpSolution(x_star=x, w_star=w, basis=alpha, complementarity_gap=gap)
+            return LcpSolution(x_star=x, w_star=w, basis=alpha, complementarity_gap=gap)
     raise NoSolution("no feasible complementary basis with x and Mx + q in the float range")
 
 
 def feasible_bases(inst: LcpInstance) -> list[tuple[int, ...]]:
     """All feasible complementary bases; length 1 for non-degenerate P-matrices."""
-    return [alpha for alpha, _, _ in _feasible(inst)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [alpha for alpha, _, _ in _feasible(inst)]
 
 
 def is_p_matrix(m) -> bool:
