@@ -137,12 +137,12 @@ def _profile(m: np.ndarray, ds: np.ndarray | None = None) -> tuple[NekrasovProfi
     product per row.  ``W`` holds the finished rows over their divisors,
     laid out ``(n, 3, k)`` (row, recursion, member), so ``W[:i]`` is one
     contiguous ``(i, 3k)`` block; the values and the divisors fill blocks
-    of the same layout, preallocated, with one division per row.  h, z, eta,
-    the margins and the ratio rows ``W`` are returned as ``(k, n)`` views of
-    those rows-first arrays, not as copies.  A member entry is used where
-    ``d_i |m_ij| > 0``, exactly where the built member's entry is nonzero;
-    that ``(k, n, n)`` mask is built only when some divisor is zero.  A value
-    past the float range is ``+inf``, without a warning.
+    of the same layout, preallocated, with one division per row.  h, z, eta
+    and the margins are returned as ``(k, n)`` views of those rows-first
+    arrays, not as copies, and ``W`` as a ``(3, k, n)`` view.  A member
+    entry is used where ``d_i |m_ij| > 0``, exactly where the built member's
+    entry is nonzero; that ``(k, n, n)`` mask is built only when some divisor
+    is zero.  A value past the float range is ``+inf``, without a warning.
     """
     n = m.shape[0]
     # Row i of scale holds d_i of every member; the arrays below are laid
