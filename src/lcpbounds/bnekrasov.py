@@ -81,7 +81,9 @@ def bplus_decompose(m) -> BPlusSplit:
     masked = mm.copy()
     np.fill_diagonal(masked, -np.inf)
     r_plus = np.maximum(masked.max(axis=1), 0.0)
-    return BPlusSplit(b_plus=mm - r_plus[:, None], r_plus=r_plus)
+    # An entry of B+ past the float range is -inf.
+    with np.errstate(over="ignore"):
+        return BPlusSplit(b_plus=mm - r_plus[:, None], r_plus=r_plus)
 
 
 class _BPlusRoute(_Route):
@@ -151,7 +153,9 @@ def _profiles(m) -> _Profiles:
 def _sdd(mm: np.ndarray) -> bool:
     abs_m = np.abs(mm)
     diag = np.diag(abs_m)
-    off = abs_m.sum(axis=1) - diag
+    # A row sum past the float range is +inf, which fails the test below.
+    with np.errstate(over="ignore"):
+        off = abs_m.sum(axis=1) - diag
     return bool(np.all(diag - off > STRICT_RTOL * np.maximum(1.0, diag)))
 
 
@@ -170,8 +174,10 @@ def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
     try:
         x = np.linalg.solve(a, np.ones(n))
         h_flag = bool(np.all(x > 0.0))
-        # Then ||<M>^{-1}||_inf = max x, and the PIVOT_RTOL rule holds as for an inverse.
-        singular = h_flag and not _well_conditioned(inf_norm(a), x.max())
+        # Then ||<M>^{-1}||_inf = max x, and the PIVOT_RTOL rule holds as for an
+        # inverse; a norm past the float range is +inf, which the rule reads as singular.
+        with np.errstate(over="ignore"):
+            singular = h_flag and not _well_conditioned(inf_norm(a), x.max())
     except np.linalg.LinAlgError:
         singular = True
     if singular:

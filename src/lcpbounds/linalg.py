@@ -67,10 +67,11 @@ def _inverse_stack(stack: np.ndarray, norms: np.ndarray | None = None
         inv = np.linalg.inv(stack)
         ok = np.ones(len(stack), dtype=bool)
     except np.linalg.LinAlgError:
-        # One exact zero pivot fails the whole call; slogdet runs the same
-        # getrf, so its zero signs mark those members.  They are inverted as I.
-        with np.errstate(divide="ignore"):
-            ok = np.linalg.slogdet(stack)[0] != 0
+        # One exact zero pivot, or a NaN where the elimination passed the float
+        # range, fails the whole call; slogdet runs the same getrf, so its
+        # signs of 0 or NaN mark those members.  They are inverted as I.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ok = np.abs(np.linalg.slogdet(stack)[0]) == 1.0
         inv = np.linalg.inv(np.where(ok[:, None, None], stack, np.eye(stack.shape[-1])))
     inv_norms = _inf_norms(inv)
     ok &= _well_conditioned(_inf_norms(stack) if norms is None else norms, inv_norms)
@@ -78,8 +79,10 @@ def _inverse_stack(stack: np.ndarray, norms: np.ndarray | None = None
 
 
 def _inf_norms(stack: np.ndarray) -> np.ndarray:
-    """Infinity norms of the members of a ``(k, n, n)`` stack."""
-    return np.abs(stack).sum(axis=-1).max(axis=-1, initial=0.0)
+    """Infinity norms of the members of a ``(k, n, n)`` stack; one past the
+    float range is +inf."""
+    with np.errstate(over="ignore"):
+        return np.abs(stack).sum(axis=-1).max(axis=-1, initial=0.0)
 
 
 def _well_conditioned(norm, inv_norm):

@@ -268,7 +268,11 @@ def _member_norms(m: np.ndarray, ds: np.ndarray) -> np.ndarray:
     d_i r_i`` with ``r`` the off-diagonal absolute row sums of ``M``."""
     off = np.abs(m)
     np.fill_diagonal(off, 0.0)
-    return (np.abs(_member_diagonal(m, ds)) + ds * off.sum(axis=1)).max(axis=-1)
+    # A norm past the float range is +inf, which the PIVOT_RTOL rule reads as
+    # singular; a row scaled by d_i = 0 adds nothing, also past it (no 0 * inf).
+    with np.errstate(over="ignore", invalid="ignore"):
+        off_sums = ds * off.sum(axis=1)
+        return (np.abs(_member_diagonal(m, ds)) + np.where(ds > 0.0, off_sums, 0.0)).max(axis=-1)
 
 
 def kolotilina_bound(a) -> BoundReport:
@@ -297,7 +301,9 @@ def _interval_upper(a: np.ndarray, h: np.ndarray) -> float:
     Nekrasov bounds, ``B+`` for the B-Nekrasov ones."""
     if abs(a[-1, -1]) <= _ZERO_FLOOR:
         raise ZeroDiagonal(a.shape[0])
-    return float(1.0 - h[-1] / a[-1, -1])
+    # A ratio past the float range gives an infinite endpoint, an empty interval.
+    with np.errstate(over="ignore"):
+        return float(1.0 - h[-1] / a[-1, -1])
 
 
 @dataclass(frozen=True)

@@ -185,10 +185,10 @@ def _walk(mm: np.ndarray, leads: np.ndarray, w: int):
     inv, _, ok = _inverse_stack(_scaled(mm, anchors), anchor_norms)
     # Absolute row sums of every walked inverse, the anchors' from LAPACK.
     row_abs = np.empty((len(leads), 2**w, n))
-    np.abs(inv).sum(axis=2, out=row_abs[:, 0])
     outer = np.empty_like(inv)
     g = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.abs(inv).sum(axis=2, out=row_abs[:, 0])
         for t in range(1, 2**w):
             # Reflected Gray order: step t flips bit p, the lowest set bit of t,
             # which is coordinate j = n - 1 - p.

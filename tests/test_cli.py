@@ -564,11 +564,29 @@ class TestFaultyFileExit1:
         q.write_text("1e308 -1e308\n")
         self.assert_error_line("lcp", "--matrix", str(matrix), "--q", str(q))
 
+    # Every row sum of |M| is past the float range: M is not SDD, its
+    # comparison matrix and its members count as singular, and no warning
+    # reaches stderr.
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    @pytest.mark.parametrize("command, code", [("classify", 0), ("bound", 2), ("verify", 1)])
+    def test_row_sums_past_the_float_range(self, tmp_path, command, code, sign):
+        path = tmp_path / "m.txt"
+        path.write_text(format_matrix(np.full((2, 2), sign * 1e308)))
+        if code == 1:
+            self.assert_error_line(command, "--matrix", str(path))
+            return
+        proc = run_fresh(command, "--matrix", str(path))
+        assert (proc.returncode, proc.stderr) == (code, "")
+        payload = json.loads(proc.stdout, parse_constant=_reject_constant)
+        if command == "classify":
+            flags = payload["classification"]
+            assert not (flags["is_sdd"] or flags["is_h_matrix"])
+
 
 # Exact and inexact, tiny, huge and past-the-square-root magnitudes: the
 # inputs on which overflow, 0 * inf and ill-conditioning show.
 _FUZZ_ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e-13, -1e-13, 1e13, -1e13,
-                                 1e200, -1e200, 1e-300])
+                                 1e200, -1e200, 1e308, -1e308, 1e-300])
 _FUZZ_COMMANDS = (("classify",), ("bound",), ("sweep", "--grid", "3"),
                   ("verify", "--samples", "20"), ("lcp", "--trials", "3"))
 
