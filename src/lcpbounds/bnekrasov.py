@@ -15,9 +15,10 @@ formula, and the parameterized one runs the shared core of ``nekrasov`` on
 and one of ``B+``.  ``all_bounds`` and ``classify`` also take the bundle
 ``_profiles(m)`` returns in place of the matrix, so a caller that needs both
 profiles each matrix once; the bundle's ``route`` is the one rule for which
-route a command runs on.  ``M`` is an H-matrix iff its comparison matrix
-``<M>`` is a nonsingular M-matrix, that is iff ``x = <M>^{-1} 1`` is positive
-(Berman & Plemmons, 1994, ch. 6), so ``classify`` takes one solve.
+route a command runs on, and its ``p_class`` the one rule for when ``M`` is P
+by class.  ``M`` is an H-matrix iff its comparison matrix ``<M>`` is a
+nonsingular M-matrix, that is iff ``x = <M>^{-1} 1`` is positive (Berman &
+Plemmons, 1994, ch. 6), so ``classify`` takes one solve.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ class _BPlusRoute(_Route):
 
     name = "B+"
     theorems = (Theorem.GP_BNEKRASOV, Theorem.NEW_BNEKRASOV)
+    p_class = "B-Nekrasov"
 
     def _finish(self, w: np.ndarray, beta: np.ndarray, epsilon: float) -> BoundReport:
         """GP-B-Nekrasov, ``(n-1) max w / (min{min delta, 1} min w)`` with
@@ -141,6 +143,13 @@ class _Profiles:
         applies, else ``B+`` if the new B-Nekrasov bound does, else None."""
         return next((r for r in (self.m_route, self.b_route) if r.fault is None), None)
 
+    @property
+    def p_class(self) -> str | None:
+        """The class that makes ``M`` a P-matrix, that of ``route``: Nekrasov
+        with positive diagonal (an H-matrix with positive diagonal, Berman &
+        Plemmons, 1994, ch. 6) or B-Nekrasov; None where ``route`` is."""
+        return None if self.route is None else self.route.p_class
+
 
 def _profiles(m) -> _Profiles:
     """Profile ``M`` and ``B+`` once; a ``_Profiles`` is passed through."""
@@ -188,14 +197,10 @@ def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
         p_flag = None
         notes.append("P-matrix test skipped")
     elif n > lcp._P_TEST_MAX_N:
-        # Nekrasov with positive diagonal implies H with positive diagonal,
-        # hence P; B-Nekrasov matrices are P as well.
-        cls = ("Nekrasov with positive diagonal" if p.m_route.fault is None
-               else "B-Nekrasov" if p.b_route.fault is None else None)
-        p_flag = True if cls else None
+        p_flag = True if p.p_class else None
         notes.append(f"P-matrix test skipped: n > {lcp._P_TEST_MAX_N}")
-        if cls:
-            notes.append(f"P by class: {cls}")
+        if p.p_class:
+            notes.append(f"P by class: {p.p_class}")
     else:
         p_flag = lcp.is_p_matrix(mm)
     return ClassificationReport(

@@ -320,6 +320,8 @@ class _Route:
 
     name = "M"
     theorems = (Theorem.GP_NEKRASOV, Theorem.NEW_NEKRASOV)
+    # The class ``M`` is in where ``fault`` is None; it lies inside the P-matrices.
+    p_class = "Nekrasov with positive diagonal"
 
     a: np.ndarray
     profile: NekrasovProfile

@@ -5,7 +5,11 @@ The certified quantity is ``max over d in [0,1]^n`` of
 ``||(I - D + D M)^{-1}||_inf``.  The oracle evaluates every vertex of the
 cube and a seeded batch of interior points; sampling can only undershoot, so
 ``max_observed`` is a lower bound on the true maximum and any certified upper
-bound must dominate it.
+bound must dominate it.  For a P-matrix ``M`` the vertex maximum is the true
+maximum: ``det(I - D + D M) > 0`` on the cube, each entry of the inverse is
+affine in ``d_j`` over that affine determinant, so each absolute row sum is
+quasiconvex in every ``d_j``.  There ``oracle_max_norm(m, 0)`` is the maximum
+over the cube, up to LAPACK rounding, and samples cannot raise it.
 
 The vertices are walked, not inverted one by one.  With
 ``w = max(0, min(_WALK_BITS, n - _WALK_BITS))``, one walker starts from each
@@ -76,7 +80,8 @@ _LEMMA_CHECKS = ("h_ratio", "z_vs_eta", "z_ratio")
 @dataclass(frozen=True)
 class OracleEstimate:
     """Best observed norm and where it occurred.  ``max_observed`` never
-    exceeds the true maximum; equality is not claimed."""
+    exceeds the true maximum; equality is not claimed, except that for a
+    P-matrix the vertices alone reach it (see the module docstring)."""
 
     max_observed: float
     argmax_d: np.ndarray

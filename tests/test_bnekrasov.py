@@ -125,6 +125,18 @@ class TestClassify:
         assert report.is_p_matrix is True
         assert report.notes.endswith(f"P by class: {cls}")
 
+    @pytest.mark.parametrize("m, cls", [
+        (_rational.to_floats(_rational.EXAMPLE1), "Nekrasov with positive diagonal"),
+        (_rational.to_floats(_rational.EXAMPLE3), "B-Nekrasov"),
+        ([[1.0, 2.0], [2.0, 1.0]], None),
+        ([[2.0]], "Nekrasov with positive diagonal"),
+        ([[-2.0]], None),
+    ])
+    def test_p_class_is_the_route_class(self, m, cls):
+        profiles = bnekrasov._profiles(m)
+        assert profiles.p_class == cls
+        assert (profiles.route is None) == (cls is None)
+
     @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from(["nekrasov", "bnekrasov", "perturbed"]))
     @settings(max_examples=60, deadline=None)

@@ -18,6 +18,7 @@ from lcpbounds import bnekrasov, nekrasov
 from lcpbounds.cli import _emit, main
 from lcpbounds.errors import DomainError
 from lcpbounds.matrixio import format_matrix, parse_matrix
+from lcpbounds.oracle import oracle_max_norm
 
 
 def run(capsys, *argv):
@@ -47,6 +48,17 @@ def bound_by_name(payload, name):
 def identity_file(tmp_path):
     path = tmp_path / "identity.txt"
     path.write_text(format_matrix(np.eye(3)))
+    return str(path)
+
+
+# Neither Nekrasov nor B-Nekrasov, and not P (det = -3): no bound applies.
+NOT_P = np.array([[1.0, 2.0], [2.0, 1.0]])
+
+
+@pytest.fixture
+def not_p_file(tmp_path):
+    path = tmp_path / "not_p.txt"
+    path.write_text(format_matrix(NOT_P))
     return str(path)
 
 
@@ -239,6 +251,30 @@ class TestVerify:
         payload = json.loads(out)
         assert bound_by_name(payload, "new_bnekrasov")["dominated"] is True
         assert payload["lemma_suite"]["target"] == "B+"
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4"])
+    def test_p_by_class_reads_the_vertex_maximum(self, capsys, data_dir, name):
+        # Each fixture is P by class: no samples are drawn, and the maximum and
+        # its argmax are those of the vertices and samples together.
+        path = str(data_dir / f"{name}.txt")
+        out, code = run(capsys, "verify", "--matrix", path, "--samples", "300")
+        assert code == 0
+        oracle = json.loads(out)["oracle"]
+        assert (oracle["samples"], oracle["exact"]) == (0, True)
+        sampled = oracle_max_norm(parse_matrix(path), interior_samples=300, seed=42)
+        assert oracle["max_observed"] == sampled.max_observed
+        assert oracle["argmax_d"] == sampled.argmax_d.tolist()
+
+    def test_not_p_by_class_draws_samples(self, capsys, not_p_file):
+        out, code = run(capsys, "verify", "--matrix", not_p_file, "--samples", "50")
+        assert code == 2
+        oracle = json.loads(out)["oracle"]
+        assert (oracle["samples"], oracle["exact"]) == (50, False)
+        # The maximum comes from a sample: det(I - D + D M) = 1 - 4 d_1 d_2
+        # vanishes inside the cube, so the sup is +inf.
+        assert oracle["max_observed"] == oracle_max_norm(NOT_P, 50, 42).max_observed
+        assert oracle["max_observed"] == pytest.approx(69.9438978845642, rel=1e-12)
+        assert 0.0 < min(oracle["argmax_d"]) and max(oracle["argmax_d"]) < 1.0
 
     def test_identity(self, capsys, identity_file):
         out, code = run(capsys, "verify", "--matrix", identity_file, "--samples", "100")
@@ -457,18 +493,19 @@ class TestDefaults:
     @staticmethod
     def check_verify(out, m):
         oracle = json.loads(out)["oracle"]
-        assert (oracle["samples"], oracle["seed"]) == (10000, 42)
+        assert (oracle["samples"], oracle["exact"], oracle["seed"]) == (10000, False, 42)
 
     @staticmethod
     def check_lcp(out, m):
         assert len(json.loads(out)["certificates"]) == 100
 
     @pytest.mark.parametrize("command", ["classify", "bound", "sweep", "verify", "lcp"])
-    def test_default(self, capsys, data_dir, command):
-        path = str(data_dir / "example1.txt")
+    def test_default(self, capsys, data_dir, not_p_file, command):
+        # verify draws samples only where M is not P by class, as example 1 is.
+        path = not_p_file if command == "verify" else str(data_dir / "example1.txt")
         q = ("--q", str(data_dir / "q_minus_ones.txt")) if command == "lcp" else ()
         out, code = run(capsys, command, "--matrix", path, *q)
-        assert code == 0
+        assert code == (2 if command == "verify" else 0)
         getattr(self, f"check_{command}")(out, parse_matrix(path))
 
 
@@ -542,8 +579,9 @@ class TestFaultyFileExit1:
         ("lcp", "--seed", "-1"),
         ("verify", "--seed", "-1"),
         ("verify", "--seed", str(2**128)),
+        ("verify", "--samples", "-1"),
     ], ids=["lcp_negative_trials", "lcp_negative_seed", "verify_negative_seed",
-            "verify_seed_2_pow_128"])
+            "verify_seed_2_pow_128", "verify_negative_samples"])
     def test_argument_error_line(self, data_dir, argv):
         q = ("--q", str(data_dir / "q_minus_ones.txt")) if argv[0] == "lcp" else ()
         self.assert_error_line(*argv, "--matrix", str(data_dir / "example2.txt"), *q)

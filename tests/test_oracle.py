@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_bnekrasov, random_nekrasov
-from lcpbounds import oracle
+from lcpbounds import bnekrasov, oracle
 from lcpbounds.bnekrasov import bplus_decompose, new_bnekrasov_bound
 from lcpbounds.errors import DimensionTooLarge, DomainError, PreconditionFailed, SingularMatrix
 from lcpbounds.linalg import _inverse_stack, inf_norm, inverse
@@ -212,11 +212,18 @@ class TestOracleMaxNorm:
             assert est.max_observed == best
             np.testing.assert_array_equal(est.argmax_d, best_d)
 
+    # Both classes that put M in P, on M (Nekrasov) and on B+ (B-Nekrasov),
+    # with rows scaled by factors in 1e-3..1e3, which keeps each class.
     @given(n=st.integers(2, 7), matrix_seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from([random_nekrasov, random_bnekrasov]), scaled=st.booleans(),
            samples=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
-    def test_interior_never_beats_vertices(self, n, matrix_seed, samples, seed):
-        m = random_nekrasov(n, np.random.default_rng(matrix_seed))
+    def test_interior_never_beats_vertices(self, n, matrix_seed, kind, scaled, samples, seed):
+        rng = np.random.default_rng(matrix_seed)
+        m = kind(n, rng)
+        if scaled:
+            m *= 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+        assert bnekrasov._profiles(m).p_class is not None
         vertices_only = oracle_max_norm(m, interior_samples=0).max_observed
         est = oracle_max_norm(m, interior_samples=samples, seed=seed)
         assert est.max_observed == pytest.approx(vertices_only, rel=1e-12)
