@@ -50,7 +50,8 @@ def as_vector(v) -> np.ndarray:
 def inverse(a) -> np.ndarray:
     """Matrix inverse on LAPACK; raises :class:`SingularMatrix` for a
     singular or ill-conditioned matrix (see ``PIVOT_RTOL``)."""
-    inv, _, ok = _inverse_stack(as_matrix(a)[None])
+    with np.errstate(over="ignore"):
+        inv, _, ok = _inverse_stack(as_matrix(a)[None])
     if not ok[0]:
         raise SingularMatrix("matrix is numerically singular")
     return inv[0]
@@ -62,7 +63,10 @@ def _inverse_stack(stack: np.ndarray, norms: np.ndarray | None = None
     the nonsingular members.  ``inv`` and the norms of the other members are
     meaningless.  One LAPACK call, or two when a member has an exact zero pivot.
     ``norms`` are the members' own infinity norms, where the caller has them;
-    otherwise they are summed from the stack."""
+    otherwise they are summed from the stack.  Callers evaluate it under
+    ``np.errstate(over="ignore")`` (the solver once per solve, not per
+    level), so that a norm past the float range is +inf, which the
+    ``PIVOT_RTOL`` rule reads as singular, without a warning."""
     try:
         inv = np.linalg.inv(stack)
         ok = np.ones(len(stack), dtype=bool)
@@ -79,10 +83,8 @@ def _inverse_stack(stack: np.ndarray, norms: np.ndarray | None = None
 
 
 def _inf_norms(stack: np.ndarray) -> np.ndarray:
-    """Infinity norms of the members of a ``(k, n, n)`` stack; one past the
-    float range is +inf."""
-    with np.errstate(over="ignore"):
-        return np.abs(stack).sum(axis=-1).max(axis=-1, initial=0.0)
+    """Infinity norms of the members of a ``(k, n, n)`` stack."""
+    return np.abs(stack).sum(axis=-1).max(axis=-1, initial=0.0)
 
 
 def _well_conditioned(norm, inv_norm):

@@ -141,7 +141,8 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
     points = chain(_vertex_candidates(mm, chunk), _scaling_chunks(n, interior_samples, seed, chunk))
     for ds in points:
         stack = _scaled(mm, ds, out=members[: len(ds)])
-        _, norms, ok = _inverse_stack(stack, _member_norms(mm, ds))
+        with np.errstate(over="ignore"):
+            _, norms, ok = _inverse_stack(stack, _member_norms(mm, ds))
         if not ok.all():
             raise SingularMatrix("matrix is numerically singular")
         k = int(np.argmax(norms))
@@ -187,7 +188,8 @@ def _walk(mm: np.ndarray, leads: np.ndarray, w: int):
     parts = _vertices(np.concatenate([leads << w, np.arange(2**w)]), n)
     norms = _member_norms(mm, parts)
     anchors, anchor_norms, flip_norms = parts[: len(leads)], norms[: len(leads)], norms[len(leads) :]
-    inv, _, ok = _inverse_stack(_scaled(mm, anchors), anchor_norms)
+    with np.errstate(over="ignore"):
+        inv, _, ok = _inverse_stack(_scaled(mm, anchors), anchor_norms)
     # Absolute row sums of every walked inverse, the anchors' from LAPACK.
     row_abs = np.empty((len(leads), 2**w, n))
     outer = np.empty_like(inv)
