@@ -197,10 +197,11 @@ def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
         p_flag = None
         notes.append("P-matrix test skipped")
     elif n > lcp._P_TEST_MAX_N:
-        p_flag = True if p.p_class else None
+        cls = p.p_class
+        p_flag = True if cls else None
         notes.append(f"P-matrix test skipped: n > {lcp._P_TEST_MAX_N}")
-        if p.p_class:
-            notes.append(f"P by class: {p.p_class}")
+        if cls:
+            notes.append(f"P by class: {cls}")
     else:
         p_flag = lcp.is_p_matrix(mm)
     return ClassificationReport(
