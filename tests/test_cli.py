@@ -501,7 +501,8 @@ class TestDefaults:
 
     @pytest.mark.parametrize("command", ["classify", "bound", "sweep", "verify", "lcp"])
     def test_default(self, capsys, data_dir, not_p_file, command):
-        # verify draws samples only where M is not P by class, as example 1 is.
+        # Example 1 is P by class, where verify draws no samples; the default
+        # count shows on a matrix that is not.
         path = not_p_file if command == "verify" else str(data_dir / "example1.txt")
         q = ("--q", str(data_dir / "q_minus_ones.txt")) if command == "lcp" else ()
         out, code = run(capsys, command, "--matrix", path, *q)
