@@ -160,7 +160,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     lemma_clean = True
     route = profiles.route  # the lemma suite reads the profile this route carries
     if route is not None:
-        suite = lemma_property_suite(route, trials=1000, seed=args.seed)
+        suite = lemma_property_suite(route)
         lemma_clean = suite.clean
         lemma_data = {"target": route.name, "trials": suite.trials,
                       "violations": len(suite.violations)}
@@ -251,7 +251,7 @@ _COMMANDS = {
     "bound": (cmd_bound, "compute the worst-case inverse-norm bounds", ("--epsilon", "--theorem")),
     "sweep": (cmd_sweep, "CSV sweep of the parameterized bound over its epsilon interval",
               ("--grid",)),
-    "verify": (cmd_verify, "sampling oracle plus domination and inequality checks",
+    "verify": (cmd_verify, "brute-force oracle plus domination and exact inequality checks",
                ("--epsilon", "--samples", "--seed")),
     "lcp": (cmd_lcp, "solve LCP(M, q) and certify error bounds at random trial points",
             ("--q", "--epsilon", "--trials", "--seed")),

@@ -18,14 +18,11 @@ its inverse, uniformly in ``d``.  That worst-case norm is exactly the
 constant in the Chen-Xiang error bound for LCP(M, q), which is what makes
 these quantities useful as error certificates.
 
-One row loop, ``_profile``, runs all three recursions for ``M`` or for a
-``(k, n)`` array of scalings of its family.  Row i of a member is ``d_i``
-times row i of ``M`` off the diagonal, so row i of every member and every
-recursion is one product of ``|m_i,:i|`` with the finished rows above it,
-each over its divisor: ``|a_jj|`` for h and z, ``min{|a_jj|, 1}`` for eta.
-No member is built, and ``M`` is the member ``d = 1``.  The oracle's lemma
-suite reads its checks off the profiles' ``ratios``, in chunks of at most
-``_CHUNK_ENTRIES // (3n)`` scalings, within ``oracle._CHUNK_ENTRIES`` entries.
+One row loop, ``_profile``, runs all three recursions: row i of each is
+one product of ``|m_i,:i|`` with the finished rows above it, each over its
+divisor: ``|a_jj|`` for h and z, ``min{|a_jj|, 1}`` for eta.  The oracle's
+lemma suite compares the worst case of the family, found in one pass over
+the rows, with the profile's ``eta`` and ``ratios``; it builds no member.
 eta grows like a product of row sums, so on large inputs it can pass the
 float range; it is then ``+inf``, and a bound whose value is not finite
 is reported as not applicable, with reason ``Overflow``.
@@ -45,7 +42,7 @@ final formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -123,81 +120,63 @@ def _applicable(theorem: Theorem, value: float, **fields) -> BoundReport:
     return BoundReport(theorem=theorem, applicable=True, value=value, **fields)
 
 
-def _profile(m: np.ndarray, ds: np.ndarray | None = None) -> tuple[NekrasovProfile, np.ndarray]:
-    """Recursion profile of ``M``, or of every member ``I - D + D M`` of its
-    family for a ``(k, n)`` array ``ds`` of scalings, with the first used
-    zero divisor (1-based, 0 for none).
+def _profile(m: np.ndarray) -> tuple[NekrasovProfile, int]:
+    """Recursion profile of ``M``, with its first used zero divisor (1-based,
+    0 for none).
 
-    With ``ds`` each field gains a leading axis of length k and
-    ``is_nekrasov`` is a bool array; without it the loop runs for the one
-    member ``d = 1``, which is ``M``.  A member's diagonal is
-    ``1 - d + d diag(M)``, as ``_scaled`` builds it, and its row i is
-    ``d_i`` times row i of ``M`` off the diagonal, so row i of all three
-    recursions for all members is ``rhs_i + d_i (|m_i,:i| @ W[:i])``: one
+    Row i of all three recursions is ``rhs_i + |m_i,:i| @ W[:i]``: one
     product per row.  ``W`` holds the finished rows over their divisors,
-    laid out ``(n, 3, k)`` (row, recursion, member), so ``W[:i]`` is one
-    contiguous ``(i, 3k)`` block; the values and the divisors fill blocks
-    of the same layout, preallocated, with one division per row.  h, z, eta
-    and the margins are returned as ``(k, n)`` views of those rows-first
-    arrays, not as copies, and ``W`` as a ``(3, k, n)`` view.  A member
-    entry is used where ``d_i |m_ij| > 0``, exactly where the built member's
-    entry is nonzero; that ``(k, n, n)`` mask is built only when some divisor
-    is zero.  A value past the float range is ``+inf``, without a warning.
+    laid out ``(n, 3)`` (row, recursion), so ``W[:i]`` is one contiguous
+    ``(i, 3)`` block; the values and the divisors fill blocks of the same
+    layout, preallocated, with one division per row.  h, z, eta and
+    ``ratios`` are returned as views of those rows-first arrays, not as
+    copies.  An entry is used where ``|m_ij| > 0``; the mask of used zero
+    divisors is built only when some divisor is zero.  A value past the
+    float range is ``+inf``, without a warning.
     """
     n = m.shape[0]
-    # Row i of scale holds d_i of every member; the arrays below are laid
-    # out rows first, (n, k) or (n, 3, k), so that each row is contiguous.
-    scale = np.ones((n, 1)) if ds is None else np.ascontiguousarray(ds.T)
-    k = scale.shape[1]
     abs_m = np.abs(m)
-    abs_diag = np.abs(_member_diagonal(m, scale.T)).T
+    abs_diag = np.abs(np.diag(m))
     zero = abs_diag <= _ZERO_FLOOR
-    divisors = np.empty((n, 3, k))
-    divisors[:, 0] = abs_diag
+    divisors = np.empty((n, 3))
     # Used zero divisors divide by inf; their rows become +inf below.
-    np.copyto(divisors[:, 0], np.inf, where=zero)
+    divisors[:, 0] = np.where(zero, np.inf, abs_diag)
     divisors[:, 1] = divisors[:, 0]
     np.minimum(divisors[:, 0], 1.0, out=divisors[:, 2])
-    values = np.empty((n, 3, k))
+    values = np.empty((n, 3))
     w = np.empty_like(values)
     # eta grows like a product of row sums; past the float range it is +inf.
     with np.errstate(over="ignore", invalid="ignore"):
         tail = np.triu(abs_m, 1).sum(axis=1)
-        np.multiply(tail[:, None], scale, out=values[:, 0])
+        values[:, 0] = tail
         values[:, 1:] = 1.0
         np.divide(values[0], divisors[0], out=w[0])
         for i in range(1, n):
-            values[i] += scale[i] * (abs_m[i, :i] @ w[:i].reshape(i, 3 * k)).reshape(3, k)
+            values[i] += abs_m[i, :i] @ w[:i]
             np.divide(values[i], divisors[i], out=w[i])
-        # An unused entry (|m_ij| = 0 or d_i = 0) that meets a row past the
-        # float range gives 0 * inf = nan.  The rows above the first nan are
-        # right; the rest are taken again over the used entries only.
-        nan = np.isnan(values).any(axis=(1, 2))
+        # An unused entry (|m_ij| = 0) that meets a row past the float range
+        # gives 0 * inf = nan.  The rows above the first nan are right; the
+        # rest are taken again over the used entries only.
+        nan = np.isnan(values).any(axis=1)
         for i in range(int(np.argmax(nan)) if nan.any() else n, n):
             j = np.flatnonzero(abs_m[i, :i])
-            row = (abs_m[i, j] @ w[j].reshape(len(j), 3 * k)).reshape(3, k)
+            row = abs_m[i, j] @ w[j]
             row[0] += tail[i]
-            values[i] = np.where(scale[i] > 0.0, scale[i] * row, 0.0) + [[0.0], [1.0], [1.0]]
+            values[i] = row + [0.0, 1.0, 1.0]
             np.divide(values[i], divisors[i], out=w[i])
-    bad = np.zeros(k, dtype=int)
+    bad = 0
     if zero.any():
-        used = np.tril(scale.T[:, :, None] * abs_m > 0.0, -1) & zero.T[:, None, :]
-        flat = used.reshape(k, n * n)
-        hit = flat.any(axis=1)
-        first = flat.argmax(axis=1)
-        cut = np.arange(n)[:, None] >= np.where(hit, first // n, n)
-        values.transpose(0, 2, 1)[cut] = np.inf
-        w.transpose(0, 2, 1)[cut | zero] = np.inf
-        bad = np.where(hit, first % n + 1, 0)
+        used = np.tril(abs_m > 0.0, -1) & zero
+        if used.any():
+            first = int(np.argmax(used))
+            values[first // n :] = np.inf
+            w[first // n :] = np.inf
+            bad = first % n + 1
+        w[zero] = np.inf
     margins = abs_diag - values[:, 0]
-    flags = np.all(margins > STRICT_RTOL * np.maximum(1.0, abs_diag), axis=0)
-    # Each field is a (k, n) view of its rows-first array.
-    h, z, eta = values.transpose(1, 2, 0)
-    margins, ratios = margins.T, w.transpose(1, 2, 0)
-    if ds is None:
-        h, z, eta, margins, flags, bad = h[0], z[0], eta[0], margins[0], flags[0], bad[0]
-        ratios = ratios[:, 0]
-    return NekrasovProfile(h, z, eta, margins, flags, ratios), bad
+    flag = bool(np.all(margins > STRICT_RTOL * np.maximum(1.0, abs_diag)))
+    h, z, eta = values.T
+    return NekrasovProfile(h, z, eta, margins, flag, w.T), bad
 
 
 def _checked(a) -> NekrasovProfile:
@@ -224,8 +203,7 @@ def eta_vector(a) -> np.ndarray:
 
 def is_nekrasov(a) -> NekrasovProfile:
     """Full recursion profile; never raises (zero diagonals simply fail the test)."""
-    profile, _ = _profile(as_matrix(a))
-    return replace(profile, is_nekrasov=bool(profile.is_nekrasov))
+    return _profile(as_matrix(a))[0]
 
 
 def _positive_diagonal(m: np.ndarray) -> bool:

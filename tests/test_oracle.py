@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from itertools import chain, product
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_bnekrasov, random_nekrasov
-from lcpbounds import bnekrasov, oracle
+from lcpbounds import bnekrasov, nekrasov, oracle
 from lcpbounds.bnekrasov import bplus_decompose, new_bnekrasov_bound
 from lcpbounds.errors import DimensionTooLarge, DomainError, PreconditionFailed, SingularMatrix
 from lcpbounds.linalg import _inverse_stack, inf_norm, inverse
@@ -46,39 +47,63 @@ def chunked_pointwise_max_norm(m, interior_samples, seed):
     return best, best_d
 
 
-def per_trial_suite(m, trials, seed):
-    """Reference lemma suite: one member and one ``is_nekrasov`` per trial,
-    violations by trial, then check, then row.  The ratios are over
-    ``|a_ii|``, as the recursions divide."""
-    profile = is_nekrasov(m)
+def vertex_maxima(m):
+    """Reference worst case of the scaling inequalities: every vertex member
+    built with ``scaled_matrix`` and profiled with ``is_nekrasov``.  Returns
+    the vertex maxima of z, z/diag and h/diag, and whether every member is
+    Nekrasov."""
     n = m.shape[0]
-    diag = np.abs(np.diag(m))
-    rhs = (profile.h / diag, profile.eta, profile.eta / np.minimum(diag, 1.0))
-    rng = np.random.default_rng(seed)
-    scalings = np.vstack([np.ones((1, n)), rng.random((trials, n))])
-    violations = []
-    for d in scalings:
-        mt = scaled_matrix(m, d)
-        mt_profile = is_nekrasov(mt)
-        mt_diag = np.abs(np.diag(mt))
-        lhs = (mt_profile.h / mt_diag, mt_profile.z, mt_profile.z / mt_diag)
-        for check, left, right in zip(("h_ratio", "z_vs_eta", "z_ratio"), lhs, rhs):
-            for i in np.nonzero(left > right + oracle._LEMMA_SLACK)[0]:
-                violations.append((check, i + 1, list(d), left[i], right[i]))
-        if not mt_profile.is_nekrasov:
-            i = int(np.argmin(mt_profile.margins))
-            violations.append(("nekrasov", i + 1, list(d), mt_profile.h[i], abs(mt_diag[i])))
-    return scalings.shape[0], violations
+    z = z_ratio = h_ratio = np.zeros(n)
+    all_nekrasov = True
+    for bits in product((0.0, 1.0), repeat=n):
+        mt = scaled_matrix(m, np.array(bits))
+        profile = is_nekrasov(mt)
+        diag = np.diag(mt)
+        z = np.maximum(z, profile.z)
+        z_ratio = np.maximum(z_ratio, profile.z / diag)
+        h_ratio = np.maximum(h_ratio, profile.h / diag)
+        all_nekrasov = all_nekrasov and profile.is_nekrasov
+    return z, z_ratio, h_ratio, all_nekrasov
 
 
-def assert_same_report(report, reference):
-    trials, violations = reference
-    assert report.trials == trials
-    assert len(report.violations) == len(violations)
-    for got, (check, row, d, lhs, rhs) in zip(report.violations, violations):
-        assert (got.check, got.row, list(got.d)) == (check, row, d)
+def vertex_suite(m, eta):
+    """Reference report: ``(check, row, lhs, rhs)`` for each row whose vertex
+    maximum passes its side, ``eta`` or ``eta/min{m_ii, 1}``, by check, then row."""
+    z, z_ratio, _, _ = vertex_maxima(m)
+    sides = (("z_vs_eta", z, eta), ("z_ratio", z_ratio, eta / np.minimum(np.diag(m), 1.0)))
+    return [(check, i + 1, lhs[i], rhs[i]) for check, lhs, rhs in sides
+            for i in np.flatnonzero(lhs > rhs * (1.0 + oracle._LEMMA_SLACK))]
+
+
+def assert_same_report(report, m, eta):
+    """``report`` flags the rows that ``vertex_suite(m, eta)`` flags, in its order."""
+    reference = vertex_suite(m, eta)
+    assert report.trials == m.shape[0]
+    assert [(v.check, v.row) for v in report.violations] == [r[:2] for r in reference]
+    for got, (_, _, lhs, rhs) in zip(report.violations, reference):
         assert got.lhs == pytest.approx(lhs, rel=1e-12)
         assert got.rhs == pytest.approx(rhs, rel=1e-12)
+
+
+@st.composite
+def lemma_inputs(draw):
+    """A matrix the lemma suite accepts, n <= 10: Nekrasov, Z, rows scaled by
+    ``10**U(-1, 1)``, with a zero upper row, or ``B+`` of a B-Nekrasov matrix."""
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["nekrasov", "z", "scaled", "zero_upper_row", "bplus"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "bplus":
+        return bplus_decompose(random_bnekrasov(max(n, 2), rng)).b_plus
+    m = random_nekrasov(n, rng)
+    diag = np.diag(np.diag(m))
+    if kind == "z":
+        m = diag - np.abs(m - diag)
+    elif kind == "scaled":
+        m *= 10.0 ** rng.uniform(-1.0, 1.0, (n, 1))
+    elif kind == "zero_upper_row":
+        i = rng.integers(n)
+        m[i, i + 1 :] = 0.0
+    return m
 
 
 class TestNormAtD:
@@ -299,75 +324,132 @@ class TestVertexWalk:
 
 class TestLemmaSuite:
     def test_example1_clean(self, ex1):
-        report = lemma_property_suite(ex1, trials=300, seed=3)
+        report = lemma_property_suite(ex1)
         assert report.clean
-        assert report.trials == 301  # includes the forced all-ones trial
+        assert report.trials == 4  # one per row checked
 
     def test_diagonal_matrix_clean(self):
-        report = lemma_property_suite(3.0 * np.eye(4), trials=50, seed=3)
+        report = lemma_property_suite(3.0 * np.eye(4))
         assert report.clean
 
     def test_bplus_of_example3_clean(self, ex3):
-        report = lemma_property_suite(bplus_decompose(ex3).b_plus, trials=300, seed=3)
+        report = lemma_property_suite(bplus_decompose(ex3).b_plus)
         assert report.clean
 
     def test_builds_no_members(self, ex1, monkeypatch):
-        # The members are profiled from the rows of M; only the oracle's
-        # inverses need them built.
+        # The worst case is read from the rows of M; only the oracle's
+        # inverses need the members built.
         def refuse(m, d):
             raise AssertionError("a member was built")
 
         monkeypatch.setattr(oracle, "_scaled", refuse)
-        report = lemma_property_suite(ex1, trials=300, seed=3)
+        report = lemma_property_suite(ex1)
         assert report.clean
-        assert report.trials == 301
+        assert report.trials == 4
 
     def test_precondition(self, ex3):
         with pytest.raises(PreconditionFailed):
-            lemma_property_suite(ex3, trials=10, seed=0)
+            lemma_property_suite(ex3)
         with pytest.raises(PreconditionFailed):
-            lemma_property_suite([[-2.0, 0.5], [0.5, -2.0]], trials=10, seed=0)
+            lemma_property_suite([[-2.0, 0.5], [0.5, -2.0]])
 
-    def test_negative_trials_or_seed_rejected(self, ex1):
-        with pytest.raises(DomainError):
-            lemma_property_suite(ex1, trials=-1, seed=0)
-        with pytest.raises(DomainError):
-            lemma_property_suite(ex1, trials=10, seed=-1)
+    @given(lemma_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_suprema_are_the_vertex_maxima(self, m):
+        sup_z, sup_z_ratio = oracle._suprema(m)
+        z, z_ratio, h_ratio, all_nekrasov = vertex_maxima(m)
+        np.testing.assert_allclose(sup_z, z, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(sup_z_ratio, z_ratio, rtol=1e-12, atol=0.0)
+        # h/diag peaks at d = 1, which is M: the checks the suite leaves out.
+        profile = is_nekrasov(m)
+        np.testing.assert_allclose(h_ratio, profile.h / np.diag(m), rtol=1e-12, atol=0.0)
+        assert all_nekrasov
+        assert lemma_property_suite(m).clean
 
-    # 48 entries make chunks of three 4x4 members.
-    @pytest.mark.parametrize("chunk_entries", [oracle._CHUNK_ENTRIES, 48])
+    @given(lemma_inputs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_no_sample_exceeds_the_suprema(self, m, seed):
+        sup_z, sup_z_ratio = oracle._suprema(m)
+        for d in np.random.default_rng(seed).random((200, m.shape[0])):
+            mt = scaled_matrix(m, d)
+            z = is_nekrasov(mt).z
+            assert np.all(z <= sup_z * (1.0 + 1e-12))
+            assert np.all(z / np.diag(mt) <= sup_z_ratio * (1.0 + 1e-12))
+
+    def test_tight_inputs_with_large_eta_are_clean(self):
+        # With every m_jj <= 1 the z_ratio check is tight: its two sides are
+        # equal in exact arithmetic, and past 1e5 they differ by rounding
+        # far beyond an absolute slack of 1e-12.
+        rng = np.random.default_rng(16)
+        largest, past_absolute = 0.0, 0
+        for _ in range(2000):
+            n = int(rng.integers(2, 11))
+            m = random_nekrasov(n, rng)
+            m *= (10.0 ** rng.uniform(-5.0, -3.0, n) / np.diag(m))[:, None]
+            ratio = is_nekrasov(m).ratios[2]
+            sup_z_ratio = oracle._suprema(m)[1]
+            np.testing.assert_allclose(sup_z_ratio, ratio, rtol=1e-12, atol=0.0)
+            largest = max(largest, ratio.max())
+            past_absolute += np.any(sup_z_ratio > ratio + 1e-12)
+            assert lemma_property_suite(m).clean
+        assert largest > 1e5
+        assert past_absolute > 0
+
+    def test_zero_entry_below_an_overflowed_row(self):
+        # Nekrasov with positive diagonal: q_2* passes the float range, and
+        # row 3 does not use it (no 0 * inf = nan).
+        m = np.array([[1e-11, 0.0, 0.0], [1e300, 1e-11, 0.0], [0.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(oracle._suprema(m), [[1.0, np.inf, 1.0],
+                                                           [1e11, np.inf, 1.0]])
+        report = lemma_property_suite(m)
+        assert report.clean
+
+    # A negative slack flags most rows, so the order of the report is tested too.
     @pytest.mark.parametrize("slack", [oracle._LEMMA_SLACK, -0.05])
-    def test_fixtures_match_per_trial_loop(self, ex1, ex2, ex3, ex4, monkeypatch,
-                                           chunk_entries, slack):
-        # A negative slack flags most rows, so the order of the report is tested too.
-        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", chunk_entries)
+    def test_fixtures_match_vertex_reference(self, ex1, ex2, ex3, ex4, monkeypatch, slack):
         monkeypatch.setattr(oracle, "_LEMMA_SLACK", slack)
         for m in (ex1, ex2, bplus_decompose(ex3).b_plus, bplus_decompose(ex4).b_plus):
-            report = lemma_property_suite(m, trials=300, seed=5)
-            assert_same_report(report, per_trial_suite(m, 300, 5))
+            report = lemma_property_suite(m)
+            assert_same_report(report, m, is_nekrasov(m).eta)
             assert report.clean == (slack > 0)
 
     @pytest.mark.parametrize("slack", [oracle._LEMMA_SLACK, -0.05])
-    def test_random_n11_spans_four_chunks(self, monkeypatch, slack):
-        # 32768 // 11**2 = 270 members per chunk: the 1001 trials take four.
-        assert -(-1001 // (oracle._CHUNK_ENTRIES // 121)) == 4
-        # The suite's chunks hold _CHUNK_ENTRIES // (3 n) members (992 here),
-        # so the entry bound is set to give the same 270.
-        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 3 * 11 * 270)
+    def test_random_n11_matches_vertex_reference(self, monkeypatch, slack):
         monkeypatch.setattr(oracle, "_LEMMA_SLACK", slack)
         rng = np.random.default_rng(11)
         for _ in range(3):
             m = random_nekrasov(11, rng)
-            report = lemma_property_suite(m, trials=1000, seed=42)
-            assert_same_report(report, per_trial_suite(m, 1000, 42))
+            report = lemma_property_suite(m)
+            assert_same_report(report, m, is_nekrasov(m).eta)
+            assert report.clean == (slack > 0)
 
-    def test_failed_nekrasov_check_matches_per_trial_loop(self, monkeypatch):
-        # Nekrasov, but its first diagonal entry is negative, so the members'
-        # diagonal 1 - 3 d_1 crosses zero and many of them are not Nekrasov.
-        # Lifting the precondition exercises every check of the suite.
-        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 12)
-        monkeypatch.setattr(oracle, "_positive_diagonal", lambda m: True)
-        m = np.array([[-2.0, 0.5], [0.5, 2.0]])
-        report = lemma_property_suite(m, trials=200, seed=1)
-        assert {v.check for v in report.violations} >= {"nekrasov", "h_ratio"}
-        assert_same_report(report, per_trial_suite(m, 200, 1))
+    def test_lowered_eta_flags_the_reference_rows(self, ex1, ex2, monkeypatch):
+        def lowered(a):
+            route = nekrasov._m_route(a)
+            profile = route.profile
+            eta, ratios = 0.8 * profile.eta, profile.ratios.copy()
+            ratios[2] *= 0.8
+            return replace(route, profile=replace(profile, eta=eta, ratios=ratios))
+
+        monkeypatch.setattr(oracle, "_m_route", lowered)
+        rng = np.random.default_rng(8)
+        bplus = bplus_decompose(random_bnekrasov(8, rng)).b_plus
+        for m in (ex1, ex2, random_nekrasov(8, rng), bplus):
+            report = lemma_property_suite(m)
+            assert not report.clean
+            assert_same_report(report, m, 0.8 * is_nekrasov(m).eta)
+
+    def test_violations_rebuild_their_lhs(self, ex1, ex2, ex3, monkeypatch):
+        # A slack of -1 flags every row of both checks.
+        monkeypatch.setattr(oracle, "_LEMMA_SLACK", -1.0)
+        rng = np.random.default_rng(9)
+        for m in (ex1, ex2, bplus_decompose(ex3).b_plus, random_nekrasov(9, rng)):
+            n = m.shape[0]
+            report = lemma_property_suite(m)
+            assert len(report.violations) == 2 * n
+            for v in report.violations:
+                assert set(v.d) <= {0.0, 1.0}
+                mt = scaled_matrix(m, v.d)
+                z = is_nekrasov(mt).z[v.row - 1]
+                value = z if v.check == "z_vs_eta" else z / mt[v.row - 1, v.row - 1]
+                assert value == pytest.approx(v.lhs, rel=1e-12)
