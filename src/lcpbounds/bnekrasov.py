@@ -18,7 +18,8 @@ profiles each matrix once; the bundle's ``route`` is the one rule for which
 route a command runs on, and its ``p_class`` the one rule for when ``M`` is P
 by class.  ``M`` is an H-matrix iff its comparison matrix ``<M>`` is a
 nonsingular M-matrix, that is iff ``x = <M>^{-1} 1`` is positive (Berman &
-Plemmons, 1994, ch. 6), so ``classify`` takes one solve.
+Plemmons, 1994, ch. 6), so ``classify`` takes one solve, on the row-scaled
+``M`` (``linalg._row_scaled``), as the P-test does.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import lcp, nekrasov
 from .errors import DimensionTooSmall
-from .linalg import _well_conditioned, as_matrix, comparison_matrix, inf_norm
+from .linalg import _row_scaled, _well_conditioned, as_matrix, comparison_matrix, inf_norm
 from .nekrasov import (
     STRICT_RTOL,
     BoundReport,
@@ -37,7 +38,6 @@ from .nekrasov import (
     _applicable,
     _m_route,
     _not_applicable,
-    _positive_diagonal,
     _Route,
     is_nekrasov,
 )
@@ -104,7 +104,7 @@ class _BPlusRoute(_Route):
         zero = w <= STRICT_RTOL
         if zero.any():
             return _not_applicable(theorem, f"WZero({np.argmax(zero) + 1})")
-        if not np.all(beta > STRICT_RTOL * np.maximum(1.0, np.abs(np.diag(self.a) * w))):
+        if not np.all(beta > STRICT_RTOL * np.abs(np.diag(self.a) * w)):
             return _not_applicable(theorem, "BbarNotSDDZ")
         delta = beta / w
         value = float(self.factor * w.max() / (min(float(np.min(delta)), 1.0) * w.min()))
@@ -122,9 +122,8 @@ def _bplus_route(mm: np.ndarray) -> _BPlusRoute:
     split = bplus_decompose(mm)
     b_plus, r_plus = split.b_plus, split.r_plus
     profile = is_nekrasov(b_plus)
-    fault = None if profile.is_nekrasov and _positive_diagonal(b_plus) else "NotBNekrasov"
-    below = (r_plus - STRICT_RTOL * np.maximum(1.0, r_plus))[:, None]
-    strict = np.triu(mm < below, 1).any(axis=1)[:-1]
+    fault = None if profile.is_nekrasov and np.all(np.diag(b_plus) > 0.0) else "NotBNekrasov"
+    strict = np.triu(mm < (r_plus - STRICT_RTOL * r_plus)[:, None], 1).any(axis=1)[:-1]
     open_row = None if strict.all() else f"NoStrictEntry({np.argmin(strict) + 1})"
     return _BPlusRoute(b_plus, profile, n - 1, fault, open_row)
 
@@ -165,7 +164,7 @@ def _sdd(mm: np.ndarray) -> bool:
     # A row sum past the float range is +inf, which fails the test below.
     with np.errstate(over="ignore"):
         off = abs_m.sum(axis=1) - diag
-    return bool(np.all(diag - off > STRICT_RTOL * np.maximum(1.0, diag)))
+    return bool(np.all(diag - off > STRICT_RTOL * diag))
 
 
 def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
@@ -175,18 +174,16 @@ def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
     off_mask = ~np.eye(n, dtype=bool)
     z_flag = bool(np.all(mm[off_mask] <= 0.0))
     if n >= 2:
-        b_flag = _sdd(b_plus) and _positive_diagonal(b_plus)
+        b_flag = _sdd(b_plus) and bool(np.all(np.diag(b_plus) > 0.0))
     else:
         b_flag = False
         notes.append("B-class tests need n >= 2")
-    a = comparison_matrix(mm)
+    a = comparison_matrix(_row_scaled(mm))
     try:
         x = np.linalg.solve(a, np.ones(n))
         h_flag = bool(np.all(x > 0.0))
-        # Then ||<M>^{-1}||_inf = max x, and the PIVOT_RTOL rule holds as for an
-        # inverse; a norm past the float range is +inf, which the rule reads as singular.
-        with np.errstate(over="ignore"):
-            singular = h_flag and not _well_conditioned(inf_norm(a), x.max())
+        # Then ||<M>^{-1}||_inf = max x, and the PIVOT_RTOL rule holds as for an inverse.
+        singular = h_flag and not _well_conditioned(inf_norm(a), x.max())
     except np.linalg.LinAlgError:
         singular = True
     if singular:

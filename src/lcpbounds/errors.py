@@ -28,7 +28,7 @@ class SingularMatrix(LcpBoundsError):
 
 
 class ZeroDiagonal(LcpBoundsError):
-    """A diagonal entry needed as a divisor is (numerically) zero.
+    """A diagonal entry needed as a divisor is exactly zero.
 
     ``index`` is the offending 1-based row/column index.
     """

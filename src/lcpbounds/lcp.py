@@ -10,8 +10,8 @@ bases whose block is singular (the rule of ``linalg.PIVOT_RTOL``) and yields
 the feasible ones: :func:`solve_lcp` takes the first, so it stops at the
 first size that holds one, and :func:`feasible_bases` lists them all, which
 makes the walk exhaustive at desk scale and a uniqueness checker.  The
-P-matrix test stops at the first size with a minor of
-``M / max(1, max |m_ij|)`` at or below 1e-12.  Certificates compare the
+P-matrix test stops at the first size with a minor at or below 1e-12 of the
+row-scaled ``M`` (``linalg._row_scaled``).  Certificates compare the
 true error ``||x - x*||_inf`` against ``bound * ||min(x, Mx+q)||_inf``.
 """
 
@@ -29,7 +29,7 @@ from .errors import (
     InapplicableBound,
     NoSolution,
 )
-from .linalg import _inverse_stack, as_matrix, as_vector, inf_norm
+from .linalg import _inverse_stack, _row_scaled, as_matrix, as_vector, inf_norm
 from .nekrasov import BoundReport
 
 # Componentwise slack accepted when testing x >= 0 and Mx + q >= 0.
@@ -154,14 +154,14 @@ def feasible_bases(inst: LcpInstance) -> list[tuple[int, ...]]:
 
 
 def is_p_matrix(m) -> bool:
-    """True iff every principal minor of ``M / max(1, max |m_ij|)`` exceeds 1e-12."""
+    """True iff every principal minor of ``M``, each row scaled by a power of
+    two to a largest |entry| in [1, 2), exceeds 1e-12."""
     mm = as_matrix(m)
     n = mm.shape[0]
     if n > _P_TEST_MAX_N:
         raise DimensionTooLarge(f"principal-minor enumeration is limited to n <= {_P_TEST_MAX_N}")
-    scale = max(1.0, float(np.max(np.abs(mm))))
-    for _, stack in _levels(mm):
-        if np.any(np.linalg.det(stack / scale) <= 1e-12):
+    for _, stack in _levels(_row_scaled(mm)):
+        if np.any(np.linalg.det(stack) <= 1e-12):
             return False
     return True
 

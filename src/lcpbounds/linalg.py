@@ -104,6 +104,14 @@ def inf_norm(a) -> float:
     return float(np.max(np.sum(np.abs(arr), axis=1)))
 
 
+def _row_scaled(a: np.ndarray) -> np.ndarray:
+    """``a`` with each row scaled by a power of two to a largest |entry| in
+    [1, 2), exact unless an entry falls below the normal range: the P- and
+    H-tests run on it, so their verdicts do not depend on the scale of a row."""
+    _, e = np.frexp(np.abs(a).max(axis=1))
+    return np.ldexp(a, (1 - e)[:, None])
+
+
 def comparison_matrix(a) -> np.ndarray:
     """Comparison matrix: |diagonal| on the diagonal, -|entry| off it."""
     m = as_matrix(a)

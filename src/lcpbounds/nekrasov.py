@@ -26,10 +26,12 @@ the rows, with the profile's ``eta`` and ``ratios``; it builds no member.
 eta grows like a product of row sums, so on large inputs it can pass the
 float range; it is then ``+inf``, and a bound whose value is not finite
 is reported as not applicable, with reason ``Overflow``.
-A zero diagonal entry matters only where a nonzero entry below it uses it as
-a divisor; the first such use in row-major order makes that row's values and
-every later row's ``+inf``, and ``h_vector``, ``z_vector`` and
-``eta_vector`` raise ``ZeroDiagonal`` with its 1-based index.
+Strict tests compare with ``STRICT_RTOL`` times their own row's quantity, so
+no class depends on the scale of ``M`` or of a row.  A divisor is zero only
+at 0.0 (a tiny one gives ``+inf`` past the float range) and matters only
+where a nonzero entry below it uses it; the first such use in row-major order
+makes that row's values and every later row's ``+inf``, and ``h_vector``,
+``z_vector`` and ``eta_vector`` raise ``ZeroDiagonal`` with its 1-based index.
 
 The bounds run on a route, ``_Route``: the matrix of a bound family with its
 profile.  Here that is ``M`` with factor 1; ``bnekrasov`` adds ``B+`` with
@@ -50,12 +52,10 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, ZeroDiagonal
 from .linalg import as_matrix, as_vector
 
-# Strict inequalities are tested with this relative slack; values at the
-# boundary count as failures so certificates stay conservative.
+# Strict inequalities are tested with this slack relative to their own row's
+# quantity (|a_ii|, or r_i for B+'s strict entries), with no absolute floor;
+# values at the boundary count as failures so certificates stay conservative.
 STRICT_RTOL = 1e-12
-
-# Divisors at or below this magnitude are treated as zero.
-_ZERO_FLOOR = 1e-300
 
 
 class Theorem(str, Enum):
@@ -137,7 +137,7 @@ def _profile(m: np.ndarray) -> tuple[NekrasovProfile, int]:
     n = m.shape[0]
     abs_m = np.abs(m)
     abs_diag = np.abs(np.diag(m))
-    zero = abs_diag <= _ZERO_FLOOR
+    zero = abs_diag == 0.0
     divisors = np.empty((n, 3))
     # Used zero divisors divide by inf; their rows become +inf below.
     divisors[:, 0] = np.where(zero, np.inf, abs_diag)
@@ -174,7 +174,7 @@ def _profile(m: np.ndarray) -> tuple[NekrasovProfile, int]:
             bad = first % n + 1
         w[zero] = np.inf
     margins = abs_diag - values[:, 0]
-    flag = bool(np.all(margins > STRICT_RTOL * np.maximum(1.0, abs_diag)))
+    flag = bool(np.all(margins > STRICT_RTOL * abs_diag))
     h, z, eta = values.T
     return NekrasovProfile(h, z, eta, margins, flag, w.T), bad
 
@@ -204,11 +204,6 @@ def eta_vector(a) -> np.ndarray:
 def is_nekrasov(a) -> NekrasovProfile:
     """Full recursion profile; never raises (zero diagonals simply fail the test)."""
     return _profile(as_matrix(a))[0]
-
-
-def _positive_diagonal(m: np.ndarray) -> bool:
-    d = np.diag(m)
-    return bool(np.all(d > STRICT_RTOL * np.maximum(1.0, np.abs(d))))
 
 
 def scaled_matrix(m, d) -> np.ndarray:
@@ -277,7 +272,7 @@ def epsilon_interval_upper(m) -> float:
 def _interval_upper(a: np.ndarray, h: np.ndarray) -> float:
     """``1 - h_n/a_nn`` for the matrix whose recursion gave ``h``: ``M`` for the
     Nekrasov bounds, ``B+`` for the B-Nekrasov ones."""
-    if abs(a[-1, -1]) <= _ZERO_FLOOR:
+    if a[-1, -1] == 0.0:
         raise ZeroDiagonal(a.shape[0])
     # A ratio past the float range gives an infinite endpoint, an empty interval.
     with np.errstate(over="ignore"):
@@ -316,7 +311,7 @@ class _Route:
         """Midpoint of ``(0, upper)``, or 0.5 where that interval is empty or
         undefined; the parameterized bound then fails another check anyway."""
         a, h = self.a, self.profile.h
-        if not np.isfinite(h[-1]) or abs(a[-1, -1]) <= _ZERO_FLOOR:
+        if not np.isfinite(h[-1]) or a[-1, -1] == 0.0:
             return 0.5
         upper = self.upper
         return upper / 2.0 if upper > 0.0 else 0.5
@@ -341,8 +336,8 @@ class _Route:
             return self._finish(w, s, epsilon)
 
     def _finish(self, w: np.ndarray, s: np.ndarray, epsilon: float) -> BoundReport:
-        """GP-Nekrasov: ``max{max w / min s, max w / min w}``."""
-        if np.min(s) <= STRICT_RTOL * max(1.0, float(np.abs(self.a).max())):
+        """GP-Nekrasov: ``max{max w / min s, max w / min w}``, all ``s_i > STRICT_RTOL |a_ii|``."""
+        if np.any(s <= STRICT_RTOL * np.abs(np.diag(self.a))):
             return _not_applicable(Theorem.GP_NEKRASOV, "DegenerateS")
         value = float(max(w.max() / s.min(), w.max() / w.min()))
         return _applicable(Theorem.GP_NEKRASOV, value, epsilon=epsilon,
@@ -363,7 +358,7 @@ def _m_route(mm: np.ndarray) -> _Route:
     """Profile ``M`` and take its class and upper-row checks."""
     profile = is_nekrasov(mm)
     fault = ("NotNekrasov" if not profile.is_nekrasov
-             else None if _positive_diagonal(mm) else "NonPositiveDiagonal")
+             else None if np.all(np.diag(mm) > 0.0) else "NonPositiveDiagonal")
     filled = np.triu(np.abs(mm) > 0.0, 1).any(axis=1)[:-1]
     open_row = None if filled.all() else f"ZeroUpperRow({np.argmin(filled) + 1})"
     return _Route(mm, profile, 1, fault, open_row)

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import DimensionTooLarge, DomainError, PreconditionFailed, SingularMatrix
 from .linalg import _inverse_stack, as_matrix, inf_norm, inverse
-from .nekrasov import _m_route, _member_norms, _positive_diagonal, _Route, _scaled, scaled_matrix
+from .nekrasov import _m_route, _member_norms, _Route, _scaled, scaled_matrix
 
 _ORACLE_MAX_N = 20
 
@@ -263,7 +263,7 @@ def lemma_property_suite(m) -> LemmaSuiteReport:
     """
     route = m if isinstance(m, _Route) else _m_route(as_matrix(m))
     a, profile = route.a, route.profile
-    if not profile.is_nekrasov or not _positive_diagonal(a):
+    if not profile.is_nekrasov or not np.all(np.diag(a) > 0.0):
         raise PreconditionFailed("requires a Nekrasov matrix with positive diagonal")
     lhs = _suprema(a)
     rhs = np.stack([profile.eta, profile.ratios[2]])

@@ -9,6 +9,7 @@ directly.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -156,12 +157,59 @@ def inverse_exact(a: list[list[Fraction]]) -> list[list[Fraction]] | None:
     return [row[n:] for row in rows]
 
 
+def det_exact(a: list[list[Fraction]]) -> Fraction:
+    """Determinant by Gaussian elimination in exact arithmetic."""
+    rows = [list(row) for row in a]
+    det = F(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        lead = rows[col][col]
+        det *= lead
+        for r in range(col + 1, len(rows)):
+            if rows[r][col] != 0:
+                factor = rows[r][col] / lead
+                rows[r] = [v - factor * p for v, p in zip(rows[r], rows[col])]
+    return det
+
+
+def is_p_matrix_exact(m: list[list[Fraction]]) -> bool:
+    """Every principal minor of ``M`` is positive, in exact arithmetic."""
+    n = len(m)
+    return all(
+        det_exact([[m[i][j] for j in alpha] for i in alpha]) > 0
+        for size in range(1, n + 1)
+        for alpha in combinations(range(n), size)
+    )
+
+
+def row_scaled_exact(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Each row of ``M`` times the power of two that brings its largest
+    |entry| into [1, 2); a zero row stays zero."""
+    out = []
+    for row in m:
+        top, s = max(abs(v) for v in row), F(1)
+        if top:
+            while top * s >= 2:
+                s /= 2
+            while top * s < 1:
+                s *= 2
+        out.append([v * s for v in row])
+    return out
+
+
 def is_h_matrix_exact(m: list[list[Fraction]], max_condition: Fraction) -> bool:
     """``M`` is an H-matrix: its comparison matrix ``<M>`` is nonsingular with
-    ``<M>^{-1} >= 0``, here also with infinity-norm condition number at most
-    ``max_condition`` (the library counts worse-conditioned ``<M>`` as singular)."""
+    ``<M>^{-1} >= 0``, here also with the infinity-norm condition number of
+    the row-scaled ``<M>`` (``row_scaled_exact``) at most ``max_condition``
+    (the library counts a worse-conditioned one as singular)."""
     n = len(m)
-    c = [[abs(m[i][j]) if i == j else -abs(m[i][j]) for j in range(n)] for i in range(n)]
+    c = [[abs(v) if i == j else -abs(v) for j, v in enumerate(row)]
+         for i, row in enumerate(row_scaled_exact(m))]
     inv = inverse_exact(c)
     if inv is None or any(v < 0 for row in inv for v in row):
         return False

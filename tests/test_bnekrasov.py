@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,13 @@ from lcpbounds.bnekrasov import (
 )
 from lcpbounds.errors import DimensionTooSmall
 from lcpbounds.linalg import PIVOT_RTOL, inf_norm, inverse
-from lcpbounds.nekrasov import gp_nekrasov_bound, h_vector, new_nekrasov_bound, scaled_matrix
+from lcpbounds.nekrasov import (
+    gp_nekrasov_bound,
+    h_vector,
+    kolotilina_bound,
+    new_nekrasov_bound,
+    scaled_matrix,
+)
 
 F = Fraction
 
@@ -178,13 +185,117 @@ class TestHMatrix:
         assert not report.is_h_matrix
         assert "comparison matrix is singular" in report.notes
 
-    @given(_integer_matrices, st.sampled_from([1e-13, 1.0, 1e13]))
+    @given(_integer_matrices, st.sampled_from([1e-13, 1.0, 1e13]),
+           st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
     @settings(max_examples=300, deadline=None)
-    def test_matches_exact_test(self, rows, scale):
-        m = scale * np.array(rows, dtype=float)
+    def test_matches_exact_test(self, rows, scale, exponents):
+        # Rows scaled by 10**U(-3, 3), as well as the whole matrix.
+        m = np.array(rows, dtype=float)
+        m *= scale * 10.0 ** np.array(exponents[: len(m)])[:, None]
         exact = [[F(float(v)) for v in row] for row in m]
         want = _rational.is_h_matrix_exact(exact, F(1.0 / PIVOT_RTOL))
         assert is_b_nekrasov(m).is_h_matrix is want
+
+    def test_condition_of_the_row_scaled_comparison_matrix(self):
+        # M = <M> = [[1, -(1 - 1e-10)], [-1, 1]] has condition number about
+        # 4e10; rows at 10**U(-3, 3) take that of the unscaled M past
+        # 1 / PIVOT_RTOL on some draws, where the reference reads the row-scaled one.
+        rng = np.random.default_rng(41)
+        base = np.array([[1.0, -(1.0 - 1e-10)], [-1.0, 1.0]])
+        apart = 0
+        for _ in range(20):
+            m = 10.0 ** rng.uniform(-3.0, 3.0, (2, 1)) * base
+            exact = [[F(float(v)) for v in row] for row in m]
+            assert is_b_nekrasov(m).is_h_matrix
+            assert _rational.is_h_matrix_exact(exact, F(1.0 / PIVOT_RTOL))
+            apart += inf_norm(m) * inf_norm(np.linalg.inv(m)) > 1.0 / PIVOT_RTOL
+        assert apart > 0
+
+
+_FLAGS = ("is_sdd", "is_z_matrix", "is_nekrasov", "is_b_matrix", "is_b_nekrasov",
+          "is_h_matrix", "is_p_matrix")
+
+
+def _flags(m):
+    report = classify(m)
+    return {name: getattr(report, name) for name in _FLAGS}
+
+
+def _reasons(m):
+    return [(r.applicable, r.reason) for r in all_bounds(m) + [kolotilina_bound(m)]]
+
+
+@st.composite
+def _class_inputs(draw):
+    """A Nekrasov, B-Nekrasov, perturbed or uniform random input, with its
+    rows at 10**U(-3, 3) on half the draws."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["nekrasov", "bnekrasov", "perturbed", "uniform"]))
+    if kind == "uniform":
+        m = rng.uniform(-1.0, 1.0, (n, n)) + rng.uniform(0.0, 3.0) * np.eye(n)
+    else:
+        m = random_nekrasov(n, rng) if kind == "nekrasov" or n == 1 else random_bnekrasov(n, rng)
+    if kind == "perturbed":
+        m = m * np.where(np.eye(n, dtype=bool), 1.0, rng.uniform(0.0, 3.0, (n, n)))
+    if draw(st.booleans()):
+        m = m * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    return m, rng
+
+
+class TestScaleInvariance:
+    """Every class is invariant under positive scaling of ``M`` and of each
+    of its rows, and powers of two scale exactly, so no flag may change."""
+
+    @given(_class_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_flags_under_global_powers_of_two(self, case):
+        m, _ = case
+        flags = _flags(m)
+        for k in (-200, -44, 44, 200):
+            assert _flags(2.0**k * m) == flags, k
+
+    @given(_class_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_flags_under_row_powers_of_two(self, case):
+        m, rng = case
+        flags = _flags(m)
+        for _ in range(3):
+            assert _flags(2.0 ** rng.integers(-40, 41, (len(m), 1)) * m) == flags
+
+    @given(_class_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_bound_reasons_under_powers_of_two(self, case):
+        # A bound's value is not scale-invariant; only reason Overflow may come or go.
+        m, rng = case
+        reasons = _reasons(m)
+        rows = [2.0 ** rng.integers(-40, 41, (len(m), 1)) for _ in range(2)]
+        for scale in [2.0**k for k in (-200, -44, 44, 200)] + rows:
+            for old, new in zip(reasons, _reasons(scale * m)):
+                if "Overflow" not in (old[1], new[1]):
+                    assert new == old, scale
+
+    @given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["nekrasov", "bnekrasov"]))
+    @settings(max_examples=60, deadline=None)
+    def test_row_scaled_class_members_are_p(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        m = random_nekrasov(n, rng) if kind == "nekrasov" else random_bnekrasov(n, rng)
+        report = classify(10.0 ** rng.uniform(-3.0, 3.0, (n, 1)) * m)
+        if kind == "nekrasov":
+            assert report.is_nekrasov and report.is_h_matrix
+        else:
+            assert report.is_b_nekrasov
+        assert report.is_p_matrix is True
+
+    def test_tiny_diagonal_is_a_divisor(self):
+        # 5e-310 is subnormal: 1 / 5e-310 is +inf, which only the bounds see.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flags = _flags([[5e-310, 0.0], [1.0, 1.0]])
+        assert flags == {"is_sdd": False, "is_z_matrix": False, "is_nekrasov": True,
+                         "is_b_matrix": False, "is_b_nekrasov": False,
+                         "is_h_matrix": True, "is_p_matrix": True}
 
 
 class TestGpBNekrasovBound:

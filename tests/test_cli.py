@@ -377,13 +377,14 @@ class TestClassify:
         assert json.loads(proc.stdout)["classification"]["is_p_matrix"] is True
 
     def test_singular_comparison_matrix_writes_no_stderr(self, tmp_path):
-        # ||<M>||_inf ||<M>^{-1}||_inf = 1e400: singular by the PIVOT_RTOL rule.
+        # ||<M>||_inf ||<M>^{-1}||_inf = 1e400, but the H-test reads the
+        # row-scaled <M>, here I: a positive diagonal matrix is H.
         path = tmp_path / "m.txt"
         path.write_text("2\n1e200 0\n0 1e-200\n")
         proc = run_fresh("classify", "--matrix", str(path))
         assert proc.returncode == 0
         assert proc.stderr == ""
-        assert json.loads(proc.stdout)["classification"]["is_h_matrix"] is False
+        assert json.loads(proc.stdout)["classification"]["is_h_matrix"] is True
 
     @pytest.mark.parametrize("command", ["bound", "classify"])
     @pytest.mark.parametrize("n", [4, 13], ids=["p_tested", "p_skipped"])

@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -25,6 +27,9 @@ from lcpbounds.linalg import inf_norm, inverse
 from lcpbounds.nekrasov import new_nekrasov_bound
 from lcpbounds.bnekrasov import new_bnekrasov_bound
 from conftest import random_nekrasov
+import _rational
+
+F = Fraction
 
 
 def projected_gauss_seidel(m, q, x0, iterations=500):
@@ -252,25 +257,49 @@ class TestIsPMatrix:
         assert not is_p_matrix([[1.0, 2.0], [2.0, 1.0]])
 
     def test_matches_minor_by_minor_loop(self):
+        # The reference scales each row by a power of two to a largest |entry|
+        # in [1, 2).  Rows drawn at 10**U(-3, 3) set it apart from a single
+        # scale for the whole matrix, M / max(1, max |m_ij|).
+        def minors_pass(a):
+            n = a.shape[0]
+            return all(np.linalg.det(a[np.ix_(alpha, alpha)]) > 1e-12
+                       for size in range(1, n + 1)
+                       for alpha in combinations(range(n), size))
+
         rng = np.random.default_rng(23)
-        verdicts = set()
-        for _ in range(40):
+        verdicts, apart = set(), 0
+        for k in range(60):
             n = int(rng.integers(1, 8))
             m = rng.uniform(-1.0, 1.0, (n, n)) + rng.uniform(0.0, 3.0) * np.eye(n)
-            scale = max(1.0, float(np.max(np.abs(m))))
-            expected = all(
-                np.linalg.det(m[np.ix_(alpha, alpha)]) > 1e-12 * scale**size
-                for size in range(1, n + 1)
-                for alpha in combinations(range(n), size)
-            )
+            if k % 2:
+                m *= 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+            rows = np.array([2.0 ** (1 - math.frexp(v)[1]) for v in np.abs(m).max(axis=1)])
+            expected = minors_pass(rows[:, None] * m)
             assert is_p_matrix(m) == expected
             verdicts.add(expected)
+            apart += expected != minors_pass(m / max(1.0, float(np.max(np.abs(m)))))
         assert verdicts == {True, False}
+        assert apart > 0
+
+    def test_matches_exact_minors(self):
+        # Exact signs of the principal minors of the doubles, on inputs with
+        # rows at 10**U(-3, 3) among them.
+        rng = np.random.default_rng(37)
+        verdicts = set()
+        for k in range(60):
+            n = int(rng.integers(1, 8))
+            m = rng.uniform(-1.0, 1.0, (n, n)) + rng.uniform(0.0, 3.0) * np.eye(n)
+            if k % 2:
+                m *= 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+            expected = _rational.is_p_matrix_exact([[F(float(v)) for v in row] for row in m])
+            assert is_p_matrix(m) == expected
+            verdicts.add((expected, k % 2))
+        assert len(verdicts) == 4
 
     def test_verdict_invariant_under_power_of_two_scaling(self):
-        # Scaling by 2**e is exact, and every matrix here has an entry of
-        # magnitude at least 1, so each verdict must equal the base one.  Most
-        # of these matrices have minors that overflow a double.
+        # Scaling by 2**e, of the whole matrix or of each row, is exact, so
+        # each verdict must equal the base one.  Most of these matrices have
+        # minors that overflow a double.
         rng = np.random.default_rng(31)
         verdicts = set()
         for _ in range(40):
@@ -280,6 +309,8 @@ class TestIsPMatrix:
             expected = is_p_matrix(base)
             for e in (-500, -100, 100, 500):
                 assert is_p_matrix(2.0**e * base) == expected
+            for _ in range(3):
+                assert is_p_matrix(2.0 ** rng.integers(-40, 41, (n, 1)) * base) == expected
             verdicts.add(expected)
         assert verdicts == {True, False}
 

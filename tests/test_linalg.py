@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from lcpbounds.errors import DomainError, SingularMatrix
 from lcpbounds.linalg import (
     _inverse_stack,
+    _row_scaled,
     _well_conditioned,
     as_matrix,
     as_vector,
@@ -146,6 +147,25 @@ class TestInfNorm:
     def test_absolutely_homogeneous(self, c):
         a = np.array([[1.0, -2.0, 0.5], [3.0, 4.0, -1.0], [0.0, 0.25, -2.5]])
         assert inf_norm(c * a) == pytest.approx(abs(c) * inf_norm(a), rel=1e-12, abs=1e-300)
+
+
+class TestRowScaled:
+    def test_rows_land_in_one_to_two(self):
+        rng = np.random.default_rng(43)
+        a = rng.uniform(-1.0, 1.0, (6, 5)) * 10.0 ** rng.uniform(-300.0, 300.0, (6, 1))
+        a[0] = [5e-310, 0.0, -1e-320, 0.0, 0.0]  # subnormal row
+        a[1] = 0.0
+        a[2] = [-2.0**700, 1.0, 0.5, 3.0 * 2.0**690, 0.0]  # a power of two lands on 1
+        scaled = _row_scaled(a)
+        top = np.abs(scaled).max(axis=1)
+        assert top[1] == 0.0 and top[2] == 1.0
+        assert np.all((top[[0, 2, 3, 4, 5]] >= 1.0) & (top[[0, 2, 3, 4, 5]] < 2.0))
+        # Exact: every entry keeps its mantissa, and each row's exponents
+        # all move by one amount.
+        (m0, e0), (m1, e1) = np.frexp(a), np.frexp(scaled)
+        np.testing.assert_array_equal(m1, m0)
+        shift = np.where(a != 0.0, e1 - e0, 0)
+        assert all(len(set(row[a_row != 0.0])) == 1 for row, a_row in zip(shift, a) if a_row.any())
 
 
 class TestComparisonMatrix:

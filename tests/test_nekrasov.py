@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +49,16 @@ class TestHVector:
     def test_zero_diagonal_ignored_when_column_empty(self):
         # nothing below the zero pivot uses it as a divisor
         np.testing.assert_array_equal(h_vector([[0.0, 1.0], [0.0, 1.0]]), [1.0, 0.0])
+
+    def test_tiny_diagonal_is_a_divisor(self):
+        # Only 0.0 is a zero divisor; a tiny one gives the IEEE quotient, +inf
+        # where it passes the float range, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(h_vector([[1e-301, 1.0], [1.0, 1.0]]),
+                                          [1.0, 1.0 / 1e-301])
+            np.testing.assert_array_equal(h_vector([[5e-310, 1.0], [1.0, 1.0]]), [1.0, np.inf])
+            np.testing.assert_array_equal(z_vector([[5e-310, 0.0], [1.0, 1.0]]), [1.0, np.inf])
 
 
 # Exact in binary and not, positive and negative, with zeros drawn often so
