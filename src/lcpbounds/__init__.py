@@ -27,13 +27,7 @@ from .lcp import (
     solve_lcp,
     trial_points,
 )
-from .linalg import (
-    as_matrix,
-    as_vector,
-    comparison_matrix,
-    inf_norm,
-    inverse,
-)
+from .linalg import as_matrix, as_vector, comparison_matrix, inf_norm, inverse
 from .matrixio import format_matrix, parse_matrix, parse_vector
 from .nekrasov import (
     BoundReport,

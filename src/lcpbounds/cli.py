@@ -33,22 +33,16 @@ _THEOREM_CHOICES = ("all", "gp-nekrasov", "new-nekrasov", "gp-bnekrasov", "new-b
 
 
 def _render_text(data, indent: int = 0) -> str:
-    pad = "  " * indent
-    lines = []
+    pad, lines = "  " * indent, []
     if isinstance(data, dict):
-        for key, value in data.items():
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.append(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {value}")
+        items = [(f"{key}:", value) for key, value in data.items()]
     else:
-        for value in data:
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.append(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {value}")
+        items = [("-", value) for value in data]
+    for head, value in items:
+        if isinstance(value, (dict, list)):
+            lines += [f"{pad}{head}", _render_text(value, indent + 1)]
+        else:
+            lines.append(f"{pad}{head} {value}")
     return "\n".join(lines)
 
 
@@ -70,12 +64,9 @@ def _emit(data, fmt: str) -> str:
 
 def _report_entry(report: BoundReport, **extra) -> dict:
     entry: dict = {"theorem": report.theorem.value, "applicable": report.applicable}
-    if report.reason is not None:
-        entry["reason"] = report.reason
-    if report.epsilon is not None:
-        entry["epsilon"] = report.epsilon
-    if report.value is not None:
-        entry["value"] = report.value
+    for key in ("reason", "epsilon", "value"):
+        if getattr(report, key) is not None:
+            entry[key] = getattr(report, key)
     entry.update(extra)
     return entry
 

@@ -12,12 +12,14 @@ first size that holds one, and :func:`feasible_bases` lists them all, which
 makes the walk exhaustive at desk scale and a uniqueness checker.  The
 P-matrix test stops at the first size with a minor at or below 1e-12 of the
 row-scaled ``M`` (``linalg._row_scaled``).  Certificates compare the
-true error ``||x - x*||_inf`` against ``bound * ||min(x, Mx+q)||_inf``.
+true error ``||x - x*||_inf`` against ``bound * ||min(x, Mx+q)||_inf``.  Every
+slack is relative, so LCP(DM, Dq) and LCP(sM, tq) (D > 0 diagonal, s, t > 0) agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, groupby
 
 import numpy as np
@@ -32,7 +34,8 @@ from .errors import (
 from .linalg import _inverse_stack, _row_scaled, as_matrix, as_vector, inf_norm
 from .nekrasov import BoundReport
 
-# Componentwise slack accepted when testing x >= 0 and Mx + q >= 0.
+# Relative slack of the tests x >= 0 and Mx + q >= 0: x_i may reach
+# -FEASIBILITY_TOL ||x||_inf, and w_i, -FEASIBILITY_TOL (||m_i||_1 ||x||_inf + |q_i|).
 FEASIBILITY_TOL = 1e-10
 
 _SOLVER_MAX_N = 15
@@ -75,8 +78,8 @@ class LcpSolution:
 
 @dataclass(frozen=True)
 class ErrorCertificate:
-    """One trial point checked against a bound: ``holds`` iff
-    ``true_error <= bound_value * residual_norm + 1e-9``."""
+    """One trial point checked against a bound: ``holds`` iff ``true_error <=
+    bound_value * residual_norm`` up to rounding (:func:`certify_error_bound`)."""
 
     trial_x: np.ndarray
     residual_norm: float
@@ -102,11 +105,17 @@ def _enumerate_bases(n: int):
         yield from combinations(range(n), size)
 
 
+@lru_cache(maxsize=None)
+def _index_levels(n: int) -> tuple[np.ndarray, ...]:
+    """``_enumerate_bases(n)``, one shared ``(k, size)`` index array per size (2 MB at n = 15)."""
+    levels = groupby(_enumerate_bases(n), len)
+    return tuple(np.array(list(bases), dtype=np.intp) for _, bases in levels)
+
+
 def _levels(m: np.ndarray):
     """The principal submatrices of ``m`` in ``_enumerate_bases`` order, one
     level per size: the ``(k, size)`` index array and the ``(k, size, size)`` stack."""
-    for _, bases in groupby(_enumerate_bases(m.shape[0]), len):
-        a = np.array(list(bases), dtype=np.intp)
+    for a in _index_levels(m.shape[0]):
         yield a, m[a[:, :, None], a[:, None, :]]
 
 
@@ -119,6 +128,7 @@ def _feasible(inst: LcpInstance):
     if inst.n > _SOLVER_MAX_N:
         raise DimensionTooLarge(f"basis enumeration is limited to n <= {_SOLVER_MAX_N}")
     m, q = inst.m, inst.q
+    row_sums, q_tol = np.abs(m).sum(axis=1), FEASIBILITY_TOL * np.abs(q)
     for a, stack in _levels(m):
         inv, _, ok = _inverse_stack(stack)
         a, inv = a[ok], inv[ok]
@@ -126,7 +136,8 @@ def _feasible(inst: LcpInstance):
         x = np.zeros((len(a), inst.n))
         np.put_along_axis(x, a, x_a, axis=1)
         w = (m @ x[..., None])[..., 0] + q
-        infeasible = (x_a < -FEASIBILITY_TOL).any(axis=1) | (w < -FEASIBILITY_TOL).any(axis=1)
+        tol = -FEASIBILITY_TOL * np.abs(x_a).max(axis=1, initial=0.0, keepdims=True)
+        infeasible = (x_a < tol).any(axis=1) | (w + q_tol < tol * row_sums).any(axis=1)
         for k in np.flatnonzero(~infeasible):
             # An entry of x past the float range makes one of w inf or nan.
             if np.isfinite(w[k]).all():
@@ -167,20 +178,23 @@ def is_p_matrix(m) -> bool:
 
 
 def certify_error_bound(inst: LcpInstance, x, bound: BoundReport) -> ErrorCertificate:
-    """Check the error bound at one trial point against the enumerated solution."""
+    """Check the error bound at one trial point against the enumerated solution:
+    ``true_error <= bound_value (r + r*) (1 + gamma)``, ``gamma = 4 (n + 2) eps``.
+    ``r`` and ``r*`` are the largest ``||min(x, Mx + q)||_inf`` at ``x`` and at the
+    computed ``x*`` (added by the triangle inequality) that the rounding of ``Mx + q``,
+    at most ``gamma (|M||x| + |q|)`` per entry, allows (Higham 2002, ch. 3)."""
     if not bound.applicable or bound.value is None:
         raise InapplicableBound(f"bound {bound.theorem.value} is not applicable: {bound.reason}")
     xx = as_vector(x)
-    solution = solve_lcp(inst)
-    residual_norm = inf_norm(residual(inst, xx))
-    true_error = inf_norm(xx - solution.x_star)
-    return ErrorCertificate(
-        trial_x=xx,
-        residual_norm=residual_norm,
-        true_error=true_error,
-        bound_value=bound.value,
-        holds=bool(true_error <= bound.value * residual_norm + 1e-9),
-    )
+    points = np.stack([xx, solve_lcp(inst).x_star])
+    true_error = inf_norm(xx - points[1])
+    gamma = 4 * (inst.n + 2) * np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = points @ inst.m.T + inst.q
+        delta = gamma * (np.abs(points) @ np.abs(inst.m).T + np.abs(inst.q))
+        r = np.fmax(abs(np.fmin(points, w - delta)), abs(np.fmin(points, w + delta)))
+        holds = bool(true_error <= bound.value * r.max(axis=1).sum() * (1 + gamma))
+    return ErrorCertificate(xx, inf_norm(residual(inst, xx)), true_error, bound.value, holds)
 
 
 def trial_points(x_star, count: int, seed: int) -> np.ndarray:

@@ -316,6 +316,25 @@ class TestLcp:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["all_hold"] is True
 
+    # Diagonal M attains its bound 1/m_ii, and every class test is scale-free,
+    # so tiny and huge scales certify as the unit scale does.  The last case
+    # has w* = -1e-13 at basis (): infeasible at the scale of M and q.
+    @pytest.mark.parametrize("m, q", [
+        ([[1e-13]], [-1.0]), ([[1e-13]], [-1e13]), ([[1e-13]], [-1e200]),
+        ([[1e-300]], [-1.0]), (1e-200 * np.eye(2), [-1.0, -1.0]),
+        (1e-8 * np.eye(2), [-1.0, -1.0]), ([[1e-13]], [-1e-13]),
+    ])
+    def test_attained_bound_at_any_scale_holds(self, capsys, tmp_path, m, q):
+        matrix, q_path = tmp_path / "m.txt", tmp_path / "q.txt"
+        matrix.write_text(format_matrix(np.array(m)))
+        q_path.write_text(" ".join(repr(v) for v in q) + "\n")
+        for seed in range(8):
+            out, code = run(capsys, "lcp", "--matrix", str(matrix), "--q", str(q_path),
+                            "--trials", "20", "--seed", str(seed))
+            payload = json.loads(out)
+            assert (code, payload["all_hold"]) == (0, True), seed
+            np.testing.assert_allclose(payload["x_star"], np.linalg.solve(m, -np.array(q)))
+
     def test_trial_points_past_memory_exit_1(self, capsys, data_dir, monkeypatch):
         # The allocation fails as numpy's would for 10**12 points, without
         # asking for the 30 TB.

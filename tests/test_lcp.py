@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -144,6 +145,20 @@ class TestSolve:
         assert feasible_bases(inst) == []
         with pytest.raises(NoSolution, match="float range"):
             solve_lcp(inst)
+
+    @pytest.mark.parametrize("k", [-200, -44, 44, 200])
+    def test_basis_unchanged_under_scaling(self, k):
+        # LCP(DM, Dq) and LCP(sM, tq) have the solution bases of LCP(M, q).
+        # (D stays within 2**+-10: the PIVOT_RTOL rule reads unscaled blocks.)
+        rng = np.random.default_rng(83)
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            m, q = random_nekrasov(n, rng), rng.uniform(-2.0, 2.0, n)
+            d = 2.0 ** rng.integers(-10, 11, n)
+            basis = solve_lcp(LcpInstance(m, q)).basis
+            assert solve_lcp(LcpInstance(2.0**k * m, q)).basis == basis
+            assert solve_lcp(LcpInstance(m, 2.0**k * q)).basis == basis
+            assert solve_lcp(LcpInstance(d[:, None] * m, d * q)).basis == basis
 
     def test_no_solution(self):
         with pytest.raises(NoSolution):
@@ -342,6 +357,17 @@ class TestCertify:
         sol = solve_lcp(inst)
         for x in trial_points(sol.x_star, 100, seed=6):
             assert certify_error_bound(inst, x, bound).holds
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-8, 1.0, 1e200])
+    def test_slack_is_rounding_only(self, scale):
+        # On s I the exact constant max(1, 1/s) is attained at every trial
+        # point: the bound holds, and the bound times 1 - 1e-12 fails.
+        inst = LcpInstance(scale * np.eye(2), [-1.0, -1.0])
+        bound = new_nekrasov_bound(inst.m)
+        low = dataclasses.replace(bound, value=bound.value * (1 - 1e-12))
+        for x in trial_points(solve_lcp(inst).x_star, 20, seed=9):
+            assert certify_error_bound(inst, x, bound).holds
+            assert not certify_error_bound(inst, x, low).holds
 
     def test_inapplicable_bound_rejected(self, ex3):
         inst = LcpInstance(ex3, [-1.0, -1.0, -1.0, -1.0])
