@@ -18,8 +18,8 @@ profiles each matrix once; the bundle's ``route`` is the one rule for which
 route a command runs on, and its ``p_class`` the one rule for when ``M`` is P
 by class.  ``M`` is an H-matrix iff its comparison matrix ``<M>`` is a
 nonsingular M-matrix, that is iff ``x = <M>^{-1} 1`` is positive (Berman &
-Plemmons, 1994, ch. 6), so ``classify`` takes one solve, on the row-scaled
-``M`` (``linalg._row_scaled``), as the P-test does.
+Plemmons, 1994, ch. 6); a Nekrasov ``M`` is one by class, and any other takes
+one solve on the row-scaled ``M`` (``linalg._row_scaled``), as the P-test does.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lcp, nekrasov
-from .errors import DimensionTooSmall
-from .linalg import _row_scaled, _well_conditioned, as_matrix, comparison_matrix, inf_norm
+from .errors import DimensionTooSmall, DomainError
+from .linalg import _row_scaled, _well_conditioned, as_matrix, inf_norm
 from .nekrasov import (
     STRICT_RTOL,
     BoundReport,
@@ -39,7 +39,6 @@ from .nekrasov import (
     _m_route,
     _not_applicable,
     _Route,
-    is_nekrasov,
 )
 
 @dataclass(frozen=True)
@@ -79,18 +78,23 @@ def bplus_decompose(m) -> BPlusSplit:
     mm = as_matrix(m)
     if mm.shape[0] < 2:
         raise DimensionTooSmall("the splitting needs at least one off-diagonal entry per row")
-    masked = mm.copy()
-    np.fill_diagonal(masked, -np.inf)
-    r_plus = np.maximum(masked.max(axis=1), 0.0)
+    return BPlusSplit(*_split(mm))
+
+
+def _split(mm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``B+`` and ``r_plus`` of a validated ``M`` (for n = 1, ``M`` and 0)."""
+    b_plus = mm.copy()
+    np.fill_diagonal(b_plus, -np.inf)
+    r_plus = np.maximum(b_plus.max(axis=1), 0.0)
     # An entry of B+ past the float range is -inf.
     with np.errstate(over="ignore"):
-        return BPlusSplit(b_plus=mm - r_plus[:, None], r_plus=r_plus)
+        return np.subtract(mm, r_plus[:, None], out=b_plus), r_plus
 
 
 class _BPlusRoute(_Route):
     """``B+`` with its profile (factor n - 1): the B-Nekrasov bounds are the
     Nekrasov ones on this route.  For n = 1 the split has no off-diagonal
-    entry to take, so the route is ``M`` itself with fault ``DimensionTooSmall``."""
+    entry to take, so ``B+`` is ``M`` and the fault is ``DimensionTooSmall``."""
 
     name = "B+"
     theorems = (Theorem.GP_BNEKRASOV, Theorem.NEW_BNEKRASOV)
@@ -117,15 +121,15 @@ def _bplus_route(mm: np.ndarray) -> _BPlusRoute:
     """The route on ``B+`` (on ``M`` for n = 1), with the class check and the
     strict-entry check of the parameterized bound."""
     n = mm.shape[0]
-    if n < 2:
-        return _BPlusRoute(mm, is_nekrasov(mm), 0, "DimensionTooSmall", None)
-    split = bplus_decompose(mm)
-    b_plus, r_plus = split.b_plus, split.r_plus
-    profile = is_nekrasov(b_plus)
-    fault = None if profile.is_nekrasov and np.all(np.diag(b_plus) > 0.0) else "NotBNekrasov"
+    b_plus, r_plus = _split(mm)
+    if not np.isfinite(b_plus.min()):
+        raise DomainError("matrix entries must be finite")
+    profile, _, upper, sums = nekrasov._profile(b_plus)
+    fault = ("DimensionTooSmall" if n < 2 else None
+             if profile.is_nekrasov and np.all(np.diag(b_plus) > 0.0) else "NotBNekrasov")
     strict = np.triu(mm < (r_plus - STRICT_RTOL * r_plus)[:, None], 1).any(axis=1)[:-1]
     open_row = None if strict.all() else f"NoStrictEntry({np.argmin(strict) + 1})"
-    return _BPlusRoute(b_plus, profile, n - 1, fault, open_row)
+    return _BPlusRoute(b_plus, profile, n - 1, fault, open_row, upper, sums)
 
 
 @dataclass(frozen=True)
@@ -155,37 +159,39 @@ def _profiles(m) -> _Profiles:
     if isinstance(m, _Profiles):
         return m
     mm = as_matrix(m)
+    del m  # the one copy of M; the commands keep no other
     return _Profiles(_m_route(mm), _bplus_route(mm))
 
 
-def _sdd(mm: np.ndarray) -> bool:
-    abs_m = np.abs(mm)
-    diag = np.diag(abs_m)
+def _sdd(route: _Route) -> bool:
+    diag = np.abs(np.diag(route.a))
     # A row sum past the float range is +inf, which fails the test below.
-    with np.errstate(over="ignore"):
-        off = abs_m.sum(axis=1) - diag
-    return bool(np.all(diag - off > STRICT_RTOL * diag))
+    return bool(np.all(diag - (route.abs_sums - diag) > STRICT_RTOL * diag))
 
 
 def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
+    """The flags from the two routes: H by class where ``M`` is Nekrasov, else
+    by one solve on the row-scaled ``<M>``, built in place; P as in the report."""
     mm, b_plus = p.m_route.a, p.b_route.a
     n = mm.shape[0]
     notes: list[str] = []
-    off_mask = ~np.eye(n, dtype=bool)
-    z_flag = bool(np.all(mm[off_mask] <= 0.0))
-    if n >= 2:
-        b_flag = _sdd(b_plus) and bool(np.all(np.diag(b_plus) > 0.0))
-    else:
-        b_flag = False
+    nonpositive = mm <= 0.0
+    np.fill_diagonal(nonpositive, True)
+    b_flag = n >= 2 and _sdd(p.b_route) and bool(np.all(np.diag(b_plus) > 0.0))
+    if n < 2:
         notes.append("B-class tests need n >= 2")
-    a = comparison_matrix(_row_scaled(mm))
-    try:
-        x = np.linalg.solve(a, np.ones(n))
-        h_flag = bool(np.all(x > 0.0))
-        # Then ||<M>^{-1}||_inf = max x, and the PIVOT_RTOL rule holds as for an inverse.
-        singular = h_flag and not _well_conditioned(inf_norm(a), x.max())
-    except np.linalg.LinAlgError:
-        singular = True
+    h_flag, singular = True, False
+    if not p.m_route.profile.is_nekrasov:
+        a = _row_scaled(mm)  # made <M> in place
+        np.negative(np.abs(a, out=a), out=a)
+        np.fill_diagonal(a, -np.diag(a))
+        try:
+            x = np.linalg.solve(a, np.ones(n))
+            h_flag = bool(np.all(x > 0.0))
+            # Then ||<M>^{-1}||_inf = max x, and the PIVOT_RTOL rule holds as for an inverse.
+            singular = h_flag and not _well_conditioned(inf_norm(a), x.max())
+        except np.linalg.LinAlgError:
+            singular = True
     if singular:
         h_flag = False
         notes.append("comparison matrix is singular")
@@ -202,8 +208,8 @@ def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
     else:
         p_flag = lcp.is_p_matrix(mm)
     return ClassificationReport(
-        is_sdd=_sdd(mm),
-        is_z_matrix=z_flag,
+        is_sdd=_sdd(p.m_route),
+        is_z_matrix=bool(nonpositive.all()),
         is_nekrasov=p.m_route.profile.is_nekrasov,
         is_b_matrix=b_flag,
         is_b_nekrasov=p.b_route.fault is None,
@@ -219,7 +225,8 @@ def is_b_nekrasov(m) -> ClassificationReport:
 
 
 def classify(m) -> ClassificationReport:
-    """Full diagnostics, including the principal-minor P-matrix test for small n."""
+    """Full diagnostics, including the principal-minor P-matrix test for small
+    n; ``is_h_matrix`` is true with no solve where ``M`` is Nekrasov."""
     return _classify(_profiles(m), with_p_test=True)
 
 

@@ -72,11 +72,11 @@ def _report_entry(report: BoundReport, **extra) -> dict:
 
 
 def cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
-    m = parse_matrix(args.matrix_path)
+    profiles = bnekrasov._profiles(parse_matrix(args.matrix_path))
     data = {
         "matrix": args.matrix_path,
-        "n": m.shape[0],
-        "classification": asdict(bnekrasov.classify(m)),
+        "n": profiles.m_route.a.shape[0],
+        "classification": asdict(bnekrasov.classify(profiles)),
     }
     return data, EXIT_OK
 
@@ -84,15 +84,14 @@ def cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_bound(args: argparse.Namespace) -> tuple[dict, int]:
     if args.theorem.startswith("gp-") and args.epsilon is None:
         args.parser.error("--epsilon is required with --theorem gp-*")
-    m = parse_matrix(args.matrix_path)
-    profiles = bnekrasov._profiles(m)  # shared by the bounds and the classification
+    profiles = bnekrasov._profiles(parse_matrix(args.matrix_path))  # bounds and classes
     reports = bnekrasov.all_bounds(profiles, args.epsilon)
     if args.theorem != "all":
         wanted = args.theorem.replace("-", "_")
         reports = [r for r in reports if r.theorem.value == wanted]
     data = {
         "matrix": args.matrix_path,
-        "n": m.shape[0],
+        "n": profiles.m_route.a.shape[0],
         "bounds": [_report_entry(r) for r in reports],
         "classification": asdict(bnekrasov.classify(profiles)),
     }
@@ -112,13 +111,14 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[list[str], int]:
     route = bnekrasov._profiles(m).route
     if route is None:
         return ["no epsilon-parameterized bound applies to this matrix"], EXIT_NO_APPLICABLE_BOUND
-    upper, new_text = route.upper, _format_value(route.new())
-    lines = ["epsilon,gp_bound,new_bound"]
+    upper, new = route.upper, route.new()
+    lines, applicable = ["epsilon,gp_bound,new_bound"], new.applicable
     for k in range(1, args.grid + 1):
         epsilon = k * upper / (args.grid + 1)
         report = route.gp(epsilon)
-        lines.append(f"{epsilon!r},{_format_value(report)},{new_text}")
-    return lines, EXIT_OK
+        applicable |= report.applicable
+        lines.append(f"{epsilon!r},{_format_value(report)},{_format_value(new)}")
+    return lines, EXIT_OK if applicable else EXIT_NO_APPLICABLE_BOUND
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:

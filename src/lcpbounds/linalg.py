@@ -108,7 +108,7 @@ def _row_scaled(a: np.ndarray) -> np.ndarray:
     """``a`` with each row scaled by a power of two to a largest |entry| in
     [1, 2), exact unless an entry falls below the normal range: the P- and
     H-tests run on it, so their verdicts do not depend on the scale of a row."""
-    _, e = np.frexp(np.abs(a).max(axis=1))
+    _, e = np.frexp(np.maximum(a.max(axis=1), -a.min(axis=1)))  # no |a| temporary
     return np.ldexp(a, (1 - e)[:, None])
 
 

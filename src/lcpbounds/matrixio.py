@@ -15,7 +15,7 @@ The token grammar is Python's ``float`` (underscores and the ``inf``/``nan``
 spellings included; non-finite values are rejected) plus ``p/q`` with
 integer parts, rounded once as ``int(p) / int(q)``.  A well-formed file is
 read in one conversion pass: ``np.fromstring(text, sep=" ")`` turns the text
-(the head split off a plain file, each line of a CSV file, a vector file,
+(a whole plain file, head included, each line of a CSV file, a vector file,
 commas made spaces) into a float64 array, rounding each number with CPython's
 ``PyOS_string_to_double`` as ``float`` does.  Text numpy rejects or warns
 about (fractions, underscores, separators outside ASCII whitespace), a count
@@ -137,11 +137,13 @@ def _scan_csv(text: str) -> np.ndarray:
 
 
 def _parse_plain(text: str) -> np.ndarray:
-    head, *rest = text.split(None, 1)
-    # Heads too long for int() are left to the scan, which reports them.
+    # The head is converted with the entries, then checked against its token;
+    # heads too long for int() are left to the scan, which reports them.
+    head = _TOKEN_RE.search(text).group(0)
     n = int(head) if _INT_RE.match(head) and len(head) < 20 else 0
-    values = _convert(rest[0]) if n > 0 and rest else None
-    return _scan_plain(text) if values is None or values.size != n * n else values.reshape(n, n)
+    values = _convert(text) if n > 0 else None
+    ok = values is not None and values.size == n * n + 1 and values[0] == n
+    return values[1:].reshape(n, n) if ok else _scan_plain(text)
 
 
 def _scan_plain(text: str) -> np.ndarray:

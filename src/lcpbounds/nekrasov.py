@@ -120,9 +120,10 @@ def _applicable(theorem: Theorem, value: float, **fields) -> BoundReport:
     return BoundReport(theorem=theorem, applicable=True, value=value, **fields)
 
 
-def _profile(m: np.ndarray) -> tuple[NekrasovProfile, int]:
+def _profile(m: np.ndarray) -> tuple[NekrasovProfile, int, np.ndarray, np.ndarray]:
     """Recursion profile of ``M``, with its first used zero divisor (1-based,
-    0 for none).
+    0 for none), the strict upper triangle of ``|M|`` and the row sums of
+    ``|M|``: one ``|M|`` serves the recursions and a route (see ``_Route``).
 
     Row i of all three recursions is ``rhs_i + |m_i,:i| @ W[:i]``: one
     product per row.  ``W`` holds the finished rows over their divisors,
@@ -136,6 +137,7 @@ def _profile(m: np.ndarray) -> tuple[NekrasovProfile, int]:
     """
     n = m.shape[0]
     abs_m = np.abs(m)
+    upper = np.triu(abs_m, 1)
     abs_diag = np.abs(np.diag(m))
     zero = abs_diag == 0.0
     divisors = np.empty((n, 3))
@@ -147,7 +149,7 @@ def _profile(m: np.ndarray) -> tuple[NekrasovProfile, int]:
     w = np.empty_like(values)
     # eta grows like a product of row sums; past the float range it is +inf.
     with np.errstate(over="ignore", invalid="ignore"):
-        tail = np.triu(abs_m, 1).sum(axis=1)
+        tail, sums = upper.sum(axis=1), abs_m.sum(axis=1)
         values[:, 0] = tail
         values[:, 1:] = 1.0
         np.divide(values[0], divisors[0], out=w[0])
@@ -176,11 +178,11 @@ def _profile(m: np.ndarray) -> tuple[NekrasovProfile, int]:
     margins = abs_diag - values[:, 0]
     flag = bool(np.all(margins > STRICT_RTOL * abs_diag))
     h, z, eta = values.T
-    return NekrasovProfile(h, z, eta, margins, flag, w.T), bad
+    return NekrasovProfile(h, z, eta, margins, flag, w.T), bad, upper, sums
 
 
 def _checked(a) -> NekrasovProfile:
-    profile, bad = _profile(as_matrix(a))
+    profile, bad, *_ = _profile(as_matrix(a))
     if bad:
         raise ZeroDiagonal(int(bad))
     return profile
@@ -288,7 +290,9 @@ class _Route:
     (factor n - 1).  Both run the parameterized bound on one core, ``gp``,
     and differ only in its final formula, ``_finish``.  ``fault`` names the
     family's failed class check (None where its bounds apply) and
-    ``open_row`` the parameterized bound's failed upper-row check.
+    ``open_row`` the parameterized bound's failed upper-row check.  The
+    slacks read ``abs_upper``, ``triu(|a|, 1)``; the SDD test reads ``abs_sums``, the
+    row sums of ``|a|``.
     """
 
     name = "M"
@@ -301,6 +305,8 @@ class _Route:
     factor: int
     fault: str | None
     open_row: str | None
+    abs_upper: np.ndarray
+    abs_sums: np.ndarray
 
     @property
     def upper(self) -> float:
@@ -330,7 +336,7 @@ class _Route:
             return _not_applicable(self.theorems[0], reason)
         w = self.profile.ratios[0].copy()
         w[-1] += epsilon
-        s = np.triu(np.abs(self.a), 1) @ (1.0 - w)
+        s = self.abs_upper @ (1.0 - w)
         s[-1] = epsilon * self.a[-1, -1]
         with np.errstate(over="ignore"):
             return self._finish(w, s, epsilon)
@@ -356,12 +362,12 @@ class _Route:
 
 def _m_route(mm: np.ndarray) -> _Route:
     """Profile ``M`` and take its class and upper-row checks."""
-    profile = is_nekrasov(mm)
+    profile, _, upper, sums = _profile(mm)
     fault = ("NotNekrasov" if not profile.is_nekrasov
              else None if np.all(np.diag(mm) > 0.0) else "NonPositiveDiagonal")
-    filled = np.triu(np.abs(mm) > 0.0, 1).any(axis=1)[:-1]
+    filled = upper[:-1].any(axis=1)
     open_row = None if filled.all() else f"ZeroUpperRow({np.argmin(filled) + 1})"
-    return _Route(mm, profile, 1, fault, open_row)
+    return _Route(mm, profile, 1, fault, open_row, upper, sums)
 
 
 def gp_nekrasov_bound(m, epsilon: float) -> BoundReport:

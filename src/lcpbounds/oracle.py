@@ -227,8 +227,8 @@ def _vertices(ks: np.ndarray, n: int) -> np.ndarray:
 
 def _scaling_chunks(n: int, interior_samples: int, seed: int, chunk: int):
     """The oracle's interior samples in draw order, as ``(k, n)`` arrays of at
-    most ``chunk`` rows."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    most ``chunk`` rows; with none to draw, no generator is built."""
+    rng = np.random.Generator(np.random.Philox(key=seed)) if interior_samples else None
     for start in range(0, interior_samples, chunk):
         yield rng.random((min(chunk, interior_samples - start), n))
 

@@ -196,6 +196,33 @@ class TestHMatrix:
         want = _rational.is_h_matrix_exact(exact, F(1.0 / PIVOT_RTOL))
         assert is_b_nekrasov(m).is_h_matrix is want
 
+    @given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_nekrasov_is_h_by_class(self, n, seed, nekrasov_input):
+        # A Nekrasov input, with diagonals of either sign, or a B-Nekrasov one
+        # built as B + r 1^T from a Nekrasov Z-matrix B with a zero in each row,
+        # mostly not H; rows scaled by 2**k.  Nekrasov inputs are H with no
+        # solve; the others get the exact test's verdict.
+        rng = np.random.default_rng(seed)
+        if nekrasov_input:
+            m = random_nekrasov(n, rng)
+            m[np.diag_indices(n)] *= rng.choice([-1.0, 1.0], n)
+        else:
+            n = max(n, 2)
+            b = -np.abs(random_nekrasov(n, rng))
+            b[np.arange(n), np.arange(1, n + 1) % n] = 0.0
+            np.fill_diagonal(b, -np.diag(b))
+            m = b + rng.uniform(0.0, 3.0, (n, 1)) * np.diag(b)[:, None]
+        m *= 2.0 ** rng.integers(-60, 61, (n, 1))
+        report = classify(m)
+        assert report.is_nekrasov == nekrasov.is_nekrasov(m).is_nekrasov
+        if report.is_nekrasov:
+            assert report.is_h_matrix is True and "singular" not in report.notes
+        else:
+            exact = [[F(float(v)) for v in row] for row in m]
+            assert report.is_b_nekrasov
+            assert report.is_h_matrix is _rational.is_h_matrix_exact(exact, F(1.0 / PIVOT_RTOL))
+
     def test_condition_of_the_row_scaled_comparison_matrix(self):
         # M = <M> = [[1, -(1 - 1e-10)], [-1, 1]] has condition number about
         # 4e10; rows at 10**U(-3, 3) take that of the unscaled M past

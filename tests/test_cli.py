@@ -225,6 +225,19 @@ class TestSweep:
         _, code = run(capsys, "sweep", "--matrix", str(path))
         assert code == 2
 
+    def test_only_na_values_exit_2(self, capsys, tmp_path):
+        # Nekrasov with positive diagonal, so sweep takes the M route, but the
+        # parameterized bound fails ZeroUpperRow(1) and the new bound overflows.
+        path = tmp_path / "m.txt"
+        path.write_text("2\n1e-10 0\n1e300 1\n")
+        out, code = run(capsys, "sweep", "--matrix", str(path), "--grid", "2")
+        header, *rows = out.splitlines()
+        assert header == "epsilon,gp_bound,new_bound" and len(rows) == 2
+        assert all(row.split(",")[1:] == ["n/a", "n/a"] for row in rows)
+        assert code == 2
+        _, code = run(capsys, "bound", "--matrix", str(path))
+        assert code == 2
+
     def test_bad_grid_exit_1(self, capsys, data_dir):
         _, code = run(capsys, "sweep", "--matrix", str(data_dir / "example1.txt"),
                       "--grid", "1")
@@ -386,6 +399,17 @@ class TestClassify:
         assert code == 0
         assert "is_nekrasov: True" in out
 
+    @pytest.mark.parametrize("command", ["classify", "bound", "sweep", "verify"])
+    def test_overflowing_b_plus_is_an_error(self, capsys, tmp_path, command):
+        # The entries are finite, but B+ = [[0, 0], [0, -inf]]: the command
+        # ends in one error line, with no warning and nothing on stdout.
+        path = tmp_path / "m.txt"
+        path.write_text("2\n0 0\n1e308 -1e308\n")
+        code = main([command, "--matrix", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert (captured.out, captured.err) == ("", "error: matrix entries must be finite\n")
+
     @pytest.mark.parametrize("command", ["bound", "classify"])
     def test_large_entries_are_p(self, tmp_path, command):
         path = tmp_path / "m.txt"
@@ -484,6 +508,31 @@ class TestProfileOnce:
                       "--matrix", str(data_dir / f"{name}.txt"))
         assert code == 0
         assert profile_calls == [(4, 4), (4, 4)]
+
+
+class TestCopyOnce:
+    """``bound`` and ``classify`` validate and copy M once, where they enter
+    ``bnekrasov._profiles``; the routes and the class tests read that copy.
+    Up to n = 12 the P-test, ``lcp.is_p_matrix``, copies its input once more."""
+
+    @pytest.mark.parametrize("command", ["bound", "classify"])
+    @pytest.mark.parametrize("m", [4.0 * np.eye(13) - 0.25, np.eye(13) + 1.0],
+                             ids=["nekrasov", "b_nekrasov"])
+    def test_one_as_matrix_call(self, capsys, tmp_path, monkeypatch, command, m):
+        path = tmp_path / "m.txt"
+        path.write_text(format_matrix(m))
+        original, calls = lcpbounds.linalg.as_matrix, []
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return original(a)
+
+        for module in vars(lcpbounds).values():
+            if getattr(module, "as_matrix", None) is original:
+                monkeypatch.setattr(module, "as_matrix", counted)
+        _, code = run(capsys, command, "--matrix", str(path))
+        assert code == 0
+        assert calls == [(13, 13)]
 
 
 class TestDefaults:

@@ -276,6 +276,13 @@ _any_token = st.one_of(
 _gap = st.text(alphabet=_WHITESPACE, min_size=1, max_size=3)
 
 
+def _heads(n: int):
+    """Spellings of a plain file's head that the scan reads as ``n``, or
+    rejects, where the conversion pass would read a number."""
+    return st.sampled_from([f"+{n}", f"0{n}", f"\n\n{n}", f"\ufeff{n}", f"{n}.0", f"{n}e0",
+                            "1e1", chr(0x660 + n), f"{n:020d}", "1" * 20, f"{n}\x1c"])
+
+
 def _rarely(draw) -> bool:
     return draw(st.integers(0, 3)) == 0
 
@@ -289,7 +296,7 @@ def _layouts(draw):
     entries = draw(st.lists(token, min_size=count, max_size=count))
     layout = draw(st.sampled_from(["plain", "csv", "vector"]))
     if layout == "plain":
-        head = draw(_any_token) if _rarely(draw) else str(n)
+        head = draw(st.one_of(_any_token, _heads(n))) if _rarely(draw) else str(n)
         return "".join(part + draw(_gap) for part in [head] + entries)
     if layout == "csv":
         rows = [entries[i : i + n] for i in range(0, len(entries), n)]
@@ -337,6 +344,18 @@ class TestConversionPass:
     @pytest.mark.parametrize("text", ["1\n \n", "2\n1 2 3 4 x", "2\n1-2 3 4 5", "2\n1 2 3 4\x00",
                                       "0.0,0.0\n0.0, "])
     def test_same_outcome_as_scan(self, tmp_path, text):
+        self.assert_same_outcome(tmp_path, text)
+
+    # The whole plain file goes through the pass, so the head must be checked
+    # against its own token: 2.0 and 4e0 convert to a head the scan rejects.
+    @pytest.mark.parametrize("head", ["2", "+2", "02", "\n\n2", "\ufeff2", "2.0", "2e0", "4e0",
+                                      "\u0662", "0" * 19 + "2", "1" * 20, "2\x1c", "2\x85"])
+    def test_head_variants(self, tmp_path, head):
+        self.assert_same_outcome(tmp_path, head + "\n1 2\n3 4\n")
+        self.assert_same_outcome(tmp_path, head + " 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16")
+
+    @staticmethod
+    def assert_same_outcome(tmp_path, text):
         path = str(tmp_path / "input.txt")
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

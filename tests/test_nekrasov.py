@@ -126,7 +126,7 @@ class TestRecursionKernel:
         m, ds = drawn
         for d in np.vstack([np.ones(m.shape[0]), ds]):
             member = _scaled(m, d)
-            profile, bad = _profile(member)
+            profile, bad, *_ = _profile(member)
             used = assert_exact_where_finite(member, profile.h, profile.z, profile.eta)
             assert bad == (0 if used is None else used[1] + 1)
             if used is not None:
@@ -223,7 +223,7 @@ class TestOverflowingRows:
     def test_matches_exact_recursions(self, drawn):
         m, ds = drawn
         for member in [m] + [_scaled(m, d) for d in ds]:
-            profile, _ = _profile(member)
+            profile, *_ = _profile(member)
             rows = [[F(v) for v in row] for row in member]
             for got, exact in zip((profile.h, profile.z, profile.eta),
                                   (_rational.h_exact, _rational.z_exact, _rational.eta_exact)):

@@ -158,10 +158,20 @@ class TestOracleMaxNorm:
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_outside_philox_keys_rejected(self, ex1, seed):
-        # The sample generator is keyed even when no sample is drawn.
+        # The seed is checked even when no sample is drawn.
         with pytest.raises(DomainError):
             oracle_max_norm(ex1, interior_samples=0, seed=seed)
         assert oracle_max_norm(ex1, interior_samples=0, seed=2**128 - 1).vertex_count == 16
+
+    def test_no_samples_build_no_generator(self, ex1, monkeypatch):
+        # An exact oracle (P by class) draws nothing, so it keys no generator.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample generator was built")
+
+        monkeypatch.setattr(np.random, "Philox", refuse)
+        assert oracle_max_norm(ex1, interior_samples=0, seed=3).vertex_count == 16
+        with pytest.raises(AssertionError, match="generator was built"):
+            oracle_max_norm(ex1, interior_samples=1, seed=3)
 
     # The default chunk splits the 2500 samples in two; 48 entries make
     # chunks of three 4x4 members, so both vertices and samples span many.
