@@ -291,8 +291,8 @@ class _Route:
     and differ only in its final formula, ``_finish``.  ``fault`` names the
     family's failed class check (None where its bounds apply) and
     ``open_row`` the parameterized bound's failed upper-row check.  The
-    slacks read ``abs_upper``, ``triu(|a|, 1)``; the SDD test reads ``abs_sums``, the
-    row sums of ``|a|``.
+    slacks read ``abs_upper`` (``triu(|a|, 1)``), the SDD test ``abs_sums``
+    (the row sums of ``|a|``); both come from the profile's one ``|a|``.
     """
 
     name = "M"
