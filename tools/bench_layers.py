@@ -6,7 +6,8 @@ writes ``bench/BENCH_<LABEL>.json``: one row per layer (``parse_matrix``,
 ``bnekrasov._profiles``, ``all_bounds``, ``classify`` and the in-process
 ``bound`` command) for n = 150 and n = 400, on one Nekrasov and one
 B-Nekrasov input each, with the median and best of ``REPEATS`` timed calls
-after one untimed call, the work each call does, and the environment.
+(taken in rounds over all rows, after one untimed round), the work each
+call does, and the environment.
 The script uses the standard library and ``lcpbounds`` only, and pins BLAS
 to one thread as ``perfbench`` does.  To time another commit, point
 ``PYTHONPATH`` at its ``src``; the ``commit`` field names the checkout the
@@ -32,6 +33,7 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+from functools import partial  # noqa: E402
 from importlib.metadata import version  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -41,7 +43,7 @@ from lcpbounds.matrixio import format_matrix, parse_matrix  # noqa: E402
 
 SIZES = (150, 400)
 FAMILIES = ("nekrasov", "b_nekrasov")
-REPEATS = 25
+REPEATS = 40
 SEED = 2016
 OUT_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -99,16 +101,6 @@ def _solves(fn) -> int:
     return len(calls)
 
 
-def _time(fn) -> tuple[float, float]:
-    fn()
-    times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), min(times)
-
-
 def _bound(path: str):
     def run():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -119,26 +111,37 @@ def _bound(path: str):
 
 
 def _rows(workdir: Path) -> list[dict]:
+    """Every layer's row; the calls are timed in rounds, one call of each
+    layer per round after an untimed one, so that a drift in machine speed
+    reaches every row alike."""
     rng = random.Random(SEED)
-    rows = []
+    rows, calls = [], []
     for n in SIZES:
         for family in FAMILIES:
             path = workdir / f"{family}_{n}.txt"
             path.write_text(format_matrix(_matrix(n, family, rng)))
             m = parse_matrix(str(path))
             profiles = bnekrasov._profiles(m)
+            classify = partial(bnekrasov.classify, profiles)
             layers = {
-                "parse_matrix": (lambda: parse_matrix(str(path)), {"entries": n * n}),
-                "bnekrasov._profiles": (lambda: bnekrasov._profiles(m), {"rows": 2 * n}),
-                "all_bounds": (lambda: bnekrasov.all_bounds(profiles), {"bounds": 4}),
-                "classify": (lambda: bnekrasov.classify(profiles),
-                             {"solves": _solves(lambda: bnekrasov.classify(profiles))}),
+                "parse_matrix": (partial(parse_matrix, str(path)), {"entries": n * n}),
+                "bnekrasov._profiles": (partial(bnekrasov._profiles, m), {"rows": 2 * n}),
+                "all_bounds": (partial(bnekrasov.all_bounds, profiles), {"bounds": 4}),
+                "classify": (classify, {"solves": _solves(classify)}),
                 "cli.bound": (_bound(str(path)), {"entries": n * n}),
             }
             for layer, (fn, work) in layers.items():
-                median, best = _time(fn)
                 rows.append({"layer": layer, "n": n, "family": family, "repeats": REPEATS,
-                             "median_s": median, "best_s": best, "work": work})
+                             "work": work})
+                calls.append(fn)
+    times = [[] for _ in calls]
+    for _ in range(REPEATS + 1):
+        for fn, samples in zip(calls, times):
+            start = time.perf_counter()
+            fn()
+            samples.append(time.perf_counter() - start)
+    for row, samples in zip(rows, times):
+        row.update(median_s=statistics.median(samples[1:]), best_s=min(samples[1:]))
     return rows
 
 
