@@ -123,7 +123,7 @@ def _bplus_route(mm: np.ndarray) -> _BPlusRoute:
     n = mm.shape[0]
     b_plus, r_plus = _split(mm)
     if not np.isfinite(b_plus.min()):
-        raise DomainError("matrix entries must be finite")
+        raise DomainError("the B+ splitting overflows: an entry of B+ is past the float range")
     profile, _, upper, sums = nekrasov._profile(b_plus)
     fault = ("DimensionTooSmall" if n < 2 else None
              if profile.is_nekrasov and np.all(np.diag(b_plus) > 0.0) else "NotBNekrasov")

@@ -4,8 +4,8 @@ and error certificates.
 LCP(M, q) asks for ``x >= 0`` with ``w = Mx + q >= 0`` and ``x . w = 0``.
 The solver and the P-matrix test walk the principal submatrices one size at
 a time in (cardinality, lexicographic) order, one stacked LAPACK call per
-size (:func:`_levels`; at the solver's limit n = 15 the largest size holds
-C(15, 7) = 6435 blocks, about 2.5 MB per temporary).  The solver skips the
+nonempty size (:func:`_levels`; at the solver's limit n = 15 the largest size
+holds C(15, 7) = 6435 blocks, about 2.5 MB per temporary).  The solver skips the
 bases whose block is singular (the rule of ``linalg.PIVOT_RTOL``) and yields
 the feasible ones: :func:`solve_lcp` takes the first, so it stops at the
 first size that holds one, and :func:`feasible_bases` lists them all, which
@@ -31,7 +31,7 @@ from .errors import (
     InapplicableBound,
     NoSolution,
 )
-from .linalg import _inverse_stack, _row_scaled, as_matrix, as_vector, inf_norm
+from .linalg import _checked_matrix, _inverse_stack, _row_scaled, as_matrix, as_vector, inf_norm
 from .nekrasov import BoundReport
 
 # Relative slack of the tests x >= 0 and Mx + q >= 0: x_i may reach
@@ -113,10 +113,24 @@ def _index_levels(n: int) -> tuple[np.ndarray, ...]:
 
 
 def _levels(m: np.ndarray):
-    """The principal submatrices of ``m`` in ``_enumerate_bases`` order, one
-    level per size: the ``(k, size)`` index array and the ``(k, size, size)`` stack."""
-    for a in _index_levels(m.shape[0]):
+    """The nonempty principal submatrices of ``m`` in ``_enumerate_bases``
+    order, one level per size: the ``(k, size)`` index array and the
+    ``(k, size, size)`` stack.  The empty one needs no LAPACK call: its minor
+    is 1, and its basis has ``x = 0``."""
+    for a in _index_levels(m.shape[0])[1:]:
         yield a, m[a[:, :, None], a[:, None, :]]
+
+
+def _solved_levels(m: np.ndarray, q: np.ndarray):
+    """``(alpha, x_alpha)`` per size, ``(k, size)`` arrays each: the empty
+    basis, then the bases whose block ``_inverse_stack`` accepts, with
+    ``x_alpha = -M_alpha^{-1} q_alpha``, one stacked solve per size."""
+    yield _index_levels(m.shape[0])[0], np.zeros((1, 0))
+    for a, stack in _levels(m):
+        inv, _, ok = _inverse_stack(stack)
+        if not ok.all():
+            a, inv = a[ok], inv[ok]
+        yield a, (inv @ -q[a][..., None])[..., 0]
 
 
 def _feasible(inst: LcpInstance):
@@ -129,12 +143,9 @@ def _feasible(inst: LcpInstance):
         raise DimensionTooLarge(f"basis enumeration is limited to n <= {_SOLVER_MAX_N}")
     m, q = inst.m, inst.q
     row_sums, q_tol = np.abs(m).sum(axis=1), FEASIBILITY_TOL * np.abs(q)
-    for a, stack in _levels(m):
-        inv, _, ok = _inverse_stack(stack)
-        a, inv = a[ok], inv[ok]
-        x_a = (inv @ -q[a][..., None])[..., 0]
+    for a, x_a in _solved_levels(m, q):
         x = np.zeros((len(a), inst.n))
-        np.put_along_axis(x, a, x_a, axis=1)
+        x[np.arange(len(a))[:, None], a] = x_a
         w = (m @ x[..., None])[..., 0] + q
         tol = -FEASIBILITY_TOL * np.abs(x_a).max(axis=1, initial=0.0, keepdims=True)
         infeasible = (x_a < tol).any(axis=1) | (w + q_tol < tol * row_sums).any(axis=1)
@@ -166,8 +177,9 @@ def feasible_bases(inst: LcpInstance) -> list[tuple[int, ...]]:
 
 def is_p_matrix(m) -> bool:
     """True iff every principal minor of ``M``, each row scaled by a power of
-    two to a largest |entry| in [1, 2), exceeds 1e-12."""
-    mm = as_matrix(m)
+    two to a largest |entry| in [1, 2), exceeds 1e-12.  ``M`` is checked, not
+    copied: the test reads its row-scaled copy."""
+    mm = _checked_matrix(np.asarray(m, dtype=float))
     n = mm.shape[0]
     if n > _P_TEST_MAX_N:
         raise DimensionTooLarge(f"principal-minor enumeration is limited to n <= {_P_TEST_MAX_N}")

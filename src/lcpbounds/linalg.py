@@ -28,8 +28,13 @@ PIVOT_RTOL = 1e-14
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and return ``a`` as a square float64 array."""
-    m = np.array(a, dtype=float)
+    """Validate and return ``a`` as a square float64 array, a copy."""
+    return _checked_matrix(np.array(a, dtype=float))
+
+
+def _checked_matrix(m: np.ndarray) -> np.ndarray:
+    """``m``, a float64 array, once checked to be a nonempty square matrix
+    with finite entries; :func:`as_matrix` without the copy."""
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise DomainError(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):

@@ -190,12 +190,14 @@ def _walk(mm: np.ndarray, leads: np.ndarray, w: int):
     anchors, anchor_norms, flip_norms = parts[: len(leads)], norms[: len(leads)], norms[len(leads) :]
     with np.errstate(over="ignore"):
         inv, _, ok = _inverse_stack(_scaled(mm, anchors), anchor_norms)
-    # Absolute row sums of every walked inverse, the anchors' from LAPACK.
+    # Absolute row sums of every walked inverse, the anchors' from LAPACK,
+    # each flip's as one matrix-vector product.
     row_abs = np.empty((len(leads), 2**w, n))
     outer = np.empty_like(inv)
+    ones = np.ones(n)
     g = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.abs(inv).sum(axis=2, out=row_abs[:, 0])
+        np.matmul(np.abs(inv, out=outer), ones, out=row_abs[:, 0])
         for t in range(1, 2**w):
             # Reflected Gray order: step t flips bit p, the lowest set bit of t,
             # which is coordinate j = n - 1 - p.
@@ -207,11 +209,10 @@ def _walk(mm: np.ndarray, leads: np.ndarray, w: int):
             # B - u v, with column j replaced by u.
             v = mm[j] @ inv if g >> p & 1 else inv[:, j]
             u = inv[:, :, j] / v[:, j, None]
-            np.multiply(u[:, :, None], v[:, None, :], out=outer)
+            np.einsum("ki,kj->kij", u, v, out=outer)
             inv -= outer
             inv[:, :, j] = u
-            np.abs(inv, out=outer)
-            np.add.reduce(outer, axis=2, out=row_abs[:, g])
+            np.matmul(np.abs(inv, out=outer), ones, out=row_abs[:, g])
         walked = row_abs.max(axis=2)
         cond = walked * np.maximum(anchor_norms[:, None], flip_norms)
     # Written so that a NaN condition number also flags its walker.

@@ -408,7 +408,8 @@ class TestClassify:
         code = main([command, "--matrix", str(path)])
         captured = capsys.readouterr()
         assert code == 1
-        assert (captured.out, captured.err) == ("", "error: matrix entries must be finite\n")
+        assert (captured.out, captured.err) == (
+            "", "error: the B+ splitting overflows: an entry of B+ is past the float range\n")
 
     @pytest.mark.parametrize("command", ["bound", "classify"])
     def test_large_entries_are_p(self, tmp_path, command):
@@ -512,15 +513,21 @@ class TestProfileOnce:
 
 class TestCopyOnce:
     """``bound`` and ``classify`` validate and copy M once, where they enter
-    ``bnekrasov._profiles``; the routes and the class tests read that copy.
-    Up to n = 12 the P-test, ``lcp.is_p_matrix``, copies its input once more."""
+    ``bnekrasov._profiles``; the routes, the class tests and, up to n = 12,
+    the P-test ``lcp.is_p_matrix`` read that copy."""
+
+    # n = 13, where the P-test is skipped; the 4x4 fixtures run it.
+    LARGE = {"nekrasov": 4.0 * np.eye(13) - 0.25, "b_nekrasov": np.eye(13) + 1.0}
 
     @pytest.mark.parametrize("command", ["bound", "classify"])
-    @pytest.mark.parametrize("m", [4.0 * np.eye(13) - 0.25, np.eye(13) + 1.0],
-                             ids=["nekrasov", "b_nekrasov"])
-    def test_one_as_matrix_call(self, capsys, tmp_path, monkeypatch, command, m):
-        path = tmp_path / "m.txt"
-        path.write_text(format_matrix(m))
+    @pytest.mark.parametrize("source", [*LARGE, "example1", "example2", "example3", "example4"])
+    def test_one_as_matrix_call(self, capsys, tmp_path, monkeypatch, data_dir, command, source):
+        if source in self.LARGE:
+            path = tmp_path / "m.txt"
+            path.write_text(format_matrix(self.LARGE[source]))
+        else:
+            path = data_dir / f"{source}.txt"
+        n = parse_matrix(path).shape[0]
         original, calls = lcpbounds.linalg.as_matrix, []
 
         def counted(a):
@@ -532,7 +539,7 @@ class TestCopyOnce:
                 monkeypatch.setattr(module, "as_matrix", counted)
         _, code = run(capsys, command, "--matrix", str(path))
         assert code == 0
-        assert calls == [(13, 13)]
+        assert calls == [(n, n)]
 
 
 class TestDefaults:

@@ -85,6 +85,21 @@ class TestSolve:
         np.testing.assert_array_equal(sol.x_star, np.zeros(3))
         assert sol.basis == ()
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 15])
+    def test_empty_basis_bits(self, n):
+        # q >= 0 with -0.0 entries; each row of M has one sign.  The answer is
+        # x* = +0 and w* = M 0 + q, summed from +0, so each zero of w* is +0.0.
+        rng = np.random.default_rng(n)
+        m = rng.uniform(0.5, 2.0, (n, n)) * rng.choice([-1.0, 1.0], (n, 1))
+        q = rng.choice([0.0, -0.0, 1.0], n)
+        q[0] = -0.0
+        inst = LcpInstance(m, q)
+        sol = solve_lcp(inst)
+        assert sol.basis == () and feasible_bases(inst)[0] == ()
+        assert sol.x_star.tobytes() == np.zeros(n).tobytes()
+        assert sol.w_star.tobytes() == (q + 0.0).tobytes()
+        assert sol.complementarity_gap == 0.0
+
     def test_example2_solution(self, ex2):
         inst = LcpInstance(ex2, [-1.0, -1.0, -1.0, -1.0])
         sol = solve_lcp(inst)

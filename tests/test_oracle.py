@@ -233,9 +233,11 @@ class TestOracleMaxNorm:
 
     # 48 entries split the walkers, the candidates and the samples into many
     # chunks, the last one short, so the reused member buffer is only partly
-    # rewritten.  n = 9..11 has 32..128 walkers in one default chunk.
-    @pytest.mark.parametrize("chunk_entries", [oracle._CHUNK_ENTRIES, 48])
-    @pytest.mark.parametrize("n", range(1, 12))
+    # rewritten.  n = 9..11 has 32..128 walkers in one default chunk; n = 12
+    # and 13 have 256 and 512, in 2 and 4 default chunks.
+    @pytest.mark.parametrize("n, chunk_entries", [
+        *((n, chunk_entries) for n in range(1, 12) for chunk_entries in (oracle._CHUNK_ENTRIES, 48)),
+        (12, oracle._CHUNK_ENTRIES), (13, oracle._CHUNK_ENTRIES)])
     def test_bit_identical_to_pointwise_reference(self, monkeypatch, n, chunk_entries):
         monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", chunk_entries)
         rng = np.random.default_rng(n)

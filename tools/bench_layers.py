@@ -1,13 +1,14 @@
-"""Per-layer timings of ``lcp-certify bound`` on large inputs.
+"""Per-layer timings of ``lcp-certify bound`` and of the two 2^n walks.
 
     PYTHONPATH=src python tools/bench_layers.py LABEL
 
 writes ``bench/BENCH_<LABEL>.json``: one row per layer (``parse_matrix``,
 ``bnekrasov._profiles``, ``all_bounds``, ``classify`` and the in-process
-``bound`` command) for n = 150 and n = 400, on one Nekrasov and one
-B-Nekrasov input each, with the median and best of ``REPEATS`` timed calls
-(taken in rounds over all rows, after one untimed round), the work each
-call does, and the environment.
+``bound`` command) for n = 150 and n = 400, ``solve_lcp`` with q = -1 for
+n = 12 and 15, and ``oracle_max_norm`` with no samples for n = 12 and 16,
+on one Nekrasov and one B-Nekrasov input each, with the median and best of
+``REPEATS`` timed calls (taken in rounds over all rows, after one untimed
+round), the work each call does, and the environment.
 The script uses the standard library and ``lcpbounds`` only, and pins BLAS
 to one thread as ``perfbench`` does.  To time another commit, point
 ``PYTHONPATH`` at its ``src``; the ``commit`` field names the checkout the
@@ -35,13 +36,17 @@ import tempfile  # noqa: E402
 import time  # noqa: E402
 from functools import partial  # noqa: E402
 from importlib.metadata import version  # noqa: E402
+from math import comb  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import lcpbounds  # noqa: E402
-from lcpbounds import bnekrasov, cli  # noqa: E402
+from lcpbounds import bnekrasov, cli, lcp, oracle  # noqa: E402
 from lcpbounds.matrixio import format_matrix, parse_matrix  # noqa: E402
 
 SIZES = (150, 400)
+# The solver's limit is n = 15; the oracle's, n = 20, takes seconds per call.
+SOLVER_SIZES = (12, 15)
+ORACLE_SIZES = (12, 16)
 FAMILIES = ("nekrasov", "b_nekrasov")
 REPEATS = 40
 SEED = 2016
@@ -116,6 +121,11 @@ def _rows(workdir: Path) -> list[dict]:
     reaches every row alike."""
     rng = random.Random(SEED)
     rows, calls = [], []
+
+    def add(layer, n, family, fn, work):
+        rows.append({"layer": layer, "n": n, "family": family, "repeats": REPEATS, "work": work})
+        calls.append(fn)
+
     for n in SIZES:
         for family in FAMILIES:
             path = workdir / f"{family}_{n}.txt"
@@ -131,9 +141,17 @@ def _rows(workdir: Path) -> list[dict]:
                 "cli.bound": (_bound(str(path)), {"entries": n * n}),
             }
             for layer, (fn, work) in layers.items():
-                rows.append({"layer": layer, "n": n, "family": family, "repeats": REPEATS,
-                             "work": work})
-                calls.append(fn)
+                add(layer, n, family, fn, work)
+    for n in SOLVER_SIZES:
+        for family in FAMILIES:
+            solve = partial(lcp.solve_lcp, lcp.LcpInstance(_matrix(n, family, rng), [-1.0] * n))
+            # Every basis of the sizes up to the answer's.
+            bases = sum(comb(n, k) for k in range(len(solve().basis) + 1))
+            add("solve_lcp", n, family, solve, {"bases": bases})
+    for n in ORACLE_SIZES:
+        for family in FAMILIES:
+            vertices = partial(oracle.oracle_max_norm, _matrix(n, family, rng), 0)
+            add("oracle_max_norm", n, family, vertices, {"vertices": 2**n})
     times = [[] for _ in calls]
     for _ in range(REPEATS + 1):
         for fn, samples in zip(calls, times):
