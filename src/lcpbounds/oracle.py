@@ -191,7 +191,7 @@ def _walk(mm: np.ndarray, leads: np.ndarray, w: int):
     with np.errstate(over="ignore"):
         inv, _, ok = _inverse_stack(_scaled(mm, anchors), anchor_norms)
     # Absolute row sums of every walked inverse, the anchors' from LAPACK,
-    # each flip's as one matrix-vector product.
+    # each stack's as one matrix-vector product with a vector of ones.
     row_abs = np.empty((len(leads), 2**w, n))
     outer = np.empty_like(inv)
     ones = np.ones(n)
