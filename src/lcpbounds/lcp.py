@@ -142,13 +142,17 @@ def _feasible(inst: LcpInstance):
     if inst.n > _SOLVER_MAX_N:
         raise DimensionTooLarge(f"basis enumeration is limited to n <= {_SOLVER_MAX_N}")
     m, q = inst.m, inst.q
-    row_sums, q_tol = np.abs(m).sum(axis=1), FEASIBILITY_TOL * np.abs(q)
+    # -FEASIBILITY_TOL ||m_i||_1, summed over FEASIBILITY_TOL |m_ij|, so that it
+    # stays finite where ||m_i||_1 passes the float range; times ||x||_inf it is
+    # exactly 0 where x = 0.
+    w_slack, q_tol = -(FEASIBILITY_TOL * np.abs(m)).sum(axis=1), FEASIBILITY_TOL * np.abs(q)
     for a, x_a in _solved_levels(m, q):
         x = np.zeros((len(a), inst.n))
         x[np.arange(len(a))[:, None], a] = x_a
         w = (m @ x[..., None])[..., 0] + q
-        tol = -FEASIBILITY_TOL * np.abs(x_a).max(axis=1, initial=0.0, keepdims=True)
-        infeasible = (x_a < tol).any(axis=1) | (w + q_tol < tol * row_sums).any(axis=1)
+        x_max = np.abs(x_a).max(axis=1, initial=0.0, keepdims=True)
+        infeasible = ((x_a < -FEASIBILITY_TOL * x_max).any(axis=1)
+                      | (w + q_tol < x_max * w_slack).any(axis=1))
         for k in np.flatnonzero(~infeasible):
             # An entry of x past the float range makes one of w inf or nan.
             if np.isfinite(w[k]).all():

@@ -11,9 +11,9 @@ exact zero pivot or when its infinity-norm condition number exceeds
 ``||A||_inf`` and ``||A^{-1}||_inf``, for these inverses and for
 ``bnekrasov``'s comparison-matrix solve.  :func:`_inverse_stack` reports
 such members; :func:`inverse` and the oracle then raise
-:class:`SingularMatrix`, and the LCP solver skips their bases.  A caller
-that knows the members' norms passes them in (the oracle takes them from
-the rows of ``M``); otherwise they are summed from the stack.
+:class:`SingularMatrix`, and the LCP solver skips their bases.  Both norms
+are summed from the stacks themselves, so every caller reads the rule's
+norms in one place.
 """
 
 from __future__ import annotations
@@ -62,16 +62,15 @@ def inverse(a) -> np.ndarray:
     return inv[0]
 
 
-def _inverse_stack(stack: np.ndarray, norms: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _inverse_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverses of a ``(k, n, n)`` stack, their infinity norms, and a mask of
     the nonsingular members.  ``inv`` and the norms of the other members are
     meaningless.  One LAPACK call, or two when a member has an exact zero pivot.
-    ``norms`` are the members' own infinity norms, where the caller has them;
-    otherwise they are summed from the stack.  Callers evaluate it under
-    ``np.errstate(over="ignore")`` (the solver once per solve, not per
-    level), so that a norm past the float range is +inf, which the
-    ``PIVOT_RTOL`` rule reads as singular, without a warning."""
+    The members' own norms, for the ``PIVOT_RTOL`` rule, are summed from the
+    stack.  Callers evaluate it under ``np.errstate(over="ignore")`` (the
+    solver once per solve, not per level), so that a norm past the float
+    range is +inf, which the ``PIVOT_RTOL`` rule reads as singular, without
+    a warning."""
     try:
         inv = np.linalg.inv(stack)
         ok = np.ones(len(stack), dtype=bool)
@@ -83,7 +82,7 @@ def _inverse_stack(stack: np.ndarray, norms: np.ndarray | None = None
             ok = np.abs(np.linalg.slogdet(stack)[0]) == 1.0
         inv = np.linalg.inv(np.where(ok[:, None, None], stack, np.eye(stack.shape[-1])))
     inv_norms = _inf_norms(inv)
-    ok &= _well_conditioned(_inf_norms(stack) if norms is None else norms, inv_norms)
+    ok &= _well_conditioned(_inf_norms(stack), inv_norms)
     return inv, inv_norms, ok
 
 

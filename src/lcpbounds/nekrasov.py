@@ -221,33 +221,16 @@ def scaled_matrix(m, d) -> np.ndarray:
     return _scaled(mm, dd)
 
 
-def _scaled(m: np.ndarray, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``I - D + D M`` for one scaling vector, or a stack of members for a
-    ``(k, n)`` array of them, in C order: written into the C-contiguous
-    ``out`` if given, else into a new array."""
+def _scaled(m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``I - D + D M`` for one scaling vector, or a new stack of members for a
+    ``(k, n)`` array of them, in C order."""
     n = m.shape[0]
     # C order also where ``m`` is not, so that the reshape below is a view.
-    out = np.multiply(m, d[..., None], out=out, order="C")
-    # The diagonal of each member, as a strided view of its n*n entries.
-    out.reshape(d.shape[:-1] + (n * n,))[..., :: n + 1] = _member_diagonal(m, d)
+    out = np.multiply(m, d[..., None], order="C")
+    # The diagonal 1 - d + d diag(M) of each member, as a strided view of
+    # its n*n entries.
+    out.reshape(d.shape[:-1] + (n * n,))[..., :: n + 1] = 1.0 - d + d * np.diag(m)
     return out
-
-
-def _member_diagonal(m: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The diagonal ``1 - d + d diag(M)`` of each member ``d``."""
-    return 1.0 - d + d * np.diag(m)
-
-
-def _member_norms(m: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """``||I - D + D M||_inf`` of each member, ``max_i |1 - d_i + d_i m_ii| +
-    d_i r_i`` with ``r`` the off-diagonal absolute row sums of ``M``."""
-    off = np.abs(m)
-    np.fill_diagonal(off, 0.0)
-    # A norm past the float range is +inf, which the PIVOT_RTOL rule reads as
-    # singular; a row scaled by d_i = 0 adds nothing, also past it (no 0 * inf).
-    with np.errstate(over="ignore", invalid="ignore"):
-        off_sums = ds * off.sum(axis=1)
-        return (np.abs(_member_diagonal(m, ds)) + np.where(ds > 0.0, off_sums, 0.0)).max(axis=-1)
 
 
 def kolotilina_bound(a) -> BoundReport:

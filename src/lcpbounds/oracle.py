@@ -25,15 +25,17 @@ flagged when one of its members has a walked condition number
 ``||A||_inf ||A^{-1}||_inf`` past ``_WALK_COND_CAP``, which also catches a
 zero or non-finite denominator; below the cap a walked norm is within about
 ``2**w * cap * eps``, far less than ``_WALK_RTOL``, of its LAPACK value.
-Every vertex of a flagged walker, and every vertex whose walked norm lies
-within ``_WALK_RTOL`` of the largest unflagged walked norm of its chunk, is
-evaluated again on LAPACK, like the samples: built into one
-``(chunk, n, n)`` buffer that each call reuses and inverted through
-``_inverse_stack``; every member norm comes from the rows of ``M`` in O(kn),
-by ``nekrasov._member_norms``.  So the value and its argmax are those of a
-per-point LAPACK loop, ties keep the first point in that loop's order, and
-a member is singular only where LAPACK says so (an exact zero pivot, or one
-past the ``linalg.PIVOT_RTOL`` rule), which raises :class:`SingularMatrix`.
+A member's ``||A||_inf`` is bounded by the larger norm of its anchor and of
+the member with only its walked coordinates set, both summed from built
+members.  Every vertex of a flagged walker, and every vertex whose walked
+norm lies within ``_WALK_RTOL`` of the largest unflagged walked norm so far,
+is evaluated again on LAPACK, like the samples: each chunk is built with
+``nekrasov._scaled`` and inverted through ``_inverse_stack``, which sums the
+members' norms from that stack, as ``inverse`` does.  So the value and its
+argmax are those of a per-point LAPACK loop, ties keep the first point in
+that loop's order, and a member is singular only where LAPACK says so (an
+exact zero pivot, or one past the ``linalg.PIVOT_RTOL`` rule), which raises
+:class:`SingularMatrix`.
 A stack of members, and a chunk of walkers with their walked row sums, holds
 at most ``_CHUNK_ENTRIES`` float64 entries (about 256 KB per temporary), and
 vertices are decoded from integer ranges, so memory stays flat in n.
@@ -52,8 +54,8 @@ from itertools import chain
 import numpy as np
 
 from .errors import DimensionTooLarge, DomainError, PreconditionFailed, SingularMatrix
-from .linalg import _inverse_stack, as_matrix, inf_norm, inverse
-from .nekrasov import _m_route, _member_norms, _Route, _scaled, scaled_matrix
+from .linalg import _inf_norms, _inverse_stack, as_matrix, inf_norm, inverse
+from .nekrasov import _m_route, _Route, _scaled, scaled_matrix
 
 _ORACLE_MAX_N = 20
 
@@ -135,14 +137,12 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
     if not 0 <= seed < 2**128:
         raise DomainError("seed must lie in [0, 2**128)")
     chunk = max(1, _CHUNK_ENTRIES // (n * n))
-    members = np.empty((min(chunk, max(2**n, interior_samples)), n, n))
     best = -np.inf
     best_d = np.zeros(n)
     points = chain(_vertex_candidates(mm, chunk), _scaling_chunks(n, interior_samples, seed, chunk))
     for ds in points:
-        stack = _scaled(mm, ds, out=members[: len(ds)])
         with np.errstate(over="ignore"):
-            _, norms, ok = _inverse_stack(stack, _member_norms(mm, ds))
+            _, norms, ok = _inverse_stack(_scaled(mm, ds))
         if not ok.all():
             raise SingularMatrix("matrix is numerically singular")
         k = int(np.argmax(norms))
@@ -161,17 +161,19 @@ def _vertex_candidates(mm: np.ndarray, chunk: int):
     """The vertices the walk cannot rule out, in binary order, as ``(k, n)``
     arrays of at most ``chunk`` rows: per chunk of walkers, every vertex of a
     flagged walker and every vertex whose walked norm lies within
-    ``_WALK_RTOL`` of the largest unflagged one."""
+    ``_WALK_RTOL`` of the largest unflagged one in this chunk or before it."""
     n = mm.shape[0]
     w = max(0, min(_WALK_BITS, n - _WALK_BITS))
     walkers = 2 ** (n - w)
     # Each walker holds an (n, n) inverse and (2**w, n) walked row sums.
     per_chunk = max(1, _CHUNK_ENTRIES // (n * max(n, 2**w)))
+    top = -np.inf
     for start in range(0, walkers, per_chunk):
         ks = np.arange(start, min(start + per_chunk, walkers))
         if w:  # else every vertex is an anchor, evaluated once, on LAPACK
             walked, flagged = _walk(mm, ks, w)
-            top = walked[~flagged].max(initial=-np.inf)
+            # A chunk that cannot hold the maximum sends nothing to LAPACK.
+            top = walked[~flagged].max(initial=top)
             keep = (walked >= (1.0 - _WALK_RTOL) * top) | flagged[:, None]
             ks = (start << w) + np.flatnonzero(keep)
         for i in range(0, len(ks), chunk):
@@ -183,13 +185,13 @@ def _walk(mm: np.ndarray, leads: np.ndarray, w: int):
     ``(walkers, 2**w)`` array indexed by ``g``, and a mask of the flagged
     walkers, whose norms are meaningless."""
     n = mm.shape[0]
-    # The anchors, then the vertices with only walked coordinates set: a
-    # vertex member's norm is at most the larger of those of its two parts.
-    parts = _vertices(np.concatenate([leads << w, np.arange(2**w)]), n)
-    norms = _member_norms(mm, parts)
-    anchors, anchor_norms, flip_norms = parts[: len(leads)], norms[: len(leads)], norms[len(leads) :]
+    anchors = _scaled(mm, _vertices(leads << w, n))
+    # A vertex member's norm is at most the larger of those of its anchor and
+    # of the member with only its walked coordinates set.
     with np.errstate(over="ignore"):
-        inv, _, ok = _inverse_stack(_scaled(mm, anchors), anchor_norms)
+        inv, _, ok = _inverse_stack(anchors)
+        anchor_norms = _inf_norms(anchors)
+        flip_norms = _inf_norms(_scaled(mm, _vertices(np.arange(2**w), n)))
     # Absolute row sums of every walked inverse, the anchors' from LAPACK,
     # each stack's as one matrix-vector product with a vector of ones.
     row_abs = np.empty((len(leads), 2**w, n))

@@ -329,6 +329,16 @@ class TestLcp:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["all_hold"] is True
 
+    def test_row_sum_past_the_float_range(self, capsys, tmp_path):
+        # Not Nekrasov, B-Nekrasov or P by class: the answer, basis [0], is
+        # reported with no bound (exit 2).
+        matrix, q = tmp_path / "m.txt", tmp_path / "q.txt"
+        matrix.write_text("2\n1e308 1e308\n0 1\n")
+        q.write_text("-1 1\n")
+        out, code = run(capsys, "lcp", "--matrix", str(matrix), "--q", str(q), "--trials", "2")
+        assert code == 2
+        assert json.loads(out)["basis"] == [0]
+
     # Diagonal M attains its bound 1/m_ii, and every class test is scale-free,
     # so tiny and huge scales certify as the unit scale does.  The last case
     # has w* = -1e-13 at basis (): infeasible at the scale of M and q.

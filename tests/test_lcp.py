@@ -161,6 +161,15 @@ class TestSolve:
         with pytest.raises(NoSolution, match="float range"):
             solve_lcp(inst)
 
+    def test_row_sum_past_the_float_range_keeps_its_test(self):
+        # ||m_0||_1 = 2e308: the slack of w_0 >= 0 stays finite, so the empty
+        # basis (w_0 = -1) is not feasible.  Basis {0} gives x* = (1e-308, 0).
+        inst = LcpInstance([[1e308, 1e308], [0.0, 1.0]], [-1.0, 1.0])
+        assert feasible_bases(inst) == [(0,)]
+        solution = solve_lcp(inst)
+        assert solution.basis == (0,)
+        np.testing.assert_array_equal(solution.x_star, [1e-308, 0.0])
+
     @pytest.mark.parametrize("k", [-200, -44, 44, 200])
     def test_basis_unchanged_under_scaling(self, k):
         # LCP(DM, Dq) and LCP(sM, tq) have the solution bases of LCP(M, q).

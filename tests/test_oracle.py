@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_bnekrasov, random_nekrasov
-from lcpbounds import bnekrasov, nekrasov, oracle
+from lcpbounds import bnekrasov, linalg, nekrasov, oracle
 from lcpbounds.bnekrasov import bplus_decompose, new_bnekrasov_bound
 from lcpbounds.errors import DimensionTooLarge, DomainError, PreconditionFailed, SingularMatrix
 from lcpbounds.linalg import _inverse_stack, inf_norm, inverse
@@ -231,10 +231,40 @@ class TestOracleMaxNorm:
         with pytest.raises(SingularMatrix):
             oracle_max_norm(block(1e7), interior_samples=0)
 
+    # Row i scaled by 10**13..10**14.5 puts the condition numbers of the
+    # members with d_i = 1 on either side of 1 / PIVOT_RTOL; on I with one
+    # diagonal entry a few ulps from 1 / PIVOT_RTOL, rounding alone decides.
+    # Row i is walked or anchored, and n <= 4 walks nothing.
+    @given(n=st.integers(1, 8), matrix_seed=st.integers(0, 2**32 - 1), diagonal=st.booleans(),
+           exponent=st.floats(13.0, 14.5), ulps=st.integers(-2, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_singular_exactly_where_a_vertex_inverse_is(self, n, matrix_seed, diagonal,
+                                                        exponent, ulps):
+        rng = np.random.default_rng(matrix_seed)
+        i = int(rng.integers(n))
+        if diagonal:
+            threshold = 1.0 / linalg.PIVOT_RTOL
+            m = np.eye(n)
+            m[i, i] = threshold + ulps * np.spacing(threshold)
+        else:
+            m = random_nekrasov(n, rng)
+            m[i] *= 10.0**exponent
+        singular = False
+        for d in product((0.0, 1.0), repeat=n):
+            try:
+                inverse(scaled_matrix(m, np.array(d)))
+            except SingularMatrix:
+                singular = True
+                break
+        if singular:
+            with pytest.raises(SingularMatrix):
+                oracle_max_norm(m, interior_samples=0)
+        else:
+            oracle_max_norm(m, interior_samples=0)
+
     # 48 entries split the walkers, the candidates and the samples into many
-    # chunks, the last one short, so the reused member buffer is only partly
-    # rewritten.  n = 9..11 has 32..128 walkers in one default chunk; n = 12
-    # and 13 have 256 and 512, in 2 and 4 default chunks.
+    # chunks, the last one short.  n = 9..11 has 32..128 walkers in one
+    # default chunk; n = 12 and 13 have 256 and 512, in 2 and 4 default chunks.
     @pytest.mark.parametrize("n, chunk_entries", [
         *((n, chunk_entries) for n in range(1, 12) for chunk_entries in (oracle._CHUNK_ENTRIES, 48)),
         (12, oracle._CHUNK_ENTRIES), (13, oracle._CHUNK_ENTRIES)])
@@ -296,15 +326,28 @@ class TestVertexWalk:
         monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 3 * 81)
         sizes = []
 
-        def recording(stack, norms=None):
+        def recording(stack):
             sizes.append(stack.size)
-            return _inverse_stack(stack, norms)
+            return _inverse_stack(stack)
 
         monkeypatch.setattr(oracle, "_inverse_stack", recording)
         est = oracle_max_norm(np.eye(9), interior_samples=10)
         assert est.max_observed == 1.0
         np.testing.assert_array_equal(est.argmax_d, np.zeros(9))
         assert max(sizes) == 3 * 81
+
+    def test_chunks_below_the_walked_maximum_send_nothing(self):
+        # n = 16: 4096 walkers in 32 chunks.  Each chunk is compared with the
+        # largest walked norm of the chunks so far; compared with its own
+        # chunk's largest alone, 6172 vertices would go back to LAPACK.
+        n = 16
+        m = random_nekrasov(n, np.random.default_rng(0))
+        w = max(0, min(oracle._WALK_BITS, n - oracle._WALK_BITS))
+        per_chunk = max(1, oracle._CHUNK_ENTRIES // (n * max(n, 2**w)))
+        walker_chunks = -(-(2 ** (n - w)) // per_chunk)
+        chunk = max(1, oracle._CHUNK_ENTRIES // (n * n))
+        candidates = sum(len(ds) for ds in oracle._vertex_candidates(m, chunk))
+        assert 1 <= candidates <= walker_chunks
 
     @pytest.mark.parametrize("n", [1, 4, 5, 9])
     def test_cap_zero_sends_every_walker_to_lapack(self, monkeypatch, n):

@@ -1,14 +1,17 @@
-"""Per-layer timings of ``lcp-certify bound`` and of the two 2^n walks.
+"""Per-layer timings of the library, from parsing to certification.
 
     PYTHONPATH=src python tools/bench_layers.py LABEL
 
 writes ``bench/BENCH_<LABEL>.json``: one row per layer (``parse_matrix``,
-``bnekrasov._profiles``, ``all_bounds``, ``classify`` and the in-process
-``bound`` command) for n = 150 and n = 400, ``solve_lcp`` with q = -1 for
-n = 12 and 15, and ``oracle_max_norm`` with no samples for n = 12 and 16,
-on one Nekrasov and one B-Nekrasov input each, with the median and best of
-``REPEATS`` timed calls (taken in rounds over all rows, after one untimed
-round), the work each call does, and the environment.
+``bnekrasov._profiles``, ``all_bounds``, ``classify``, the in-process
+``bound`` command and ``lemma_property_suite`` on the route ``verify``
+checks) for n = 150 and n = 400, ``solve_lcp`` with q = -1 for n = 12 and
+15, ``oracle_max_norm`` with no samples for n = 12 and 16, and at n = 12
+``is_p_matrix`` and ``certify_error_bound`` with the new bound at 20 trial
+points (one solve each), on one Nekrasov and one B-Nekrasov input each,
+with the median and best of ``REPEATS`` timed calls (taken in rounds over
+all rows, after one untimed round), the work each call does, and the
+environment.
 The script uses the standard library and ``lcpbounds`` only, and pins BLAS
 to one thread as ``perfbench`` does.  To time another commit, point
 ``PYTHONPATH`` at its ``src``; the ``commit`` field names the checkout the
@@ -47,6 +50,9 @@ SIZES = (150, 400)
 # The solver's limit is n = 15; the oracle's, n = 20, takes seconds per call.
 SOLVER_SIZES = (12, 15)
 ORACLE_SIZES = (12, 16)
+# The P-test's limit is n = 12.
+CERTIFY_SIZE = 12
+CERTIFY_POINTS = 20
 FAMILIES = ("nekrasov", "b_nekrasov")
 REPEATS = 40
 SEED = 2016
@@ -115,6 +121,12 @@ def _bound(path: str):
     return run
 
 
+def _certify(inst, bound, points) -> None:
+    """``certify_error_bound`` at each trial point, one solve each."""
+    for x in points:
+        lcp.certify_error_bound(inst, x, bound)
+
+
 def _rows(workdir: Path) -> list[dict]:
     """Every layer's row; the calls are timed in rounds, one call of each
     layer per round after an untimed one, so that a drift in machine speed
@@ -139,6 +151,8 @@ def _rows(workdir: Path) -> list[dict]:
                 "all_bounds": (partial(bnekrasov.all_bounds, profiles), {"bounds": 4}),
                 "classify": (classify, {"solves": _solves(classify)}),
                 "cli.bound": (_bound(str(path)), {"entries": n * n}),
+                "lemma_property_suite": (partial(oracle.lemma_property_suite, profiles.route),
+                                         {"rows": n}),
             }
             for layer, (fn, work) in layers.items():
                 add(layer, n, family, fn, work)
@@ -152,6 +166,15 @@ def _rows(workdir: Path) -> list[dict]:
         for family in FAMILIES:
             vertices = partial(oracle.oracle_max_norm, _matrix(n, family, rng), 0)
             add("oracle_max_norm", n, family, vertices, {"vertices": 2**n})
+    n = CERTIFY_SIZE
+    for family in FAMILIES:
+        m = _matrix(n, family, rng)
+        add("is_p_matrix", n, family, partial(lcp.is_p_matrix, m), {"minors": 2**n - 1})
+        inst = lcp.LcpInstance(m, [-1.0] * n)
+        bound = bnekrasov._profiles(m).route.new()
+        points = lcp.trial_points(lcp.solve_lcp(inst).x_star, CERTIFY_POINTS, SEED)
+        add("certify_error_bound", n, family, partial(_certify, inst, bound, points),
+            {"points": CERTIFY_POINTS, "solves": CERTIFY_POINTS})
     times = [[] for _ in calls]
     for _ in range(REPEATS + 1):
         for fn, samples in zip(calls, times):
