@@ -20,6 +20,9 @@ by class.  ``M`` is an H-matrix iff its comparison matrix ``<M>`` is a
 nonsingular M-matrix, that is iff ``x = <M>^{-1} 1`` is positive (Berman &
 Plemmons, 1994, ch. 6); a Nekrasov ``M`` is one by class, and any other takes
 one solve on the row-scaled ``M`` (``linalg._row_scaled``), as the P-test does.
+``classify`` decides P by ``lcp.is_p_matrix``, one principal-pivot recursion
+over all 2^n - 1 principal minors, up to n = 20 (``lcp._P_TEST_MAX_N``), and
+above that only by class, through ``p_class``.
 """
 
 from __future__ import annotations
@@ -59,8 +62,8 @@ class ClassificationReport:
     """Membership flags for the matrix classes relevant to the bounds.
 
     ``is_p_matrix`` is ``None`` when the principal-minor test was skipped
-    (dimension above the enumeration limit), unless the matrix is P by
-    class: Nekrasov with positive diagonal, or B-Nekrasov.
+    (n above the enumeration limit, 20), unless the matrix is P by class:
+    Nekrasov with positive diagonal, or B-Nekrasov.
     """
 
     is_sdd: bool
@@ -225,8 +228,8 @@ def is_b_nekrasov(m) -> ClassificationReport:
 
 
 def classify(m) -> ClassificationReport:
-    """Full diagnostics, including the principal-minor P-matrix test for small
-    n; ``is_h_matrix`` is true with no solve where ``M`` is Nekrasov."""
+    """Full diagnostics, including the principal-minor P-matrix test for
+    n <= 20; ``is_h_matrix`` is true with no solve where ``M`` is Nekrasov."""
     return _classify(_profiles(m), with_p_test=True)
 
 

@@ -2,18 +2,32 @@
 and error certificates.
 
 LCP(M, q) asks for ``x >= 0`` with ``w = Mx + q >= 0`` and ``x . w = 0``.
-The solver and the P-matrix test walk the principal submatrices one size at
-a time in (cardinality, lexicographic) order, one stacked LAPACK call per
-nonempty size (:func:`_levels`; at the solver's limit n = 15 the largest size
-holds C(15, 7) = 6435 blocks, about 2.5 MB per temporary).  The solver skips the
-bases whose block is singular (the rule of ``linalg.PIVOT_RTOL``) and yields
-the feasible ones: :func:`solve_lcp` takes the first, so it stops at the
-first size that holds one, and :func:`feasible_bases` lists them all, which
-makes the walk exhaustive at desk scale and a uniqueness checker.  The
-P-matrix test stops at the first size with a minor at or below 1e-12 of the
-row-scaled ``M`` (``linalg._row_scaled``).  Certificates compare the
-true error ``||x - x*||_inf`` against ``bound * ||min(x, Mx+q)||_inf``.  Every
-slack is relative, so LCP(DM, Dq) and LCP(sM, tq) (D > 0 diagonal, s, t > 0) agree.
+The solver walks the principal submatrices one size at a time in
+(cardinality, lexicographic) order, one stacked LAPACK call per nonempty size
+(:func:`_solved_levels`; at the solver's limit n = 15 the largest size holds
+C(15, 7) = 6435 blocks, about 2.5 MB per temporary).  It skips the bases
+whose block is singular (the rule of ``linalg.PIVOT_RTOL``) and yields the
+feasible ones: :func:`solve_lcp` takes the first, so it stops at the first
+size that holds one, and :func:`feasible_bases` lists them all, which makes
+the walk exhaustive at desk scale and a uniqueness checker.
+
+The P-matrix test takes no LAPACK call.  It runs one principal-pivot
+recursion over the indices of the row-scaled ``M`` (``linalg._row_scaled``):
+level k holds, for each subset ``a`` of the first k indices, the Schur
+complement of ``M[a, a]`` in the principal submatrix on ``a`` and k..n-1,
+and level k + 1 holds each of them without index k, then each pivoted on its
+first entry (``rest - col row / pivot``).  That pivot is
+``det M[a + k] / det M[a]``, so every principal minor is a product of pivots
+and ``M`` is P iff every pivot is positive (Tsatsomeros & Li, BIT 40 (2000)).
+A pivot counts as positive when it exceeds 1e-12 times the largest |entry|
+of its row in its complement, a rule that does not shrink with the minors.
+The test stops at the first level with a pivot that fails it.  It takes
+O(2^n n^2) flops, and at its limit n = 20 its largest level holds about
+9 MB of complements (one call peaks at about 25 MB).
+
+Certificates compare the true error ``||x - x*||_inf`` against
+``bound * ||min(x, Mx+q)||_inf``.  Every slack is relative, so LCP(DM, Dq)
+and LCP(sM, tq) (D > 0 diagonal, s, t > 0) agree.
 """
 
 from __future__ import annotations
@@ -40,7 +54,7 @@ FEASIBILITY_TOL = 1e-10
 
 _SOLVER_MAX_N = 15
 # Principal-minor P-matrix test is only run up to this dimension.
-_P_TEST_MAX_N = 12
+_P_TEST_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -112,22 +126,16 @@ def _index_levels(n: int) -> tuple[np.ndarray, ...]:
     return tuple(np.array(list(bases), dtype=np.intp) for _, bases in levels)
 
 
-def _levels(m: np.ndarray):
-    """The nonempty principal submatrices of ``m`` in ``_enumerate_bases``
-    order, one level per size: the ``(k, size)`` index array and the
-    ``(k, size, size)`` stack.  The empty one needs no LAPACK call: its minor
-    is 1, and its basis has ``x = 0``."""
-    for a in _index_levels(m.shape[0])[1:]:
-        yield a, m[a[:, :, None], a[:, None, :]]
-
-
 def _solved_levels(m: np.ndarray, q: np.ndarray):
-    """``(alpha, x_alpha)`` per size, ``(k, size)`` arrays each: the empty
-    basis, then the bases whose block ``_inverse_stack`` accepts, with
-    ``x_alpha = -M_alpha^{-1} q_alpha``, one stacked solve per size."""
-    yield _index_levels(m.shape[0])[0], np.zeros((1, 0))
-    for a, stack in _levels(m):
-        inv, _, ok = _inverse_stack(stack)
+    """``(alpha, x_alpha)`` per size, ``(k, size)`` arrays each, in
+    ``_enumerate_bases`` order: the empty basis, which has ``x = 0`` and
+    takes no LAPACK call, then the bases whose block ``_inverse_stack``
+    accepts, with ``x_alpha = -M_alpha^{-1} q_alpha``, one stacked solve per
+    size."""
+    levels = _index_levels(m.shape[0])
+    yield levels[0], np.zeros((1, 0))
+    for a in levels[1:]:
+        inv, _, ok, _ = _inverse_stack(m[a[:, :, None], a[:, None, :]])
         if not ok.all():
             a, inv = a[ok], inv[ok]
         yield a, (inv @ -q[a][..., None])[..., 0]
@@ -180,17 +188,29 @@ def feasible_bases(inst: LcpInstance) -> list[tuple[int, ...]]:
 
 
 def is_p_matrix(m) -> bool:
-    """True iff every principal minor of ``M``, each row scaled by a power of
-    two to a largest |entry| in [1, 2), exceeds 1e-12.  ``M`` is checked, not
-    copied: the test reads its row-scaled copy."""
+    """True iff every pivot of the principal-pivot recursion on ``M``, each
+    row scaled by a power of two to a largest |entry| in [1, 2), exceeds
+    1e-12 times the largest |entry| of its row in its Schur complement (see
+    the module docstring).  ``M`` is checked, not copied: the test reads its
+    row-scaled copy."""
     mm = _checked_matrix(np.asarray(m, dtype=float))
     n = mm.shape[0]
     if n > _P_TEST_MAX_N:
         raise DimensionTooLarge(f"principal-minor enumeration is limited to n <= {_P_TEST_MAX_N}")
-    for _, stack in _levels(_row_scaled(mm)):
-        if np.any(np.linalg.det(stack) <= 1e-12):
+    # Level k: one trailing Schur complement on indices k..n-1 per subset of 0..k-1.
+    t = _row_scaled(mm)[None]
+    while True:
+        pivots = t[:, 0, 0]
+        if not np.all(pivots > 1e-12 * np.abs(t[:, 0]).max(axis=1)):
             return False
-    return True
+        if t.shape[1] == 1:
+            return True
+        # Level k + 1: each complement without index k, then pivoted on it.
+        k, rest, col = len(t), t[:, 1:, 1:], t[:, 1:, :1]
+        row = t[:, :1, 1:] / pivots[:, None, None]
+        t = np.empty((2 * k, *rest.shape[1:]))
+        t[:k] = rest
+        np.subtract(rest, np.multiply(col, row, out=t[k:]), out=t[k:])
 
 
 def certify_error_bound(inst: LcpInstance, x, bound: BoundReport) -> ErrorCertificate:

@@ -27,11 +27,13 @@ zero or non-finite denominator; below the cap a walked norm is within about
 ``2**w * cap * eps``, far less than ``_WALK_RTOL``, of its LAPACK value.
 A member's ``||A||_inf`` is bounded by the larger norm of its anchor and of
 the member with only its walked coordinates set, both summed from built
-members.  Every vertex of a flagged walker, and every vertex whose walked
-norm lies within ``_WALK_RTOL`` of the largest unflagged walked norm so far,
-is evaluated again on LAPACK, like the samples: each chunk is built with
-``nekrasov._scaled`` and inverted through ``_inverse_stack``, which sums the
-members' norms from that stack, as ``inverse`` does.  So the value and its
+members: the anchors' by the ``_inverse_stack`` call that inverts them, and
+the ``2**w`` others' once per call.  Every vertex of a flagged walker, and
+every vertex whose walked norm lies within ``_WALK_RTOL`` of the largest
+unflagged walked norm so far, is evaluated again on LAPACK, like the
+samples: each chunk is built with ``nekrasov._scaled`` and inverted through
+``_inverse_stack``, which sums the members' norms from that stack, as
+``inverse`` does.  So the value and its
 argmax are those of a per-point LAPACK loop, ties keep the first point in
 that loop's order, and a member is singular only where LAPACK says so (an
 exact zero pivot, or one past the ``linalg.PIVOT_RTOL`` rule), which raises
@@ -142,7 +144,7 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
     points = chain(_vertex_candidates(mm, chunk), _scaling_chunks(n, interior_samples, seed, chunk))
     for ds in points:
         with np.errstate(over="ignore"):
-            _, norms, ok = _inverse_stack(_scaled(mm, ds))
+            _, norms, ok, _ = _inverse_stack(_scaled(mm, ds))
         if not ok.all():
             raise SingularMatrix("matrix is numerically singular")
         k = int(np.argmax(norms))
@@ -167,11 +169,13 @@ def _vertex_candidates(mm: np.ndarray, chunk: int):
     walkers = 2 ** (n - w)
     # Each walker holds an (n, n) inverse and (2**w, n) walked row sums.
     per_chunk = max(1, _CHUNK_ENTRIES // (n * max(n, 2**w)))
+    with np.errstate(over="ignore"):
+        flip_norms = _inf_norms(_scaled(mm, _vertices(np.arange(2**w), n)))
     top = -np.inf
     for start in range(0, walkers, per_chunk):
         ks = np.arange(start, min(start + per_chunk, walkers))
         if w:  # else every vertex is an anchor, evaluated once, on LAPACK
-            walked, flagged = _walk(mm, ks, w)
+            walked, flagged = _walk(mm, ks, w, flip_norms)
             # A chunk that cannot hold the maximum sends nothing to LAPACK.
             top = walked[~flagged].max(initial=top)
             keep = (walked >= (1.0 - _WALK_RTOL) * top) | flagged[:, None]
@@ -180,18 +184,16 @@ def _vertex_candidates(mm: np.ndarray, chunk: int):
             yield _vertices(ks[i : i + chunk], n)
 
 
-def _walk(mm: np.ndarray, leads: np.ndarray, w: int):
+def _walk(mm: np.ndarray, leads: np.ndarray, w: int, flip_norms: np.ndarray):
     """Walked inverse norms of the vertices ``(lead << w) + g``, as a
     ``(walkers, 2**w)`` array indexed by ``g``, and a mask of the flagged
-    walkers, whose norms are meaningless."""
+    walkers, whose norms are meaningless.  ``flip_norms[g]`` is the norm of
+    the member with only the walked coordinates of ``g`` set."""
     n = mm.shape[0]
-    anchors = _scaled(mm, _vertices(leads << w, n))
     # A vertex member's norm is at most the larger of those of its anchor and
     # of the member with only its walked coordinates set.
     with np.errstate(over="ignore"):
-        inv, _, ok = _inverse_stack(anchors)
-        anchor_norms = _inf_norms(anchors)
-        flip_norms = _inf_norms(_scaled(mm, _vertices(np.arange(2**w), n)))
+        inv, _, ok, anchor_norms = _inverse_stack(_scaled(mm, _vertices(leads << w, n)))
     # Absolute row sums of every walked inverse, the anchors' from LAPACK,
     # each stack's as one matrix-vector product with a vector of ones.
     row_abs = np.empty((len(leads), 2**w, n))

@@ -116,16 +116,25 @@ class TestClassify:
         report = classify([[0.0, 1.0], [1.0, 0.0]])
         assert report.is_p_matrix is False
 
+    def test_shrinking_minors_are_p(self):
+        # Nekrasov, with every principal minor exactly 1; the row-scaled
+        # minors fall to 2**-42, below an absolute threshold of 1e-12.
+        m = np.eye(8)
+        m[1:, 0] = 100.0
+        report = classify(m)
+        assert report.is_h_matrix is True
+        assert report.is_p_matrix is True
+
     def test_large_n_skips_p(self):
         # -I is in neither class (its diagonal is negative), so P stays unknown.
-        report = classify(-np.eye(13))
+        report = classify(-np.eye(21))
         assert report.is_p_matrix is None
         assert "skipped" in report.notes
 
     @pytest.mark.parametrize("m, cls", [
-        (np.eye(13), "Nekrasov with positive diagonal"),
-        # B+ = I, so I + J is B-Nekrasov; h_1 = 12 > 2, so it is not Nekrasov.
-        (np.eye(13) + 1.0, "B-Nekrasov"),
+        (np.eye(21), "Nekrasov with positive diagonal"),
+        # B+ = I, so I + J is B-Nekrasov; h_1 = 20 > 2, so it is not Nekrasov.
+        (np.eye(21) + 1.0, "B-Nekrasov"),
     ])
     def test_large_n_p_by_class(self, m, cls):
         report = classify(m)
@@ -144,7 +153,7 @@ class TestClassify:
         assert profiles.p_class == cls
         assert (profiles.route is None) == (cls is None)
 
-    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+    @given(n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from(["nekrasov", "bnekrasov", "perturbed"]))
     @settings(max_examples=60, deadline=None)
     def test_class_agrees_with_enumeration(self, n, seed, kind):

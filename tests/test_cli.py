@@ -441,7 +441,7 @@ class TestClassify:
         assert json.loads(proc.stdout)["classification"]["is_h_matrix"] is True
 
     @pytest.mark.parametrize("command", ["bound", "classify"])
-    @pytest.mark.parametrize("n", [4, 13], ids=["p_tested", "p_skipped"])
+    @pytest.mark.parametrize("n", [4, 21], ids=["p_tested", "p_skipped"])
     def test_classification_keys_in_order(self, capsys, tmp_path, command, n):
         path = tmp_path / "m.txt"
         path.write_text(format_matrix(4.0 * np.eye(n) - 1.0))
@@ -523,11 +523,11 @@ class TestProfileOnce:
 
 class TestCopyOnce:
     """``bound`` and ``classify`` validate and copy M once, where they enter
-    ``bnekrasov._profiles``; the routes, the class tests and, up to n = 12,
+    ``bnekrasov._profiles``; the routes, the class tests and, up to n = 20,
     the P-test ``lcp.is_p_matrix`` read that copy."""
 
-    # n = 13, where the P-test is skipped; the 4x4 fixtures run it.
-    LARGE = {"nekrasov": 4.0 * np.eye(13) - 0.25, "b_nekrasov": np.eye(13) + 1.0}
+    # n = 21, where the P-test is skipped; the 4x4 fixtures run it.
+    LARGE = {"nekrasov": 4.0 * np.eye(21) - 0.15, "b_nekrasov": np.eye(21) + 1.0}
 
     @pytest.mark.parametrize("command", ["bound", "classify"])
     @pytest.mark.parametrize("source", [*LARGE, "example1", "example2", "example3", "example4"])

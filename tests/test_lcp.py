@@ -296,9 +296,25 @@ class TestIsPMatrix:
         assert not is_p_matrix([[1.0, 2.0], [2.0, 1.0]])
 
     def test_matches_minor_by_minor_loop(self):
-        # The reference scales each row by a power of two to a largest |entry|
-        # in [1, 2).  Rows drawn at 10**U(-3, 3) set it apart from a single
-        # scale for the whole matrix, M / max(1, max |m_ij|).
+        # The reference states the pivot rule minor by minor.  With rows a,
+        # then i, and columns a, then j, the bordered minor over det M[a, a]
+        # is entry (i, j) of the Schur complement of M[a, a], so for each
+        # subset a of the indices below k the rule reads
+        # det M[a + k, a + k] > 1e-12 max_{j >= k} |det M[a + k, a + j]|.
+        # Unit lower triangular inputs with entries up to 200 set it apart
+        # from the rule det > 1e-12 on the row-scaled minors, which shrink
+        # by up to 2**-8 per row.
+        def bordered(a, alpha, i, j):
+            return np.linalg.det(a[np.ix_(alpha + (i,), alpha + (j,))])
+
+        def pivots_pass(a):
+            n = a.shape[0]
+            return all(bordered(a, alpha, k, k)
+                       > 1e-12 * max(abs(bordered(a, alpha, k, j)) for j in range(k, n))
+                       for k in range(n)
+                       for size in range(k + 1)
+                       for alpha in combinations(range(k), size))
+
         def minors_pass(a):
             n = a.shape[0]
             return all(np.linalg.det(a[np.ix_(alpha, alpha)]) > 1e-12
@@ -310,13 +326,15 @@ class TestIsPMatrix:
         for k in range(60):
             n = int(rng.integers(1, 8))
             m = rng.uniform(-1.0, 1.0, (n, n)) + rng.uniform(0.0, 3.0) * np.eye(n)
-            if k % 2:
+            if k % 3 == 1:
                 m *= 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+            elif k % 3 == 2:
+                m = np.eye(n) + np.tril(rng.uniform(-200.0, 200.0, (n, n)), -1)
             rows = np.array([2.0 ** (1 - math.frexp(v)[1]) for v in np.abs(m).max(axis=1)])
-            expected = minors_pass(rows[:, None] * m)
+            expected = pivots_pass(rows[:, None] * m)
             assert is_p_matrix(m) == expected
             verdicts.add(expected)
-            apart += expected != minors_pass(m / max(1.0, float(np.max(np.abs(m)))))
+            apart += expected != minors_pass(rows[:, None] * m)
         assert verdicts == {True, False}
         assert apart > 0
 
@@ -353,9 +371,46 @@ class TestIsPMatrix:
             verdicts.add(expected)
         assert verdicts == {True, False}
 
+    @pytest.mark.parametrize("kind", ["row_scaled", "unit_triangular", "near_singular", "non_p"])
+    def test_matches_exact_minors_up_to_n10(self, kind):
+        # Exact signs of the principal minors of the doubles.  A unit
+        # triangular M has every principal minor 1, and rows up to 200 make
+        # its row-scaled minors as small as 2**-8 per row; u v^T + e I with
+        # u, v > 0 has minors e^(k-1) (e + u_a . v_a), P iff e > 0; non-P
+        # inputs are Nekrasov inputs with one diagonal entry negated.
+        rng = np.random.default_rng(["row_scaled", "unit_triangular", "near_singular",
+                                     "non_p"].index(kind))
+        verdicts = set()
+        for n in [*range(1, 9), *range(1, 9), 9, 10]:
+            if kind == "row_scaled":
+                m = rng.uniform(-1.0, 1.0, (n, n)) + rng.uniform(0.0, 3.0) * np.eye(n)
+                m *= 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+            elif kind == "unit_triangular":
+                m = np.eye(n) + np.tril(rng.uniform(-200.0, 200.0, (n, n)), -1)
+                m = m.T if rng.random() < 0.5 else m
+            elif kind == "near_singular":
+                e = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, -4.0)
+                m = np.outer(rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)) + e * np.eye(n)
+            else:
+                m = random_nekrasov(n, rng) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+                i = rng.integers(n)
+                m[i, i] = -m[i, i]
+            expected = _rational.is_p_matrix_exact([[F(float(v)) for v in row] for row in m])
+            assert is_p_matrix(m) == expected, (n, m)
+            verdicts.add(expected)
+        assert verdicts == {"row_scaled": {True, False}, "unit_triangular": {True},
+                            "near_singular": {True, False}, "non_p": {False}}[kind]
+
+    def test_n20(self):
+        assert is_p_matrix(random_nekrasov(20, np.random.default_rng(20)))
+        # The one negative minor, 1 - 4, sits on the last two indices.
+        m = np.eye(16)
+        m[14, 15] = m[15, 14] = 2.0
+        assert not is_p_matrix(m)
+
     def test_too_large(self):
         with pytest.raises(DimensionTooLarge):
-            is_p_matrix(np.eye(13))
+            is_p_matrix(np.eye(21))
 
 
 class TestCertify:

@@ -301,7 +301,8 @@ def walk_every_vertex(m):
     of the vertices whose walker is flagged."""
     n = m.shape[0]
     w = max(0, min(oracle._WALK_BITS, n - oracle._WALK_BITS))
-    walked, flagged = oracle._walk(m, np.arange(2 ** (n - w)), w)
+    flip_norms = linalg._inf_norms(nekrasov._scaled(m, oracle._vertices(np.arange(2**w), n)))
+    walked, flagged = oracle._walk(m, np.arange(2 ** (n - w)), w, flip_norms)
     return walked.ravel(), np.repeat(flagged, 2**w)
 
 
@@ -348,6 +349,29 @@ class TestVertexWalk:
         chunk = max(1, oracle._CHUNK_ENTRIES // (n * n))
         candidates = sum(len(ds) for ds in oracle._vertex_candidates(m, chunk))
         assert 1 <= candidates <= walker_chunks
+
+    def test_each_stack_is_summed_once(self, monkeypatch):
+        # n = 16: 32 walker chunks.  Each chunk's stacked inverse sums its
+        # anchors and their inverses, and nothing else in the walk sums a
+        # stack; the flip parts are summed once per call, and the one vertex
+        # sent back to LAPACK takes one more stacked inverse.
+        n = 16
+        m = random_nekrasov(n, np.random.default_rng(0))
+        calls = []
+        original = linalg._inf_norms
+
+        def counted(stack):
+            calls.append(stack.shape)
+            return original(stack)
+
+        monkeypatch.setattr(linalg, "_inf_norms", counted)
+        monkeypatch.setattr(oracle, "_inf_norms", counted)
+        oracle_max_norm(m, interior_samples=0)
+        w = max(0, min(oracle._WALK_BITS, n - oracle._WALK_BITS))
+        per_chunk = max(1, oracle._CHUNK_ENTRIES // (n * max(n, 2**w)))
+        walker_chunks = -(-(2 ** (n - w)) // per_chunk)
+        assert len(calls) <= 2 * walker_chunks + 3
+        assert calls.count((2**w, n, n)) == 1
 
     @pytest.mark.parametrize("n", [1, 4, 5, 9])
     def test_cap_zero_sends_every_walker_to_lapack(self, monkeypatch, n):

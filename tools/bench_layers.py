@@ -6,9 +6,10 @@ writes ``bench/BENCH_<LABEL>.json``: one row per layer (``parse_matrix``,
 ``bnekrasov._profiles``, ``all_bounds``, ``classify``, the in-process
 ``bound`` command and ``lemma_property_suite`` on the route ``verify``
 checks) for n = 150 and n = 400, ``solve_lcp`` with q = -1 for n = 12 and
-15, ``oracle_max_norm`` with no samples for n = 12 and 16, and at n = 12
-``is_p_matrix`` and ``certify_error_bound`` with the new bound at 20 trial
-points (one solve each), on one Nekrasov and one B-Nekrasov input each,
+15, ``oracle_max_norm`` with no samples for n = 12 and 16, ``is_p_matrix``
+for n = 12, 16 and 20, and at n = 12 ``certify_error_bound`` with the new
+bound at 20 trial points (one solve each), on one Nekrasov and one
+B-Nekrasov input each,
 with the median and best of ``REPEATS`` timed calls (taken in rounds over
 all rows, after one untimed round), the work each call does, and the
 environment.
@@ -50,7 +51,8 @@ SIZES = (150, 400)
 # The solver's limit is n = 15; the oracle's, n = 20, takes seconds per call.
 SOLVER_SIZES = (12, 15)
 ORACLE_SIZES = (12, 16)
-# The P-test's limit is n = 12.
+# Certification and the P-test on one input; the P-test also runs at n = 16
+# and at its limit, n = 20.
 CERTIFY_SIZE = 12
 CERTIFY_POINTS = 20
 FAMILIES = ("nekrasov", "b_nekrasov")
@@ -175,6 +177,10 @@ def _rows(workdir: Path) -> list[dict]:
         points = lcp.trial_points(lcp.solve_lcp(inst).x_star, CERTIFY_POINTS, SEED)
         add("certify_error_bound", n, family, partial(_certify, inst, bound, points),
             {"points": CERTIFY_POINTS, "solves": CERTIFY_POINTS})
+    for n in (16, 20):
+        for family in FAMILIES:
+            p_test = partial(lcp.is_p_matrix, _matrix(n, family, rng))
+            add("is_p_matrix", n, family, p_test, {"minors": 2**n - 1})
     times = [[] for _ in calls]
     for _ in range(REPEATS + 1):
         for fn, samples in zip(calls, times):
