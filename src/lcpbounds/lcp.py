@@ -201,7 +201,7 @@ def is_p_matrix(m) -> bool:
     t = _row_scaled(mm)[None]
     while True:
         pivots = t[:, 0, 0]
-        if not np.all(pivots > 1e-12 * np.abs(t[:, 0]).max(axis=1)):
+        if not (pivots > 1e-12 * np.abs(t[:, 0]).max(axis=1)).all():
             return False
         if t.shape[1] == 1:
             return True

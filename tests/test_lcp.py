@@ -371,15 +371,17 @@ class TestIsPMatrix:
             verdicts.add(expected)
         assert verdicts == {True, False}
 
-    @pytest.mark.parametrize("kind", ["row_scaled", "unit_triangular", "near_singular", "non_p"])
-    def test_matches_exact_minors_up_to_n10(self, kind):
+    @pytest.mark.parametrize("kind, seen", [
+        ("row_scaled", {True, False}), ("unit_triangular", {True}),
+        ("near_singular", {True, False}), ("non_p", {False}),
+    ], ids=["row_scaled", "unit_triangular", "near_singular", "non_p"])
+    def test_matches_exact_minors_up_to_n10(self, kind, seen):
         # Exact signs of the principal minors of the doubles.  A unit
         # triangular M has every principal minor 1, and rows up to 200 make
         # its row-scaled minors as small as 2**-8 per row; u v^T + e I with
         # u, v > 0 has minors e^(k-1) (e + u_a . v_a), P iff e > 0; non-P
         # inputs are Nekrasov inputs with one diagonal entry negated.
-        rng = np.random.default_rng(["row_scaled", "unit_triangular", "near_singular",
-                                     "non_p"].index(kind))
+        rng = np.random.default_rng(len(kind))
         verdicts = set()
         for n in [*range(1, 9), *range(1, 9), 9, 10]:
             if kind == "row_scaled":
@@ -398,8 +400,7 @@ class TestIsPMatrix:
             expected = _rational.is_p_matrix_exact([[F(float(v)) for v in row] for row in m])
             assert is_p_matrix(m) == expected, (n, m)
             verdicts.add(expected)
-        assert verdicts == {"row_scaled": {True, False}, "unit_triangular": {True},
-                            "near_singular": {True, False}, "non_p": {False}}[kind]
+        assert verdicts == seen
 
     def test_n20(self):
         assert is_p_matrix(random_nekrasov(20, np.random.default_rng(20)))
