@@ -303,7 +303,7 @@ class TestIsPMatrix:
         # det M[a + k, a + k] > 1e-12 max_{j >= k} |det M[a + k, a + j]|.
         # Unit lower triangular inputs with entries up to 200 set it apart
         # from the rule det > 1e-12 on the row-scaled minors, which shrink
-        # by up to 2**-8 per row.
+        # by up to 2**-7 per row.
         def bordered(a, alpha, i, j):
             return np.linalg.det(a[np.ix_(alpha + (i,), alpha + (j,))])
 
@@ -378,7 +378,7 @@ class TestIsPMatrix:
     def test_matches_exact_minors_up_to_n10(self, kind, seen):
         # Exact signs of the principal minors of the doubles.  A unit
         # triangular M has every principal minor 1, and rows up to 200 make
-        # its row-scaled minors as small as 2**-8 per row; u v^T + e I with
+        # its row-scaled minors as small as 2**-7 per row; u v^T + e I with
         # u, v > 0 has minors e^(k-1) (e + u_a . v_a), P iff e > 0; non-P
         # inputs are Nekrasov inputs with one diagonal entry negated.
         rng = np.random.default_rng(len(kind))
