@@ -4,7 +4,7 @@ and error certificates.
 LCP(M, q) asks for ``x >= 0`` with ``w = Mx + q >= 0`` and ``x . w = 0``.
 The solver walks the principal submatrices one size at a time in
 (cardinality, lexicographic) order, one stacked LAPACK call per nonempty size
-(:func:`_solved_levels`; at the solver's limit n = 15 the largest size holds
+(:func:`_feasible`; at the solver's limit n = 15 the largest size holds
 C(15, 7) = 6435 blocks, about 2.5 MB per temporary).  It skips the bases
 whose block is singular (the rule of ``linalg.PIVOT_RTOL``) and yields the
 feasible ones: :func:`solve_lcp` takes the first, so it stops at the first
@@ -126,27 +126,13 @@ def _index_levels(n: int) -> tuple[np.ndarray, ...]:
     return tuple(np.array(list(bases), dtype=np.intp) for _, bases in levels)
 
 
-def _solved_levels(m: np.ndarray, q: np.ndarray):
-    """``(alpha, x_alpha)`` per size, ``(k, size)`` arrays each, in
-    ``_enumerate_bases`` order: the empty basis, which has ``x = 0`` and
-    takes no LAPACK call, then the bases whose block ``_inverse_stack``
-    accepts, with ``x_alpha = -M_alpha^{-1} q_alpha``, one stacked solve per
-    size."""
-    levels = _index_levels(m.shape[0])
-    yield levels[0], np.zeros((1, 0))
-    for a in levels[1:]:
-        inv, _, ok, _ = _inverse_stack(m[a[:, :, None], a[:, None, :]])
-        if not ok.all():
-            a, inv = a[ok], inv[ok]
-        yield a, (inv @ -q[a][..., None])[..., 0]
-
-
 def _feasible(inst: LcpInstance):
     """Yield ``(alpha, x, w)`` for each feasible complementary basis, in
-    enumeration order, solving one level of bases at a time.  A basis whose
-    ``x`` or ``w`` leaves the float range is not feasible; callers iterate
-    under ``np.errstate(over="ignore", invalid="ignore")``, so that it is
-    skipped without a warning."""
+    enumeration order, one stacked solve per size of the bases whose block
+    ``_inverse_stack`` accepts; the empty basis has ``x = 0`` and takes no
+    LAPACK call.  A basis whose ``x`` or ``w`` leaves the float range is not
+    feasible; callers iterate under ``np.errstate(over="ignore",
+    invalid="ignore")``, so that it is skipped without a warning."""
     if inst.n > _SOLVER_MAX_N:
         raise DimensionTooLarge(f"basis enumeration is limited to n <= {_SOLVER_MAX_N}")
     m, q = inst.m, inst.q
@@ -154,7 +140,14 @@ def _feasible(inst: LcpInstance):
     # stays finite where ||m_i||_1 passes the float range; times ||x||_inf it is
     # exactly 0 where x = 0.
     w_slack, q_tol = -(FEASIBILITY_TOL * np.abs(m)).sum(axis=1), FEASIBILITY_TOL * np.abs(q)
-    for a, x_a in _solved_levels(m, q):
+    for a in _index_levels(inst.n):
+        if a.size:
+            inv, _, ok, _ = _inverse_stack(m[a[:, :, None], a[:, None, :]])
+            if not ok.all():
+                a, inv = a[ok], inv[ok]
+            x_a = (inv @ -q[a][..., None])[..., 0]
+        else:
+            x_a = np.zeros((1, 0))
         x = np.zeros((len(a), inst.n))
         x[np.arange(len(a))[:, None], a] = x_a
         w = (m @ x[..., None])[..., 0] + q
@@ -192,7 +185,9 @@ def is_p_matrix(m) -> bool:
     row scaled by a power of two to a largest |entry| in [1, 2), exceeds
     1e-12 times the largest |entry| of its row in its Schur complement (see
     the module docstring).  ``M`` is checked, not copied: the test reads its
-    row-scaled copy."""
+    row-scaled copy.  In index order the complements of a permuted unit
+    triangular P-matrix with entries up to 200 can outgrow a pivot by 1e12:
+    of 100 seeded ones, 6, 19 and 51 read not P at n = 8, 10 and 12."""
     mm = _checked_matrix(np.asarray(m, dtype=float))
     n = mm.shape[0]
     if n > _P_TEST_MAX_N:

@@ -264,7 +264,7 @@ class TestOracleMaxNorm:
 
     # 48 entries split the walkers, the candidates and the samples into many
     # chunks, the last one short.  n = 9..11 has 32..128 walkers in one
-    # default chunk; n = 12 and 13 have 256 and 512, in 2 and 4 default chunks.
+    # default chunk; n = 12 and 13 have 256 and 512, in 2 and 3 default chunks.
     @pytest.mark.parametrize("n, chunk_entries", [
         *((n, chunk_entries) for n in range(1, 12) for chunk_entries in (oracle._CHUNK_ENTRIES, 48)),
         (12, oracle._CHUNK_ENTRIES), (13, oracle._CHUNK_ENTRIES)])
@@ -296,11 +296,16 @@ class TestOracleMaxNorm:
         assert est.max_observed == pytest.approx(vertices_only, rel=1e-12)
 
 
+def walk_width(n):
+    """The number of coordinates the oracle's walk flips at dimension n."""
+    return max(0, min(oracle._WALK_BITS, n - oracle._WALK_BITS))
+
+
 def walk_every_vertex(m):
     """The walked norms of every vertex of ``m`` in binary order, and a mask
     of the vertices whose walker is flagged."""
     n = m.shape[0]
-    w = max(0, min(oracle._WALK_BITS, n - oracle._WALK_BITS))
+    w = walk_width(n)
     flip_norms = linalg._inf_norms(nekrasov._scaled(m, oracle._vertices(np.arange(2**w), n)))
     walked, flagged = oracle._walk(m, np.arange(2 ** (n - w)), w, flip_norms)
     return walked.ravel(), np.repeat(flagged, 2**w)
@@ -343,10 +348,8 @@ class TestVertexWalk:
         # chunk's largest alone, 6172 vertices would go back to LAPACK.
         n = 16
         m = random_nekrasov(n, np.random.default_rng(0))
-        w = max(0, min(oracle._WALK_BITS, n - oracle._WALK_BITS))
-        per_chunk = max(1, oracle._CHUNK_ENTRIES // (n * max(n, 2**w)))
-        walker_chunks = -(-(2 ** (n - w)) // per_chunk)
         chunk = max(1, oracle._CHUNK_ENTRIES // (n * n))
+        walker_chunks = -(-(2 ** (n - walk_width(n))) // chunk)
         candidates = sum(len(ds) for ds in oracle._vertex_candidates(m, chunk))
         assert 1 <= candidates <= walker_chunks
 
@@ -367,11 +370,41 @@ class TestVertexWalk:
         monkeypatch.setattr(linalg, "_inf_norms", counted)
         monkeypatch.setattr(oracle, "_inf_norms", counted)
         oracle_max_norm(m, interior_samples=0)
-        w = max(0, min(oracle._WALK_BITS, n - oracle._WALK_BITS))
-        per_chunk = max(1, oracle._CHUNK_ENTRIES // (n * max(n, 2**w)))
-        walker_chunks = -(-(2 ** (n - w)) // per_chunk)
+        w, chunk = walk_width(n), max(1, oracle._CHUNK_ENTRIES // (n * n))
+        walker_chunks = -(-(2 ** (n - w)) // chunk)
         assert len(calls) <= 2 * walker_chunks + 3
         assert calls.count((2**w, n, n)) == 1
+
+    def test_walkers_share_the_members_chunk(self, monkeypatch):
+        # n = 13: 512 walkers, each holding one 13x13 inverse, so the 193
+        # members of a LAPACK stack make a walker chunk too.
+        n = 13
+        m = random_nekrasov(n, np.random.default_rng(0))
+        chunk = max(1, oracle._CHUNK_ENTRIES // (n * n))
+        sizes = []
+
+        def recording(stack):
+            sizes.append(len(stack))
+            return _inverse_stack(stack)
+
+        monkeypatch.setattr(oracle, "_inverse_stack", recording)
+        for _ in oracle._vertex_candidates(m, chunk):
+            pass
+        assert (chunk, sizes) == (193, [193, 193, 126])
+
+    @pytest.mark.parametrize("n", range(5, 14))
+    def test_anchor_norms_are_lapack_norms(self, n):
+        # Column 0 of the walked norms is the anchors' stacked inverse norms,
+        # bit for bit, not summed again.
+        rng = np.random.default_rng(n)
+        m = rng.uniform(-1.0, 1.0, (n, n)) + np.diag(rng.uniform(0.5, 3.0, n) + n / 2)
+        w = walk_width(n)
+        leads = np.arange(2 ** (n - w))
+        flip_norms = linalg._inf_norms(nekrasov._scaled(m, oracle._vertices(np.arange(2**w), n)))
+        walked, flagged = oracle._walk(m, leads, w, flip_norms)
+        _, anchor_norms, ok, _ = _inverse_stack(nekrasov._scaled(m, oracle._vertices(leads << w, n)))
+        assert ok.all() and not flagged.any()
+        assert [x.hex() for x in walked[:, 0]] == [x.hex() for x in anchor_norms]
 
     @pytest.mark.parametrize("n", [1, 4, 5, 9])
     def test_cap_zero_sends_every_walker_to_lapack(self, monkeypatch, n):

@@ -12,7 +12,9 @@ bound at 20 trial points (one solve each), on one Nekrasov and one
 B-Nekrasov input each,
 with the median and best of ``REPEATS`` timed calls (taken in rounds over
 all rows, after one untimed round), the work each call does, and the
-environment.
+environment.  An oracle row's work counts, from one more untimed call, the
+members it inverts on LAPACK (``lapack_members``: the walk's anchors and the
+vertices evaluated again).
 The script uses the standard library and ``lcpbounds`` only, and pins BLAS
 to one thread as ``perfbench`` does.  To time another commit, point
 ``PYTHONPATH`` at its ``src``; the ``commit`` field names the checkout the
@@ -97,21 +99,32 @@ def _matrix(n: int, family: str, rng: random.Random):
     raise RuntimeError(f"no {family} input of size {n} in 20 draws")
 
 
-def _solves(fn) -> int:
-    """The LAPACK solves one call of ``fn`` makes (the H-test's)."""
-    linalg, calls = bnekrasov.np.linalg, []
-    original = linalg.solve
+def _tally(owner, name: str, fn, weight) -> int:
+    """One untimed call of ``fn`` with ``owner.<name>`` wrapped: the sum of
+    ``weight(*args)`` over the wrapped function's calls."""
+    original, total = getattr(owner, name), [0]
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        total[0] += weight(*args)
         return original(*args, **kwargs)
 
-    linalg.solve = counted
+    setattr(owner, name, counted)
     try:
         fn()
     finally:
-        linalg.solve = original
-    return len(calls)
+        setattr(owner, name, original)
+    return total[0]
+
+
+def _solves(fn) -> int:
+    """The LAPACK solves one call of ``fn`` makes (the H-test's)."""
+    return _tally(bnekrasov.np.linalg, "solve", fn, lambda *args: 1)
+
+
+def _lapack_members(fn) -> int:
+    """The members one call of ``fn`` inverts through the oracle's stacked
+    inverse: the walk's anchors and the vertices evaluated again."""
+    return _tally(oracle, "_inverse_stack", fn, len)
 
 
 def _bound(path: str):
@@ -167,7 +180,8 @@ def _rows(workdir: Path) -> list[dict]:
     for n in ORACLE_SIZES:
         for family in FAMILIES:
             vertices = partial(oracle.oracle_max_norm, _matrix(n, family, rng), 0)
-            add("oracle_max_norm", n, family, vertices, {"vertices": 2**n})
+            add("oracle_max_norm", n, family, vertices,
+                {"vertices": 2**n, "lapack_members": _lapack_members(vertices)})
     n = CERTIFY_SIZE
     for family in FAMILIES:
         m = _matrix(n, family, rng)
