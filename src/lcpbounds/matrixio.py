@@ -42,12 +42,13 @@ _TOKEN_RE = re.compile(r"[^\s,]+")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 
 
-def _tokens(text: str):
-    """Yield (token, line, column), 1-based positions; tokens are separated
-    by whitespace and commas."""
+def _lines(text: str):
+    """Yield the tokens of each non-blank line as (token, line, column), 1-based
+    positions; tokens are separated by whitespace and commas, so a line of
+    commas only yields no token."""
     for line_no, line in enumerate(text.splitlines(), start=1):
-        for match in _TOKEN_RE.finditer(line):
-            yield match.group(0), line_no, match.start() + 1
+        if line.strip():
+            yield [(m.group(0), line_no, m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
 
 def _parse_number(token: str, line: int, column: int) -> float:
@@ -92,20 +93,21 @@ def _convert(text: str) -> np.ndarray | None:
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8-sig") as handle:
-            return handle.read()
+            text = handle.read()
     except UnicodeDecodeError as exc:
         # The bytes before the fault decode; the last of their lines holds it.
         lines = (exc.object[: exc.start].decode("utf-8") + "?").splitlines()
         raise ParseError(
             len(lines), len(lines[-1]), f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}"
         ) from None
+    if not text.strip():
+        raise EmptyFile(f"{path} contains no data")
+    return text
 
 
 def parse_matrix(path: str) -> np.ndarray:
     """Parse a matrix file in either supported format."""
     text = _read(path)
-    if not text or text.isspace():
-        raise EmptyFile(f"{path} contains no data")
     if "," in text:
         return _parse_csv(text)
     return _parse_plain(text)
@@ -121,15 +123,7 @@ def _parse_csv(text: str) -> np.ndarray:
 
 
 def _scan_csv(text: str) -> np.ndarray:
-    rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        row = [
-            _parse_number(m.group(0), line_no, m.start() + 1)
-            for m in _TOKEN_RE.finditer(line)
-        ]
-        rows.append(row)
+    rows = [[_parse_number(*token) for token in line] for line in _lines(text)]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise NonSquare(f"CSV has {n} rows but row lengths {sorted({len(r) for r in rows})}")
@@ -147,7 +141,7 @@ def _parse_plain(text: str) -> np.ndarray:
 
 
 def _scan_plain(text: str) -> np.ndarray:
-    stream = list(_tokens(text))
+    stream = [token for line in _lines(text) for token in line]
     token, line, column = stream[0]
     try:
         n = int(token) if _INT_RE.match(token) else 0
@@ -168,14 +162,12 @@ def _scan_plain(text: str) -> np.ndarray:
 def parse_vector(path: str) -> np.ndarray:
     """Parse a vector file: numbers separated by whitespace and/or commas."""
     text = _read(path)
-    if not text or text.isspace():
-        raise EmptyFile(f"{path} contains no data")
     values = _convert(text.replace(",", " "))
     return _scan_vector(text) if values is None else values
 
 
 def _scan_vector(text: str) -> np.ndarray:
-    values = [_parse_number(tok, ln, col) for tok, ln, col in _tokens(text)]
+    values = [_parse_number(*token) for line in _lines(text) for token in line]
     if not values:  # separators only
         raise EmptyFile("vector file contains no data")
     return np.array(values)

@@ -17,7 +17,7 @@ from lcpbounds.bnekrasov import (
     is_b_nekrasov,
     new_bnekrasov_bound,
 )
-from lcpbounds.errors import DimensionTooSmall
+from lcpbounds.errors import DimensionTooSmall, ZeroDiagonal
 from lcpbounds.linalg import PIVOT_RTOL, inf_norm, inverse
 from lcpbounds.nekrasov import (
     gp_nekrasov_bound,
@@ -374,6 +374,12 @@ class TestGpBNekrasovBound:
         # only in the final checks of their parameterized bound.
         assert gp_nekrasov_bound(m, epsilon).reason == m_reason
         assert gp_bnekrasov_bound(m, epsilon).reason == b_reason
+
+    def test_zero_last_diagonal_of_bplus_has_no_interval(self):
+        # B+ = [[1, 0], [0, 0]]
+        with pytest.raises(ZeroDiagonal) as exc:
+            bnekrasov.epsilon_interval_upper([[2.0, 1.0], [1.0, 1.0]])
+        assert exc.value.index == 2
 
 
 class TestNewBNekrasovBound:

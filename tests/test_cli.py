@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcpbounds
+from conftest import random_nekrasov
 from lcpbounds import bnekrasov, nekrasov
 from lcpbounds.cli import _emit, main
 from lcpbounds.errors import DomainError
@@ -318,6 +319,27 @@ class TestLcp:
         assert payload["complementarity_gap"] <= 1e-9
         assert len(payload["certificates"]) == 20
         assert all(c["holds"] for c in payload["certificates"])
+
+    def test_epsilon_adds_the_parameterized_bounds(self, capsys, tmp_path):
+        # At its M route's midpoint epsilon, GP-Nekrasov (8.999) is below
+        # new-Nekrasov (9.184); without --epsilon only the new bounds compete.
+        m = random_nekrasov(5, np.random.default_rng(1))
+        matrix, q = tmp_path / "m.txt", tmp_path / "q.txt"
+        matrix.write_text(format_matrix(m))
+        q.write_text("-1 -1 -1 -1 -1\n")
+        eps = bnekrasov._profiles(m).m_route.midpoint()
+        new = {"new_nekrasov", "new_bnekrasov"}
+        for extra, epsilon, wanted, theorem in [
+            (("--epsilon", repr(eps)), eps, new | {"gp_nekrasov", "gp_bnekrasov"}, "gp_nekrasov"),
+            ((), None, new, "new_nekrasov"),
+        ]:
+            out, code = run(capsys, "lcp", "--matrix", str(matrix), "--q", str(q),
+                            "--trials", "5", *extra)
+            bound = json.loads(out)["bound"]
+            values = [r.value for r in bnekrasov.all_bounds(m, epsilon)
+                      if r.theorem.value in wanted and r.applicable]
+            assert (code, bound["theorem"], bound["value"]) == (0, theorem, min(values))
+            assert bound.get("epsilon") == epsilon
 
     def test_overflowing_residual_writes_no_stderr(self, tmp_path):
         # x* = (0, 1e108): trial points near it take M x past the float range.
@@ -671,6 +693,14 @@ class TestFaultyFileExit1:
     def test_argument_error_line(self, data_dir, argv):
         q = ("--q", str(data_dir / "q_minus_ones.txt")) if argv[0] == "lcp" else ()
         self.assert_error_line(*argv, "--matrix", str(data_dir / "example2.txt"), *q)
+
+    def test_lcp_seed_2_pow_128(self, capsys, data_dir):
+        # Only verify's samples take a 128-bit Philox key; lcp's trial points
+        # seed default_rng, which takes any nonnegative integer.
+        _, code = run(capsys, "lcp", "--matrix", str(data_dir / "example2.txt"),
+                      "--q", str(data_dir / "q_minus_ones.txt"), "--trials", "5",
+                      "--seed", str(2**128))
+        assert code == 0
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_solution_past_the_float_range(self, tmp_path, fmt):

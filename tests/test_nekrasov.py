@@ -13,6 +13,7 @@ from lcpbounds.nekrasov import (
     Theorem,
     _profile,
     _scaled,
+    epsilon_interval_upper,
     eta_vector,
     gp_nekrasov_bound,
     h_vector,
@@ -379,6 +380,11 @@ class TestGpNekrasovBound:
             report = gp_nekrasov_bound(ex1, bad)
             assert not report.applicable
             assert report.reason == "EpsilonOutOfRange"
+
+    def test_zero_last_diagonal_has_no_interval(self):
+        with pytest.raises(ZeroDiagonal) as exc:
+            epsilon_interval_upper([[1.0, 0.0], [0.0, 0.0]])
+        assert exc.value.index == 2
 
     def test_example1_blows_up_near_zero(self, ex1):
         assert gp_nekrasov_bound(ex1, 1e-6).value > 1e5

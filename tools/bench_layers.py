@@ -5,7 +5,9 @@
 writes ``bench/BENCH_<LABEL>.json``: one row per layer (``parse_matrix``,
 ``bnekrasov._profiles``, ``all_bounds``, ``classify``, the in-process
 ``bound`` command and ``lemma_property_suite`` on the route ``verify``
-checks) for n = 150 and n = 400, ``solve_lcp`` with q = -1 for n = 12 and
+checks) for n = 150 and n = 400, ``parse_matrix_scan`` (the same file with
+its (1, 2) entry written as an exact fraction ``p/q``, so the positioned scan
+reads it) for n = 150, ``solve_lcp`` with q = -1 for n = 12 and
 15, ``oracle_max_norm`` with no samples for n = 12 and 16, ``is_p_matrix``
 for n = 12, 16 and 20, and at n = 12 ``certify_error_bound`` with the new
 bound at 20 trial points (one solve each), on one Nekrasov and one
@@ -50,6 +52,7 @@ from lcpbounds import bnekrasov, cli, lcp, oracle  # noqa: E402
 from lcpbounds.matrixio import format_matrix, parse_matrix  # noqa: E402
 
 SIZES = (150, 400)
+SCAN_SIZE = 150
 # The solver's limit is n = 15; the oracle's, n = 20, takes seconds per call.
 SOLVER_SIZES = (12, 15)
 ORACLE_SIZES = (12, 16)
@@ -97,6 +100,15 @@ def _matrix(n: int, family: str, rng: random.Random):
         if wanted:
             return lcpbounds.as_matrix(rows)
     raise RuntimeError(f"no {family} input of size {n} in 20 draws")
+
+
+def _with_fraction(m) -> str:
+    """``format_matrix(m)`` with the (1, 2) entry written as the fraction
+    ``p/q`` of its exact value: the same matrix, read by the scan."""
+    head, first, rest = format_matrix(m).split("\n", 2)
+    tokens = first.split(" ")
+    tokens[1] = "%d/%d" % m[0, 1].as_integer_ratio()
+    return "\n".join([head, " ".join(tokens), rest])
 
 
 def _tally(owner, name: str, fn, weight) -> int:
@@ -169,6 +181,11 @@ def _rows(workdir: Path) -> list[dict]:
                 "lemma_property_suite": (partial(oracle.lemma_property_suite, profiles.route),
                                          {"rows": n}),
             }
+            if n == SCAN_SIZE:
+                scan_path = workdir / f"{family}_{n}_scan.txt"
+                scan_path.write_text(_with_fraction(m))
+                layers["parse_matrix_scan"] = (partial(parse_matrix, str(scan_path)),
+                                               {"entries": n * n})
             for layer, (fn, work) in layers.items():
                 add(layer, n, family, fn, work)
     for n in SOLVER_SIZES:
