@@ -15,14 +15,14 @@ formula, and the parameterized one runs the shared core of ``nekrasov`` on
 and one of ``B+``.  ``all_bounds`` and ``classify`` also take the bundle
 ``_profiles(m)`` returns in place of the matrix, so a caller that needs both
 profiles each matrix once; the bundle's ``route`` is the one rule for which
-route a command runs on, and its ``p_class`` the one rule for when ``M`` is P
-by class.  ``M`` is an H-matrix iff its comparison matrix ``<M>`` is a
+route a command runs on and for when ``M`` is P by class (the route's
+``p_class``).  ``M`` is an H-matrix iff its comparison matrix ``<M>`` is a
 nonsingular M-matrix, that is iff ``x = <M>^{-1} 1`` is positive (Berman &
 Plemmons, 1994, ch. 6); a Nekrasov ``M`` is one by class, and any other takes
 one solve on the row-scaled ``M`` (``linalg._row_scaled``), as the P-test does.
 ``classify`` decides P by ``lcp.is_p_matrix``, one principal-pivot recursion
 over all 2^n - 1 principal minors, up to n = 20 (``lcp._P_TEST_MAX_N``), and
-above that only by class, through ``p_class``.
+above that only by class, through ``route``.
 """
 
 from __future__ import annotations
@@ -146,15 +146,11 @@ class _Profiles:
     @property
     def route(self) -> _Route | None:
         """The route the commands run on: ``M`` if the new Nekrasov bound
-        applies, else ``B+`` if the new B-Nekrasov bound does, else None."""
+        applies, else ``B+`` if the new B-Nekrasov bound does, else None.
+        ``M`` is P by class exactly where this is not None: Nekrasov with
+        positive diagonal (an H-matrix with positive diagonal, Berman &
+        Plemmons, 1994, ch. 6) or B-Nekrasov, the route's ``p_class``."""
         return next((r for r in (self.m_route, self.b_route) if r.fault is None), None)
-
-    @property
-    def p_class(self) -> str | None:
-        """The class that makes ``M`` a P-matrix, that of ``route``: Nekrasov
-        with positive diagonal (an H-matrix with positive diagonal, Berman &
-        Plemmons, 1994, ch. 6) or B-Nekrasov; None where ``route`` is."""
-        return None if self.route is None else self.route.p_class
 
 
 def _profiles(m) -> _Profiles:
@@ -203,11 +199,11 @@ def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
         p_flag = None
         notes.append("P-matrix test skipped")
     elif n > lcp._P_TEST_MAX_N:
-        cls = p.p_class
-        p_flag = True if cls else None
+        route = p.route
+        p_flag = None if route is None else True
         notes.append(f"P-matrix test skipped: n > {lcp._P_TEST_MAX_N}")
-        if cls:
-            notes.append(f"P by class: {cls}")
+        if route is not None:
+            notes.append(f"P by class: {route.p_class}")
     else:
         p_flag = lcp.is_p_matrix(mm)
     return ClassificationReport(
@@ -223,7 +219,7 @@ def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
 
 
 def is_b_nekrasov(m) -> ClassificationReport:
-    """Classification with the (expensive) P-matrix test skipped."""
+    """Classification without the P-matrix test (``is_p_matrix`` is None)."""
     return _classify(_profiles(m), with_p_test=False)
 
 

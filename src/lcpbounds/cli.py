@@ -128,7 +128,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     profiles = bnekrasov._profiles(m)
     # On a P-matrix no interior point beats the vertex maximum (see the oracle
     # module docstring), so the samples are drawn only where M is not P by class.
-    exact = profiles.p_class is not None
+    exact = profiles.route is not None
     estimate = oracle_max_norm(m, 0 if exact else args.samples, args.seed)
     reports = bnekrasov.all_bounds(profiles, args.epsilon)
     entries = []

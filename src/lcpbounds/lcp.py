@@ -142,7 +142,7 @@ def _feasible(inst: LcpInstance):
     w_slack, q_tol = -(FEASIBILITY_TOL * np.abs(m)).sum(axis=1), FEASIBILITY_TOL * np.abs(q)
     for a in _index_levels(inst.n):
         if a.size:
-            inv, _, ok, _ = _inverse_stack(m[a[:, :, None], a[:, None, :]])
+            inv, _, ok = _inverse_stack(m[a[:, :, None], a[:, None, :]])
             if not ok.all():
                 a, inv = a[ok], inv[ok]
             x_a = (inv @ -q[a][..., None])[..., 0]

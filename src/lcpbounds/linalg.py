@@ -56,16 +56,16 @@ def inverse(a) -> np.ndarray:
     """Matrix inverse on LAPACK; raises :class:`SingularMatrix` for a
     singular or ill-conditioned matrix (see ``PIVOT_RTOL``)."""
     with np.errstate(over="ignore"):
-        inv, _, ok, _ = _inverse_stack(as_matrix(a)[None])
+        inv, _, ok = _inverse_stack(as_matrix(a)[None])
     if not ok[0]:
         raise SingularMatrix("matrix is numerically singular")
     return inv[0]
 
 
-def _inverse_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Inverses of a ``(k, n, n)`` stack, their infinity norms, a mask of the
-    nonsingular members, and the members' own infinity norms, which the
-    ``PIVOT_RTOL`` rule reads.  ``inv`` and the inverse norms of the other
+def _inverse_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverses of a ``(k, n, n)`` stack, their infinity norms, and a mask of
+    the nonsingular members by the ``PIVOT_RTOL`` rule, which reads the
+    members' norms, summed here.  ``inv`` and the inverse norms of the other
     members are meaningless.  One LAPACK call, or two when a member has an
     exact zero pivot.  Callers evaluate it under ``np.errstate(over="ignore")``
     (the solver once per solve, not per level), so that a norm past the float
@@ -81,13 +81,13 @@ def _inverse_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ok = np.abs(np.linalg.slogdet(stack)[0]) == 1.0
         inv = np.linalg.inv(np.where(ok[:, None, None], stack, np.eye(stack.shape[-1])))
-    inv_norms, norms = _inf_norms(inv), _inf_norms(stack)
-    ok &= _well_conditioned(norms, inv_norms)
-    return inv, inv_norms, ok, norms
+    inv_norms = _inf_norms(inv)
+    ok &= _well_conditioned(_inf_norms(stack), inv_norms)
+    return inv, inv_norms, ok
 
 
 def _inf_norms(stack: np.ndarray) -> np.ndarray:
-    """Infinity norms of the members of a ``(k, n, n)`` stack."""
+    """Infinity norms of the members of a ``(k, n, n)`` stack, or of one matrix."""
     return np.abs(stack).sum(axis=-1).max(axis=-1, initial=0.0)
 
 

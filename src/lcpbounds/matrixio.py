@@ -100,7 +100,7 @@ def _read(path: str) -> str:
         raise ParseError(
             len(lines), len(lines[-1]), f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}"
         ) from None
-    if not text.strip():
+    if not _TOKEN_RE.search(text):  # blank, or separators only
         raise EmptyFile(f"{path} contains no data")
     return text
 
@@ -167,10 +167,7 @@ def parse_vector(path: str) -> np.ndarray:
 
 
 def _scan_vector(text: str) -> np.ndarray:
-    values = [_parse_number(*token) for line in _lines(text) for token in line]
-    if not values:  # separators only
-        raise EmptyFile("vector file contains no data")
-    return np.array(values)
+    return np.array([_parse_number(*token) for line in _lines(text) for token in line])
 
 
 def format_matrix(m: np.ndarray) -> str:

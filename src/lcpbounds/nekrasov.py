@@ -297,13 +297,9 @@ class _Route:
         return _interval_upper(self.a, self.profile.h)
 
     def midpoint(self) -> float:
-        """Midpoint of ``(0, upper)``, or 0.5 where that interval is empty or
-        undefined; the parameterized bound then fails another check anyway."""
-        a, h = self.a, self.profile.h
-        if not np.isfinite(h[-1]) or a[-1, -1] == 0.0:
-            return 0.5
-        upper = self.upper
-        return upper / 2.0 if upper > 0.0 else 0.5
+        """Midpoint of ``(0, upper)`` where the class check passes, which
+        makes ``0 < upper <= 1``; else 0.5, which ``gp`` does not read."""
+        return self.upper / 2.0 if self.fault is None else 0.5
 
     def gp(self, epsilon: float) -> BoundReport:
         """The parameterized bound: the class, upper-row and epsilon checks,

@@ -20,28 +20,27 @@ walker then flips its last w coordinates in binary-reflected Gray order
 between ``e_j^T`` and ``m_j^T``, so one Sherman-Morrison update, batched
 over the chunk, gives each walker's next inverse and norm in O(n^2).
 
-The walk only ranks the vertices; LAPACK decides every output.  A walker is
-flagged when one of its members has a walked condition number
-``||A||_inf ||A^{-1}||_inf`` past ``_WALK_COND_CAP``, which also catches a
-zero or non-finite denominator; below the cap a walked norm is within about
+The walk only ranks the vertices; LAPACK decides every output.  Each row of
+a member is a row of ``M`` or of ``I``, so ``max(1, ||M||_inf)`` bounds its
+norm, and a walker is flagged when a walked norm times that bound, a bound on
+the member's condition number ``||A||_inf ||A^{-1}||_inf``, passes
+``_WALK_COND_CAP``: one cap per call, ``_WALK_COND_CAP / max(1, ||M||_inf)``,
+which is 0 where a row sum passes the float range.  This also catches a zero
+or non-finite denominator; below the cap a walked norm is within about
 ``2**w * cap * eps``, far less than ``_WALK_RTOL``, of its LAPACK value.
-A member's ``||A||_inf`` is bounded by the larger norm of its anchor and of
-the member with only its walked coordinates set, both summed from built
-members: the anchors' by the ``_inverse_stack`` call that inverts them, and
-the ``2**w`` others' once per call.  Every vertex of a flagged walker, and
-every vertex whose walked norm lies within ``_WALK_RTOL`` of the largest
-unflagged walked norm so far, is evaluated again on LAPACK, like the
-samples: each chunk is built with ``nekrasov._scaled`` and inverted through
-``_inverse_stack``, which sums the members' norms from that stack, as
-``inverse`` does.  So the value and its argmax are those of a per-point
-LAPACK loop, ties keep the first point in that loop's order, and a member is
-singular only where LAPACK says so (an exact zero pivot, or one past the
-``linalg.PIVOT_RTOL`` rule), which raises :class:`SingularMatrix`.  Where
-many vertices tie within ``_WALK_RTOL`` of the maximum, all go back, and the
-walk costs about as much as LAPACK alone (4095 of 4096 on the tests'
-``random_bnekrasov(12, default_rng(2))``, whose maximum is 1 + 7 ulps).
-A stack of members, or of walkers' inverses, holds at most
-``_CHUNK_ENTRIES`` float64 entries (about 256 KB per temporary), and
+Every vertex of a flagged walker, and every vertex whose walked norm lies
+within ``_WALK_RTOL`` of the largest unflagged walked norm so far, is
+evaluated again on LAPACK, like the samples: each chunk is built with
+``nekrasov._scaled`` and inverted through ``_inverse_stack``, which sums the
+members' norms from that stack, as ``inverse`` does.  So the value and its
+argmax are those of a per-point LAPACK loop, ties keep the first point in
+that loop's order, and a member is singular only where LAPACK says so (an
+exact zero pivot, or one past the ``linalg.PIVOT_RTOL`` rule), which raises
+:class:`SingularMatrix`.  Where many vertices tie within ``_WALK_RTOL`` of
+the maximum, all go back, and the walk costs about as much as LAPACK alone
+(4095 of 4096 on the tests' ``random_bnekrasov(12, default_rng(2))``, whose
+maximum is 1 + 7 ulps).  A stack of members, or of walkers' inverses, holds
+at most ``_CHUNK_ENTRIES`` float64 entries (about 256 KB per temporary), and
 vertices are decoded from integer ranges, so memory stays flat in n.
 
 The lemma suite builds no members and draws no samples: the worst case of
@@ -146,7 +145,7 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
     points = chain(_vertex_candidates(mm, chunk), _scaling_chunks(n, interior_samples, seed, chunk))
     for ds in points:
         with np.errstate(over="ignore"):
-            _, norms, ok, _ = _inverse_stack(_scaled(mm, ds))
+            _, norms, ok = _inverse_stack(_scaled(mm, ds))
         if not ok.all():
             raise SingularMatrix("matrix is numerically singular")
         k = int(np.argmax(norms))
@@ -170,12 +169,12 @@ def _vertex_candidates(mm: np.ndarray, chunk: int):
     w = max(0, min(_WALK_BITS, n - _WALK_BITS))
     walkers = 2 ** (n - w)
     with np.errstate(over="ignore"):
-        flip_norms = _inf_norms(_scaled(mm, _vertices(np.arange(2**w), n)))
+        cap = _WALK_COND_CAP / max(1.0, _inf_norms(mm))
     top = -np.inf
     for start in range(0, walkers, chunk):
         ks = np.arange(start, min(start + chunk, walkers))
         if w:  # else every vertex is an anchor, evaluated once, on LAPACK
-            walked, flagged = _walk(mm, ks, w, flip_norms)
+            walked, flagged = _walk(mm, ks, w, cap)
             # A chunk that cannot hold the maximum sends nothing to LAPACK.
             top = walked[~flagged].max(initial=top)
             keep = (walked >= (1.0 - _WALK_RTOL) * top) | flagged[:, None]
@@ -184,16 +183,16 @@ def _vertex_candidates(mm: np.ndarray, chunk: int):
             yield _vertices(ks[i : i + chunk], n)
 
 
-def _walk(mm: np.ndarray, leads: np.ndarray, w: int, flip_norms: np.ndarray):
+def _walk(mm: np.ndarray, leads: np.ndarray, w: int, cap: float):
     """Walked inverse norms of the vertices ``(lead << w) + g``, as a
     ``(walkers, 2**w)`` array indexed by ``g``, and a mask of the flagged
-    walkers, whose norms are meaningless.  ``flip_norms[g]`` is the norm of
-    the member with only the walked coordinates of ``g`` set."""
+    walkers, whose norms are meaningless: those with a singular anchor or a
+    walked norm above ``cap``."""
     n = mm.shape[0]
     # Column 0 holds the anchors' inverse norms, as LAPACK's stack gives them.
     walked = np.empty((len(leads), 2**w))
     with np.errstate(over="ignore"):
-        inv, walked[:, 0], ok, anchor_norms = _inverse_stack(_scaled(mm, _vertices(leads << w, n)))
+        inv, walked[:, 0], ok = _inverse_stack(_scaled(mm, _vertices(leads << w, n)))
     outer = np.empty_like(inv)
     ones = np.ones(n)
     g = 0
@@ -213,11 +212,8 @@ def _walk(mm: np.ndarray, leads: np.ndarray, w: int, flip_norms: np.ndarray):
             inv -= outer
             inv[:, :, j] = u
             walked[:, g] = (np.abs(inv, out=outer) @ ones).max(axis=1)
-        # A vertex member's norm is at most the larger of those of its anchor
-        # and of the member with only its walked coordinates set.
-        cond = walked * np.maximum(anchor_norms[:, None], flip_norms)
-    # Written so that a NaN condition number also flags its walker.
-    return walked, ~ok | ~(cond <= _WALK_COND_CAP).all(axis=1)
+    # Written so that a NaN walked norm also flags its walker.
+    return walked, ~ok | ~(walked <= cap).all(axis=1)
 
 
 def _vertices(ks: np.ndarray, n: int) -> np.ndarray:
@@ -260,12 +256,12 @@ def lemma_property_suite(m) -> LemmaSuiteReport:
     listed by check (``z_vs_eta``, then ``z_ratio``), then row; ``trials`` is
     the number of rows checked.  Requires a Nekrasov ``M`` with positive
     diagonal; any violation reported here indicates an implementation bug.
-    ``m`` may also be a route (``nekrasov._Route``): its matrix is checked
-    with the profile it carries, which is not taken again.
+    ``m`` may also be a route (``nekrasov._Route``) whose ``fault`` is None:
+    its matrix is checked with the profile it carries, which is not taken again.
     """
     route = m if isinstance(m, _Route) else _m_route(as_matrix(m))
     a, profile = route.a, route.profile
-    if not profile.is_nekrasov or not np.all(np.diag(a) > 0.0):
+    if route.fault is not None:
         raise PreconditionFailed("requires a Nekrasov matrix with positive diagonal")
     lhs = _suprema(a)
     rhs = np.stack([profile.eta, profile.ratios[2]])

@@ -149,9 +149,9 @@ class TestClassify:
         ([[-2.0]], None),
     ])
     def test_p_class_is_the_route_class(self, m, cls):
-        profiles = bnekrasov._profiles(m)
-        assert profiles.p_class == cls
-        assert (profiles.route is None) == (cls is None)
+        route = bnekrasov._profiles(m).route
+        assert (route is None) == (cls is None)
+        assert route is None or route.p_class == cls
 
     @given(n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from(["nekrasov", "bnekrasov", "perturbed"]))
@@ -481,6 +481,34 @@ class TestAllBounds:
         reports = all_bounds(m)
         self.assert_same(reports, self.separately(m, 0.5, 0.5))
         assert not reports[0].applicable and not reports[2].applicable
+
+    # Both classes, a zeroed diagonal entry, n = 1, negated inputs, rows at
+    # 10**U(-300, 300) on half the draws, and a row whose absolute sum passes
+    # the float range (one entry repeated, so that B+ stays finite).
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["nekrasov", "bnekrasov", "zero_diagonal", "overflow"]),
+           negate=st.booleans(), scaled=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_epsilon_only_where_the_class_check_passes(self, n, seed, kind, negate, scaled):
+        rng = np.random.default_rng(seed)
+        m = random_bnekrasov(n, rng) if kind == "bnekrasov" and n > 1 else random_nekrasov(n, rng)
+        if kind == "zero_diagonal":
+            i = rng.integers(n)
+            m[i, i] = 0.0
+        if scaled:
+            m *= 10.0 ** rng.uniform(-300.0, 300.0, (n, 1))
+        if kind == "overflow":
+            m[rng.integers(n)] = rng.choice([1e308, -1e308])
+        if negate:
+            m = -m
+        p = bnekrasov._profiles(m)
+        routes = (p.m_route, p.m_route, p.b_route, p.b_route)
+        for route in routes[::2]:
+            if route.fault is None:
+                assert 0.0 < route.upper <= 1.0
+                assert route.midpoint() == route.upper / 2.0
+        for route, report in zip(routes, all_bounds(m)):
+            assert report.epsilon is None or route.fault is None
 
 
 class TestGpCoreExact:

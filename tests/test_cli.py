@@ -89,6 +89,14 @@ class TestBound:
         payload = json.loads(out)
         assert bound_by_name(payload, "new_nekrasov")["value"] == 1.0
 
+    @pytest.mark.parametrize("text", [",,,", ", ,\n,\n"], ids=["commas", "commas_and_lines"])
+    def test_separators_only_matrix_exit_1(self, capsys, tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        code = main(["bound", "--matrix", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {path} contains no data\n")
+
     def test_explicit_epsilon_recorded(self, capsys, data_dir):
         out, code = run(capsys, "bound", "--matrix", str(data_dir / "example1.txt"),
                         "--epsilon", "0.3")
@@ -413,7 +421,7 @@ class TestLcp:
         code = main(["lcp", "--matrix", str(data_dir / "example2.txt"), "--q", str(qpath)])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == "error: vector file contains no data\n"
+        assert captured.err == f"error: {qpath} contains no data\n"
 
 
 class TestClassify:

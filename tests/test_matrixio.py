@@ -110,10 +110,21 @@ class TestEmptyAndVectors:
 
     @pytest.mark.parametrize("text", [",,,", ", \n ,"])
     def test_separators_only_vector(self, tmp_path, text):
-        with pytest.raises(EmptyFile, match="contains no data"):
-            parse_vector(write(tmp_path, text))
-        with pytest.raises(EmptyFile, match="contains no data"):
-            matrixio._scan_vector(text)
+        path = write(tmp_path, text)
+        for read in (parse_vector, matrixio._read):
+            with pytest.raises(EmptyFile) as exc:
+                read(path)
+            assert str(exc.value) == f"{path} contains no data"
+
+    @pytest.mark.parametrize("text", [",,,", ", ,\n,\n"])
+    def test_separators_only_matrix(self, tmp_path, text):
+        path = write(tmp_path, text)
+        with pytest.raises(EmptyFile) as exc:
+            parse_matrix(path)
+        assert str(exc.value) == f"{path} contains no data"
+        # Beside a number, a line of commas is still a CSV row of width 0.
+        with pytest.raises(NonSquare, match=r"row lengths \[0, 1\]"):
+            parse_matrix(write(tmp_path, "1\n" + text, name="n.txt"))
 
 
 class TestRoundTrip:

@@ -290,7 +290,7 @@ class TestOracleMaxNorm:
         m = kind(n, rng)
         if scaled:
             m *= 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
-        assert bnekrasov._profiles(m).p_class is not None
+        assert bnekrasov._profiles(m).route is not None
         vertices_only = oracle_max_norm(m, interior_samples=0).max_observed
         est = oracle_max_norm(m, interior_samples=samples, seed=seed)
         assert est.max_observed == pytest.approx(vertices_only, rel=1e-12)
@@ -303,11 +303,12 @@ def walk_width(n):
 
 def walk_every_vertex(m):
     """The walked norms of every vertex of ``m`` in binary order, and a mask
-    of the vertices whose walker is flagged."""
+    of the vertices whose walker is flagged, under the walk's cap as it is
+    when called."""
     n = m.shape[0]
     w = walk_width(n)
-    flip_norms = linalg._inf_norms(nekrasov._scaled(m, oracle._vertices(np.arange(2**w), n)))
-    walked, flagged = oracle._walk(m, np.arange(2 ** (n - w)), w, flip_norms)
+    cap = oracle._WALK_COND_CAP / max(1.0, inf_norm(m))
+    walked, flagged = oracle._walk(m, np.arange(2 ** (n - w)), w, cap)
     return walked.ravel(), np.repeat(flagged, 2**w)
 
 
@@ -356,8 +357,9 @@ class TestVertexWalk:
     def test_each_stack_is_summed_once(self, monkeypatch):
         # n = 16: 32 walker chunks.  Each chunk's stacked inverse sums its
         # anchors and their inverses, and nothing else in the walk sums a
-        # stack; the flip parts are summed once per call, and the one vertex
-        # sent back to LAPACK takes one more stacked inverse.
+        # stack; M is summed once per call, for the cap, no stack of flip
+        # members is built, and the one vertex sent back to LAPACK takes one
+        # more stacked inverse.
         n = 16
         m = random_nekrasov(n, np.random.default_rng(0))
         calls = []
@@ -373,7 +375,8 @@ class TestVertexWalk:
         w, chunk = walk_width(n), max(1, oracle._CHUNK_ENTRIES // (n * n))
         walker_chunks = -(-(2 ** (n - w)) // chunk)
         assert len(calls) <= 2 * walker_chunks + 3
-        assert calls.count((2**w, n, n)) == 1
+        assert calls.count((n, n)) == 1
+        assert calls.count((2**w, n, n)) == 0
 
     def test_walkers_share_the_members_chunk(self, monkeypatch):
         # n = 13: 512 walkers, each holding one 13x13 inverse, so the 193
@@ -399,12 +402,11 @@ class TestVertexWalk:
         rng = np.random.default_rng(n)
         m = rng.uniform(-1.0, 1.0, (n, n)) + np.diag(rng.uniform(0.5, 3.0, n) + n / 2)
         w = walk_width(n)
-        leads = np.arange(2 ** (n - w))
-        flip_norms = linalg._inf_norms(nekrasov._scaled(m, oracle._vertices(np.arange(2**w), n)))
-        walked, flagged = oracle._walk(m, leads, w, flip_norms)
-        _, anchor_norms, ok, _ = _inverse_stack(nekrasov._scaled(m, oracle._vertices(leads << w, n)))
+        walked, flagged = walk_every_vertex(m)
+        anchors = oracle._vertices(np.arange(2 ** (n - w)) << w, n)
+        _, anchor_norms, ok = _inverse_stack(nekrasov._scaled(m, anchors))
         assert ok.all() and not flagged.any()
-        assert [x.hex() for x in walked[:, 0]] == [x.hex() for x in anchor_norms]
+        assert [x.hex() for x in walked[:: 2**w]] == [x.hex() for x in anchor_norms]
 
     @pytest.mark.parametrize("n", [1, 4, 5, 9])
     def test_cap_zero_sends_every_walker_to_lapack(self, monkeypatch, n):
@@ -464,6 +466,13 @@ class TestLemmaSuite:
             lemma_property_suite(ex3)
         with pytest.raises(PreconditionFailed):
             lemma_property_suite([[-2.0, 0.5], [0.5, -2.0]])
+
+    def test_faulted_route(self, ex3):
+        # Example 3 is B-Nekrasov, not Nekrasov: its M route carries the fault.
+        route = bnekrasov._profiles(ex3).m_route
+        assert route.fault == "NotNekrasov"
+        with pytest.raises(PreconditionFailed):
+            lemma_property_suite(route)
 
     @given(lemma_inputs())
     @settings(max_examples=60, deadline=None)
