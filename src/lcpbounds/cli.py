@@ -179,6 +179,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_lcp(args: argparse.Namespace) -> tuple[dict, int]:
     m = parse_matrix(args.matrix_path)
     q = parse_vector(args.q_path)
+    if args.trials < 0 or args.seed < 0:
+        raise DomainError("trials and seed must be nonnegative")
     inst = LcpInstance(m, q)
     solution = solve_lcp(inst)
     reports = {r.theorem: r for r in bnekrasov.all_bounds(m, args.epsilon)}

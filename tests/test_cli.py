@@ -376,6 +376,7 @@ class TestLcp:
         ([[1e-13]], [-1.0]), ([[1e-13]], [-1e13]), ([[1e-13]], [-1e200]),
         ([[1e-300]], [-1.0]), (1e-200 * np.eye(2), [-1.0, -1.0]),
         (1e-8 * np.eye(2), [-1.0, -1.0]), ([[1e-13]], [-1e-13]),
+        (1e-13 * np.eye(2), [-1.0, -1.0]),
     ])
     def test_attained_bound_at_any_scale_holds(self, capsys, tmp_path, m, q):
         matrix, q_path = tmp_path / "m.txt", tmp_path / "q.txt"
@@ -387,6 +388,15 @@ class TestLcp:
             payload = json.loads(out)
             assert (code, payload["all_hold"]) == (0, True), seed
             np.testing.assert_allclose(payload["x_star"], np.linalg.solve(m, -np.array(q)))
+
+    def test_nonnegative_q_takes_the_empty_basis(self, capsys, data_dir, tmp_path):
+        # q >= 0, a signed zero included, is solved by x* = 0.
+        q = tmp_path / "q.txt"
+        q.write_text("1 -0 0 2\n")
+        out, code = run(capsys, "lcp", "--matrix", str(data_dir / "example1.txt"),
+                        "--q", str(q), "--trials", "5")
+        payload = json.loads(out)
+        assert (code, payload["basis"], payload["x_star"]) == (0, [], [0.0] * 4)
 
     def test_trial_points_past_memory_exit_1(self, capsys, data_dir, monkeypatch):
         # The allocation fails as numpy's would for 10**12 points, without
@@ -469,6 +479,24 @@ class TestClassify:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["classification"]["is_h_matrix"] is True
+
+    # The class tests read row-scaled quantities, so their flags hold at any
+    # scale.  I + 10 triu(1) at n = 16 is P and in neither class, so the
+    # P-test runs on it (its row-scaled minors fall to 2**-45).
+    @pytest.mark.parametrize("m, flags", [
+        (np.diag([1e15, 1.0]), ["is_h_matrix", "is_p_matrix"]),
+        (1e-13 * np.eye(2), ["is_sdd", "is_z_matrix", "is_nekrasov", "is_b_matrix",
+                             "is_b_nekrasov", "is_h_matrix", "is_p_matrix"]),
+        (np.eye(16) + 10.0 * np.triu(np.ones((16, 16)), 1), ["is_p_matrix"]),
+    ], ids=["diag_1e15_1", "1e-13_identity", "triu_n16"])
+    def test_flags_at_any_scale(self, capsys, tmp_path, m, flags):
+        path = tmp_path / "m.txt"
+        path.write_text(format_matrix(m))
+        out, code = run(capsys, "classify", "--matrix", str(path))
+        classification = json.loads(out)["classification"]
+        assert code == 0
+        assert [classification[flag] for flag in flags] == [True] * len(flags)
+        assert "skipped" not in classification["notes"]
 
     @pytest.mark.parametrize("command", ["bound", "classify"])
     @pytest.mark.parametrize("n", [4, 21], ids=["p_tested", "p_skipped"])
@@ -690,17 +718,26 @@ class TestFaultyFileExit1:
         path.write_bytes(content)
         self.assert_error_line("bound", "--matrix", str(path))
 
-    @pytest.mark.parametrize("argv", [
-        ("lcp", "--trials", "-1"),
-        ("lcp", "--seed", "-1"),
-        ("verify", "--seed", "-1"),
-        ("verify", "--seed", str(2**128)),
-        ("verify", "--samples", "-1"),
-    ], ids=["lcp_negative_trials", "lcp_negative_seed", "verify_negative_seed",
-            "verify_seed_2_pow_128", "verify_negative_samples"])
-    def test_argument_error_line(self, data_dir, argv):
-        q = ("--q", str(data_dir / "q_minus_ones.txt")) if argv[0] == "lcp" else ()
-        self.assert_error_line(*argv, "--matrix", str(data_dir / "example2.txt"), *q)
+    # On example 2 a bound applies and lcp draws trial points; on the not-P
+    # matrix none applies, and lcp rejects the options all the same.
+    @pytest.mark.parametrize("argv, not_p", [
+        (("lcp", "--trials", "-1"), False),
+        (("lcp", "--seed", "-1"), False),
+        (("lcp", "--trials", "-1"), True),
+        (("lcp", "--seed", "-1"), True),
+        (("verify", "--seed", "-1"), False),
+        (("verify", "--seed", str(2**128)), False),
+        (("verify", "--samples", "-1"), False),
+    ], ids=["lcp_negative_trials", "lcp_negative_seed", "lcp_negative_trials_not_p",
+            "lcp_negative_seed_not_p", "verify_negative_seed", "verify_seed_2_pow_128",
+            "verify_negative_samples"])
+    def test_argument_error_line(self, data_dir, tmp_path, not_p_file, argv, not_p):
+        matrix, q = str(data_dir / "example2.txt"), data_dir / "q_minus_ones.txt"
+        if not_p:
+            matrix, q = not_p_file, tmp_path / "q.txt"
+            q.write_text("-1 -1\n")
+        q_option = ("--q", str(q)) if argv[0] == "lcp" else ()
+        self.assert_error_line(*argv, "--matrix", matrix, *q_option)
 
     def test_lcp_seed_2_pow_128(self, capsys, data_dir):
         # Only verify's samples take a 128-bit Philox key; lcp's trial points
@@ -749,8 +786,12 @@ class TestFaultyFileExit1:
 # inputs on which overflow, 0 * inf and ill-conditioning show.
 _FUZZ_ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e-13, -1e-13, 1e13, -1e13,
                                  1e200, -1e200, 1e308, -1e308, 1e-300])
-_FUZZ_COMMANDS = (("classify",), ("bound",), ("sweep", "--grid", "3"),
-                  ("verify", "--samples", "20"), ("lcp", "--trials", "3"))
+# Each command with its numeric options.  The first value of each option's
+# set is out of range.
+_FUZZ_COMMANDS = (("classify",), ("bound",), ("sweep", "--grid"),
+                  ("verify", "--samples", "--seed"), ("lcp", "--trials", "--seed"))
+_FUZZ_OPTIONS = {"--grid": (1, 2, 3), "--samples": (-1, 0, 20), "--trials": (-1, 0, 3),
+                 "--seed": (-1, 0, 42)}
 
 
 def _reject_constant(name):
@@ -766,33 +807,38 @@ def lcp_inputs(draw):
 
 
 class TestContractFuzz:
-    """Every command ends in exit 0, 1 or 2.  On 0 or 2 stdout is strict
-    JSON (CSV for sweep) and stderr is empty; on 1 stderr is one ``error:``
-    line.  A warning fails the run (see pyproject.toml), as it would reach
-    stderr."""
+    """Every command ends in exit 0, 1 or 2, and in 1 when a numeric option is
+    out of range.  On 0 or 2 stdout is strict JSON (CSV for sweep) and stderr
+    is empty; on 1 stderr is one ``error:`` line.  A warning fails the run
+    (see pyproject.toml), as it would reach stderr."""
 
-    @given(lcp_inputs())
+    @given(lcp_inputs(), st.fixed_dictionaries(
+        {option: st.sampled_from(values) for option, values in _FUZZ_OPTIONS.items()}))
     @settings(max_examples=50, deadline=None)
-    def test_exit_codes_and_output(self, drawn):
+    def test_exit_codes_and_output(self, drawn, options):
         m, q = drawn
         with tempfile.TemporaryDirectory() as tmp:
             matrix, q_path = Path(tmp) / "m.txt", Path(tmp) / "q.txt"
             matrix.write_text(format_matrix(m))
             q_path.write_text(" ".join(repr(float(v)) for v in q) + "\n")
-            for command in _FUZZ_COMMANDS:
-                argv = [*command, "--matrix", str(matrix)]
-                if command[0] == "lcp":
+            for name, *numeric in _FUZZ_COMMANDS:
+                argv = [name, "--matrix", str(matrix)]
+                for option in numeric:
+                    argv += [option, str(options[option])]
+                if name == "lcp":
                     argv += ["--q", str(q_path)]
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = main(argv)
                 out, err = out.getvalue(), err.getvalue()
                 assert code in (0, 1, 2), argv
+                if any(options[option] == _FUZZ_OPTIONS[option][0] for option in numeric):
+                    assert code == 1, argv
                 if code == 1:
                     assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
                     continue
                 assert err == "", (argv, err)
-                if command[0] != "sweep":
+                if name != "sweep":
                     json.loads(out, parse_constant=_reject_constant)
                 elif code == 0:
                     header, *rows = list(csv.reader(out.splitlines()))
