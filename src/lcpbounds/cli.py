@@ -124,7 +124,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[list[str], int]:
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     m = parse_matrix(args.matrix_path)
     if args.samples < 0:
-        raise DomainError("interior_samples must be nonnegative")
+        raise DomainError("samples must be nonnegative")
     profiles = bnekrasov._profiles(m)
     # On a P-matrix no interior point beats the vertex maximum (see the oracle
     # module docstring), so the samples are drawn only where M is not P by class.

@@ -11,14 +11,15 @@ affine in ``d_j`` over that affine determinant, so each absolute row sum is
 quasiconvex in every ``d_j``.  There ``oracle_max_norm(m, 0)`` is the maximum
 over the cube, up to LAPACK rounding, and samples cannot raise it.
 
-The vertices are walked, not inverted one by one.  With
-``w = max(0, min(_WALK_BITS, n - _WALK_BITS))``, one walker starts from each
-of the 2**(n-w) settings of the first n - w coordinates, the last w set to 0,
-and a chunk of them is inverted in one ``linalg._inverse_stack`` call.  Each
-walker then flips its last w coordinates in binary-reflected Gray order
-(Knuth, TAOCP 4A, 7.2.1.1).  A flip of ``d_j`` switches row j of the member
-between ``e_j^T`` and ``m_j^T``, so one Sherman-Morrison update, batched
-over the chunk, gives each walker's next inverse and norm in O(n^2).
+The vertices are walked, not inverted one by one.  With ``w = _walk_width(n)``
+(``min(_WALK_BITS, n - _WALK_BITS)``, and 0 for n <= ``_WALK_BITS``), one
+walker starts from each of the 2**(n-w) settings of the first n - w
+coordinates, the last w set to 0, and a chunk of them is inverted in one
+``linalg._inverse_stack`` call.  Each walker then flips its last w
+coordinates in binary-reflected Gray order (Knuth, TAOCP 4A, 7.2.1.1).
+A flip of ``d_j`` switches row j of the member between ``e_j^T`` and
+``m_j^T``, so one Sherman-Morrison update, batched over the chunk, gives
+each walker's next inverse and norm in O(n^2).
 
 The walk only ranks the vertices; LAPACK decides every output.  Each row of
 a member is a row of ``M`` or of ``I``, so ``max(1, ||M||_inf)`` bounds its
@@ -39,8 +40,12 @@ exact zero pivot, or one past the ``linalg.PIVOT_RTOL`` rule), which raises
 :class:`SingularMatrix`.  Where many vertices tie within ``_WALK_RTOL`` of
 the maximum, all go back, and the walk costs about as much as LAPACK alone
 (4095 of 4096 on the tests' ``random_bnekrasov(12, default_rng(2))``, whose
-maximum is 1 + 7 ulps).  A stack of members, or of walkers' inverses, holds
-at most ``_CHUNK_ENTRIES`` float64 entries (about 256 KB per temporary), and
+maximum is 1 + 7 ulps).  At n = 16 each ``random_bnekrasov(16,
+default_rng(s))``, s = 0 to 3, has a maximum within 13 ulps of 1 and sends
+65535 of its 65536 vertices back: 69631 members with the 4096 anchors, and
+about 7 times the time of ``random_nekrasov(16, default_rng(0))``, which
+sends one.  A stack of members, or of walkers' inverses, holds at most
+``_CHUNK_ENTRIES`` float64 entries (about 256 KB per temporary), and
 vertices are decoded from integer ranges, so memory stays flat in n.
 
 The lemma suite builds no members and draws no samples: the worst case of
@@ -166,7 +171,7 @@ def _vertex_candidates(mm: np.ndarray, chunk: int):
     flagged walker and every vertex whose walked norm lies within
     ``_WALK_RTOL`` of the largest unflagged one in this chunk or before it."""
     n = mm.shape[0]
-    w = max(0, min(_WALK_BITS, n - _WALK_BITS))
+    w = _walk_width(n)
     walkers = 2 ** (n - w)
     with np.errstate(over="ignore"):
         cap = _WALK_COND_CAP / max(1.0, _inf_norms(mm))
@@ -181,6 +186,11 @@ def _vertex_candidates(mm: np.ndarray, chunk: int):
             ks = (start << w) + np.flatnonzero(keep)
         for i in range(0, len(ks), chunk):
             yield _vertices(ks[i : i + chunk], n)
+
+
+def _walk_width(n: int) -> int:
+    """The number of coordinates the walk flips at dimension n."""
+    return max(0, min(_WALK_BITS, n - _WALK_BITS))
 
 
 def _walk(mm: np.ndarray, leads: np.ndarray, w: int, cap: float):

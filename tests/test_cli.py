@@ -707,6 +707,7 @@ class TestFaultyFileExit1:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1
+        return proc.stderr
 
     @pytest.mark.parametrize("content", [
         b"2\n1,0\n\xe9,1\n",
@@ -719,25 +720,26 @@ class TestFaultyFileExit1:
         self.assert_error_line("bound", "--matrix", str(path))
 
     # On example 2 a bound applies and lcp draws trial points; on the not-P
-    # matrix none applies, and lcp rejects the options all the same.
-    @pytest.mark.parametrize("argv, not_p", [
-        (("lcp", "--trials", "-1"), False),
-        (("lcp", "--seed", "-1"), False),
-        (("lcp", "--trials", "-1"), True),
-        (("lcp", "--seed", "-1"), True),
-        (("verify", "--seed", "-1"), False),
-        (("verify", "--seed", str(2**128)), False),
-        (("verify", "--samples", "-1"), False),
+    # matrix none applies, and lcp rejects the options all the same.  Each
+    # line names the command's options, not the library's parameters.
+    @pytest.mark.parametrize("argv, not_p, line", [
+        (("lcp", "--trials", "-1"), False, "trials and seed must be nonnegative"),
+        (("lcp", "--seed", "-1"), False, "trials and seed must be nonnegative"),
+        (("lcp", "--trials", "-1"), True, "trials and seed must be nonnegative"),
+        (("lcp", "--seed", "-1"), True, "trials and seed must be nonnegative"),
+        (("verify", "--seed", "-1"), False, "seed must lie in [0, 2**128)"),
+        (("verify", "--seed", str(2**128)), False, "seed must lie in [0, 2**128)"),
+        (("verify", "--samples", "-1"), False, "samples must be nonnegative"),
     ], ids=["lcp_negative_trials", "lcp_negative_seed", "lcp_negative_trials_not_p",
             "lcp_negative_seed_not_p", "verify_negative_seed", "verify_seed_2_pow_128",
             "verify_negative_samples"])
-    def test_argument_error_line(self, data_dir, tmp_path, not_p_file, argv, not_p):
+    def test_argument_error_line(self, data_dir, tmp_path, not_p_file, argv, not_p, line):
         matrix, q = str(data_dir / "example2.txt"), data_dir / "q_minus_ones.txt"
         if not_p:
             matrix, q = not_p_file, tmp_path / "q.txt"
             q.write_text("-1 -1\n")
         q_option = ("--q", str(q)) if argv[0] == "lcp" else ()
-        self.assert_error_line(*argv, "--matrix", matrix, *q_option)
+        assert self.assert_error_line(*argv, "--matrix", matrix, *q_option) == f"error: {line}\n"
 
     def test_lcp_seed_2_pow_128(self, capsys, data_dir):
         # Only verify's samples take a 128-bit Philox key; lcp's trial points

@@ -298,7 +298,7 @@ class TestOracleMaxNorm:
 
 def walk_width(n):
     """The number of coordinates the oracle's walk flips at dimension n."""
-    return max(0, min(oracle._WALK_BITS, n - oracle._WALK_BITS))
+    return oracle._walk_width(n)
 
 
 def walk_every_vertex(m):

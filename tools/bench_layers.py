@@ -2,25 +2,16 @@
 
     PYTHONPATH=src python tools/bench_layers.py LABEL
 
-writes ``bench/BENCH_<LABEL>.json``: one row per layer (``parse_matrix``,
-``bnekrasov._profiles``, ``all_bounds``, ``classify``, the in-process
-``bound`` command and ``lemma_property_suite`` on the route ``verify``
-checks) for n = 150 and n = 400, ``parse_matrix_scan`` (the same file with
-its (1, 2) entry written as an exact fraction ``p/q``, so the positioned scan
-reads it) for n = 150, ``solve_lcp`` with q = -1 for n = 12 and
-15, ``oracle_max_norm`` with no samples for n = 12 and 16, ``is_p_matrix``
-for n = 12, 16 and 20, and at n = 12 ``certify_error_bound`` with the new
-bound at 20 trial points (one solve each), on one Nekrasov and one
-B-Nekrasov input each,
-with the median and best of ``REPEATS`` timed calls (taken in rounds over
-all rows, after one untimed round), the work each call does, and the
-environment.  An oracle row's work counts, from one more untimed call, the
-members it inverts on LAPACK (``lapack_members``: the walk's anchors and the
-vertices evaluated again).
-The script uses the standard library and ``lcpbounds`` only, and pins BLAS
-to one thread as ``perfbench`` does.  To time another commit, point
-``PYTHONPATH`` at its ``src``; the ``commit`` field names the checkout the
-package was imported from.
+writes ``bench/BENCH_<LABEL>.json``: a row per layer, size and family of
+``LAYERS`` and ``FAMILIES``, with the median and best of ``REPEATS`` timed
+calls (taken in rounds over all rows, after one untimed round) and the work
+each call does, and the environment.  A row's ``lapack_members`` counts,
+from one more untimed call, the members the oracle inverts on LAPACK: the
+walk's anchors and the vertices evaluated again.  The script uses the
+standard library and ``lcpbounds`` only, and pins BLAS to one thread as
+``perfbench`` does.  To time another commit, point ``PYTHONPATH`` at its
+``src``; the ``commit`` field names the checkout the package was imported
+from.
 """
 
 from __future__ import annotations
@@ -46,23 +37,19 @@ from functools import partial  # noqa: E402
 from importlib.metadata import version  # noqa: E402
 from math import comb  # noqa: E402
 from pathlib import Path  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
 
 import lcpbounds  # noqa: E402
 from lcpbounds import bnekrasov, cli, lcp, oracle  # noqa: E402
 from lcpbounds.matrixio import format_matrix, parse_matrix  # noqa: E402
 
-SIZES = (150, 400)
-SCAN_SIZE = 150
-# The solver's limit is n = 15; the oracle's, n = 20, takes seconds per call.
-SOLVER_SIZES = (12, 15)
-ORACLE_SIZES = (12, 16)
-# Certification and the P-test on one input; the P-test also runs at n = 16
-# and at its limit, n = 20.
-CERTIFY_SIZE = 12
-CERTIFY_POINTS = 20
 FAMILIES = ("nekrasov", "b_nekrasov")
 REPEATS = 40
 SEED = 2016
+CERTIFY_POINTS = 20
+# As perfbench's verify_small and lcp_small run verify and lcp.
+VERIFY_SAMPLES = 1000
+LCP_TRIALS = 10
 OUT_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -102,15 +89,6 @@ def _matrix(n: int, family: str, rng: random.Random):
     raise RuntimeError(f"no {family} input of size {n} in 20 draws")
 
 
-def _with_fraction(m) -> str:
-    """``format_matrix(m)`` with the (1, 2) entry written as the fraction
-    ``p/q`` of its exact value: the same matrix, read by the scan."""
-    head, first, rest = format_matrix(m).split("\n", 2)
-    tokens = first.split(" ")
-    tokens[1] = "%d/%d" % m[0, 1].as_integer_ratio()
-    return "\n".join([head, " ".join(tokens), rest])
-
-
 def _tally(owner, name: str, fn, weight) -> int:
     """One untimed call of ``fn`` with ``owner.<name>`` wrapped: the sum of
     ``weight(*args)`` over the wrapped function's calls."""
@@ -128,90 +106,118 @@ def _tally(owner, name: str, fn, weight) -> int:
     return total[0]
 
 
-def _solves(fn) -> int:
-    """The LAPACK solves one call of ``fn`` makes (the H-test's)."""
-    return _tally(bnekrasov.np.linalg, "solve", fn, lambda *args: 1)
-
-
-def _lapack_members(fn) -> int:
-    """The members one call of ``fn`` inverts through the oracle's stacked
-    inverse: the walk's anchors and the vertices evaluated again."""
-    return _tally(oracle, "_inverse_stack", fn, len)
-
-
-def _bound(path: str):
+def _cli(*argv: str):
+    """The in-process command ``argv``, its output discarded; it must exit 0."""
     def run():
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["bound", "--matrix", path])
+            code = cli.main(list(argv))
         if code != 0:
-            raise RuntimeError(f"bound exited {code} on {path}")
+            raise RuntimeError(f"{' '.join(argv)} exited {code}")
     return run
 
 
-def _certify(inst, bound, points) -> None:
-    """``certify_error_bound`` at each trial point, one solve each."""
-    for x in points:
-        lcp.certify_error_bound(inst, x, bound)
+# The builders below and in LAYERS take a row's input ``c``: its size ``c.n``,
+# matrix ``c.m``, file ``c.path`` and profiles ``c.profiles``.  Each returns
+# the row's call and the work one call does.
+
+def _scan(c):
+    """The input with its (1, 2) entry written as the fraction ``p/q`` of its
+    exact value: the same matrix, read by the positioned scan."""
+    head, first, rest = format_matrix(c.m).split("\n", 2)
+    tokens = first.split(" ")
+    tokens[1] = "%d/%d" % c.m[0, 1].as_integer_ratio()
+    path = c.path.replace(".txt", "_scan.txt")
+    Path(path).write_text("\n".join([head, " ".join(tokens), rest]))
+    return partial(parse_matrix, path), {"entries": c.n * c.n}
+
+
+def _classify(c):
+    classify = partial(bnekrasov.classify, c.profiles)
+    return classify, {"solves": _tally(bnekrasov.np.linalg, "solve", classify, lambda *a: 1)}
+
+
+def _solve(c):
+    """``solve_lcp`` with q = -1; it inverts every basis of the sizes up to the answer's."""
+    solve = partial(lcp.solve_lcp, lcp.LcpInstance(c.m, [-1.0] * c.n))
+    return solve, {"bases": sum(comb(c.n, k) for k in range(len(solve().basis) + 1))}
+
+
+def _walked(c, fn):
+    """``fn`` and its work: the cube's vertices, and the members one call of
+    ``fn`` inverts through the oracle's stacked inverse."""
+    return fn, {"vertices": 2**c.n, "lapack_members": _tally(oracle, "_inverse_stack", fn, len)}
+
+
+def _certify(c):
+    """``certify_error_bound`` with the new bound, q = -1, at ``CERTIFY_POINTS``
+    trial points, one solve each."""
+    inst, bound = lcp.LcpInstance(c.m, [-1.0] * c.n), c.profiles.route.new()
+    points = lcp.trial_points(lcp.solve_lcp(inst).x_star, CERTIFY_POINTS, SEED)
+    return (lambda: [lcp.certify_error_bound(inst, x, bound) for x in points],
+            {"points": CERTIFY_POINTS, "solves": CERTIFY_POINTS})
+
+
+def _lcp(c):
+    """``lcp`` on the ``q`` whose solution ``x`` is 1 on its first n // 2
+    indices and 0 on the rest, and ``w = Mx + q`` the reverse."""
+    x = [float(i < c.n // 2) for i in range(c.n)]
+    q = c.path.replace(".txt", "_q.txt")
+    Path(q).write_text(" ".join(repr(1.0 - xi - v) for xi, v in zip(x, (c.m @ x).tolist())))
+    run = _cli("lcp", "--matrix", c.path, "--q", q, "--trials", str(LCP_TRIALS))
+    return run, {"bases": sum(comb(c.n, k) for k in range(c.n // 2 + 1)), "trials": LCP_TRIALS}
+
+
+# Each layer's sizes, the input it reads (layers that name one input share
+# it) and its builder.  The bound command's layers run at bound_large's sizes
+# and at n = 7, verify_small's median job's, which cli.verify shares; cli.lcp
+# runs at lcp_small's median job's.  The solver's limit is n = 15, the
+# P-test's n = 20, and the oracle's, n = 20, takes seconds per call.
+_BOUND = (150, 400, 7)
+LAYERS = {
+    "parse_matrix": (
+        _BOUND, "file", lambda c: (partial(parse_matrix, c.path), {"entries": c.n**2})),
+    "bnekrasov._profiles": (
+        _BOUND, "file", lambda c: (partial(bnekrasov._profiles, c.m), {"rows": 2 * c.n})),
+    "all_bounds": (
+        _BOUND, "file", lambda c: (partial(bnekrasov.all_bounds, c.profiles), {"bounds": 4})),
+    "classify": (_BOUND, "file", _classify),
+    "cli.bound": (
+        _BOUND, "file", lambda c: (_cli("bound", "--matrix", c.path), {"entries": c.n**2})),
+    "lemma_property_suite": (_BOUND, "file", lambda c: (
+        partial(oracle.lemma_property_suite, c.profiles.route), {"rows": c.n})),
+    "parse_matrix_scan": ((150,), "file", _scan),
+    "solve_lcp": ((12, 15), "solve", _solve),
+    "oracle_max_norm": (
+        (12, 16), "oracle", lambda c: _walked(c, partial(oracle.oracle_max_norm, c.m, 0))),
+    "is_p_matrix": (
+        (12, 16, 20), "p", lambda c: (partial(lcp.is_p_matrix, c.m), {"minors": 2**c.n - 1})),
+    "certify_error_bound": ((12,), "p", _certify),
+    "cli.verify": ((7, 11), "file", lambda c: _walked(
+        c, _cli("verify", "--matrix", c.path, "--samples", str(VERIFY_SAMPLES)))),
+    "cli.lcp": ((8,), "lcp", _lcp),
+}
 
 
 def _rows(workdir: Path) -> list[dict]:
-    """Every layer's row; the calls are timed in rounds, one call of each
-    layer per round after an untimed one, so that a drift in machine speed
-    reaches every row alike."""
-    rng = random.Random(SEED)
+    """Every row of ``LAYERS``, timed in rounds so that a drift in machine
+    speed reaches every row alike.  One stream draws the inputs, each the
+    first time a row reads it; the rows below n = 12 are built last, so that
+    the rows at the workloads' sizes leave the others' inputs, and so their
+    work, as earlier reports have them."""
+    rng, inputs = random.Random(SEED), {}
+    walk = [(layer, n, family) for layer, (sizes, *_) in LAYERS.items() for n in sizes
+            for family in FAMILIES]
     rows, calls = [], []
-
-    def add(layer, n, family, fn, work):
+    for layer, n, family in sorted(walk, key=lambda row: row[1] < 12):
+        _, kind, build = LAYERS[layer]
+        if (kind, n, family) not in inputs:
+            m, path = _matrix(n, family, rng), workdir / f"{kind}_{family}_{n}.txt"
+            path.write_text(format_matrix(m))
+            inputs[kind, n, family] = SimpleNamespace(
+                n=n, m=m, path=str(path), profiles=bnekrasov._profiles(m))
+        fn, work = build(inputs[kind, n, family])
         rows.append({"layer": layer, "n": n, "family": family, "repeats": REPEATS, "work": work})
         calls.append(fn)
-
-    for n in SIZES:
-        for family in FAMILIES:
-            path = workdir / f"{family}_{n}.txt"
-            path.write_text(format_matrix(_matrix(n, family, rng)))
-            m = parse_matrix(str(path))
-            profiles = bnekrasov._profiles(m)
-            classify = partial(bnekrasov.classify, profiles)
-            layers = {
-                "parse_matrix": (partial(parse_matrix, str(path)), {"entries": n * n}),
-                "bnekrasov._profiles": (partial(bnekrasov._profiles, m), {"rows": 2 * n}),
-                "all_bounds": (partial(bnekrasov.all_bounds, profiles), {"bounds": 4}),
-                "classify": (classify, {"solves": _solves(classify)}),
-                "cli.bound": (_bound(str(path)), {"entries": n * n}),
-                "lemma_property_suite": (partial(oracle.lemma_property_suite, profiles.route),
-                                         {"rows": n}),
-            }
-            if n == SCAN_SIZE:
-                scan_path = workdir / f"{family}_{n}_scan.txt"
-                scan_path.write_text(_with_fraction(m))
-                layers["parse_matrix_scan"] = (partial(parse_matrix, str(scan_path)),
-                                               {"entries": n * n})
-            for layer, (fn, work) in layers.items():
-                add(layer, n, family, fn, work)
-    for n in SOLVER_SIZES:
-        for family in FAMILIES:
-            solve = partial(lcp.solve_lcp, lcp.LcpInstance(_matrix(n, family, rng), [-1.0] * n))
-            # Every basis of the sizes up to the answer's.
-            bases = sum(comb(n, k) for k in range(len(solve().basis) + 1))
-            add("solve_lcp", n, family, solve, {"bases": bases})
-    for n in ORACLE_SIZES:
-        for family in FAMILIES:
-            vertices = partial(oracle.oracle_max_norm, _matrix(n, family, rng), 0)
-            add("oracle_max_norm", n, family, vertices,
-                {"vertices": 2**n, "lapack_members": _lapack_members(vertices)})
-    n = CERTIFY_SIZE
-    for family in FAMILIES:
-        m = _matrix(n, family, rng)
-        add("is_p_matrix", n, family, partial(lcp.is_p_matrix, m), {"minors": 2**n - 1})
-        inst = lcp.LcpInstance(m, [-1.0] * n)
-        bound = bnekrasov._profiles(m).route.new()
-        points = lcp.trial_points(lcp.solve_lcp(inst).x_star, CERTIFY_POINTS, SEED)
-        add("certify_error_bound", n, family, partial(_certify, inst, bound, points),
-            {"points": CERTIFY_POINTS, "solves": CERTIFY_POINTS})
-    for n in (16, 20):
-        for family in FAMILIES:
-            p_test = partial(lcp.is_p_matrix, _matrix(n, family, rng))
-            add("is_p_matrix", n, family, p_test, {"minors": 2**n - 1})
     times = [[] for _ in calls]
     for _ in range(REPEATS + 1):
         for fn, samples in zip(calls, times):
