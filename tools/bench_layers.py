@@ -2,16 +2,15 @@
 
     PYTHONPATH=src python tools/bench_layers.py LABEL
 
-writes ``bench/BENCH_<LABEL>.json``: a row per layer, size and family of
-``LAYERS`` and ``FAMILIES``, with the median and best of ``REPEATS`` timed
-calls (taken in rounds over all rows, after one untimed round) and the work
-each call does, and the environment.  A row's ``lapack_members`` counts,
-from one more untimed call, the members the oracle inverts on LAPACK: the
-walk's anchors and the vertices evaluated again.  The script uses the
-standard library and ``lcpbounds`` only, and pins BLAS to one thread as
-``perfbench`` does.  To time another commit, point ``PYTHONPATH`` at its
-``src``; the ``commit`` field names the checkout the package was imported
-from.
+writes ``bench/BENCH_<LABEL>.json``: the environment and a row per layer,
+size and family of ``LAYERS`` and ``FAMILIES``, with the median and best of
+``REPEATS`` timed calls (in rounds over all rows, after one untimed round)
+and the work each call does.  ``lapack_members`` counts, from one more
+untimed call, the members the oracle inverts on LAPACK: the walk's anchors
+and the vertices evaluated again.  The script needs only the standard
+library and ``lcpbounds``, and pins BLAS to one thread as ``perfbench``
+does.  To time another commit, point ``PYTHONPATH`` at its ``src``; the
+``commit`` field names the checkout the package was imported from.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ import tempfile  # noqa: E402
 import time  # noqa: E402
 from functools import partial  # noqa: E402
 from importlib.metadata import version  # noqa: E402
+from itertools import combinations, islice  # noqa: E402
 from math import comb  # noqa: E402
 from pathlib import Path  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
@@ -47,9 +47,10 @@ FAMILIES = ("nekrasov", "b_nekrasov")
 REPEATS = 40
 SEED = 2016
 CERTIFY_POINTS = 20
-# As perfbench's verify_small and lcp_small run verify and lcp.
+# As perfbench's verify_small and lcp_small (at n = 8, support 3) run verify and lcp.
 VERIFY_SAMPLES = 1000
 LCP_TRIALS = 10
+LCP_SUPPORT = 3
 OUT_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -136,10 +137,15 @@ def _classify(c):
     return classify, {"solves": _tally(bnekrasov.np.linalg, "solve", classify, lambda *a: 1)}
 
 
+def _bases(inst) -> int:
+    """The bases ``solve_lcp`` inverts on ``inst``: every one of the sizes up to its answer's."""
+    return sum(comb(inst.n, k) for k in range(len(lcp.solve_lcp(inst).basis) + 1))
+
+
 def _solve(c):
-    """``solve_lcp`` with q = -1; it inverts every basis of the sizes up to the answer's."""
-    solve = partial(lcp.solve_lcp, lcp.LcpInstance(c.m, [-1.0] * c.n))
-    return solve, {"bases": sum(comb(c.n, k) for k in range(len(solve().basis) + 1))}
+    """``solve_lcp`` with q = -1."""
+    inst = lcp.LcpInstance(c.m, [-1.0] * c.n)
+    return partial(lcp.solve_lcp, inst), {"bases": _bases(inst)}
 
 
 def _walked(c, fn):
@@ -158,13 +164,16 @@ def _certify(c):
 
 
 def _lcp(c):
-    """``lcp`` on the ``q`` whose solution ``x`` is 1 on its first n // 2
-    indices and 0 on the rest, and ``w = Mx + q`` the reverse."""
-    x = [float(i < c.n // 2) for i in range(c.n)]
-    q = c.path.replace(".txt", "_q.txt")
-    Path(q).write_text(" ".join(repr(1.0 - xi - v) for xi, v in zip(x, (c.m @ x).tolist())))
-    run = _cli("lcp", "--matrix", c.path, "--q", q, "--trials", str(LCP_TRIALS))
-    return run, {"bases": sum(comb(c.n, k) for k in range(c.n // 2 + 1)), "trials": LCP_TRIALS}
+    """``lcp`` on the ``q`` whose solution ``x`` is 1 on the middle
+    ``LCP_SUPPORT``-subset in lexicographic order, where perfbench's
+    ``lcp_instance`` puts it, and 0 elsewhere, and ``w = Mx + q`` the reverse."""
+    s = next(islice(combinations(range(c.n), LCP_SUPPORT), comb(c.n, LCP_SUPPORT) // 2, None))
+    x = [float(i in s) for i in range(c.n)]
+    q = [1.0 - xi - v for xi, v in zip(x, (c.m @ x).tolist())]
+    path = c.path.replace(".txt", "_q.txt")
+    Path(path).write_text(" ".join(map(repr, q)))
+    run = _cli("lcp", "--matrix", c.path, "--q", path, "--trials", str(LCP_TRIALS))
+    return run, {"bases": _bases(lcp.LcpInstance(c.m, q)), "trials": LCP_TRIALS}
 
 
 # Each layer's sizes, the input it reads (layers that name one input share
@@ -172,6 +181,12 @@ def _lcp(c):
 # and at n = 7, verify_small's median job's, which cli.verify shares; cli.lcp
 # runs at lcp_small's median job's.  The solver's limit is n = 15, the
 # P-test's n = 20, and the oracle's, n = 20, takes seconds per call.
+# One stream draws each input when a row first reads it, the rows below
+# DRAWN_LAST_BELOW last: that and the inputs "solve", "oracle", "p" and "lcp"
+# only keep earlier reports' draws and work, which CI checks against
+# REFERENCE.  Re-baselining, give each input its own seed and drop both.
+DRAWN_LAST_BELOW = 12
+REFERENCE = OUT_DIR / "BENCH_one-table.json"
 _BOUND = (150, 400, 7)
 LAYERS = {
     "parse_matrix": (
@@ -196,19 +211,17 @@ LAYERS = {
         c, _cli("verify", "--matrix", c.path, "--samples", str(VERIFY_SAMPLES)))),
     "cli.lcp": ((8,), "lcp", _lcp),
 }
+# Every (layer, n, family), in the order the rows are built.
+ROWS = sorted([(layer, n, family) for layer, (sizes, *_) in LAYERS.items() for n in sizes
+               for family in FAMILIES], key=lambda row: row[1] < DRAWN_LAST_BELOW)
 
 
 def _rows(workdir: Path) -> list[dict]:
     """Every row of ``LAYERS``, timed in rounds so that a drift in machine
-    speed reaches every row alike.  One stream draws the inputs, each the
-    first time a row reads it; the rows below n = 12 are built last, so that
-    the rows at the workloads' sizes leave the others' inputs, and so their
-    work, as earlier reports have them."""
+    speed reaches every row alike."""
     rng, inputs = random.Random(SEED), {}
-    walk = [(layer, n, family) for layer, (sizes, *_) in LAYERS.items() for n in sizes
-            for family in FAMILIES]
     rows, calls = [], []
-    for layer, n, family in sorted(walk, key=lambda row: row[1] < 12):
+    for layer, n, family in ROWS:
         _, kind, build = LAYERS[layer]
         if (kind, n, family) not in inputs:
             m, path = _matrix(n, family, rng), workdir / f"{kind}_{family}_{n}.txt"
@@ -245,17 +258,9 @@ def main(argv: list[str]) -> int:
         return 1
     with tempfile.TemporaryDirectory() as tmp:
         rows = _rows(Path(tmp))
-    report = {
-        "label": argv[0],
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": version("numpy"),
-            "blas_threads": int(BLAS_THREADS),
-            "cpu_count": os.cpu_count(),
-            "commit": _commit(),
-        },
-        "rows": rows,
-    }
+    env = {"python": platform.python_version(), "numpy": version("numpy"),
+           "blas_threads": int(BLAS_THREADS), "cpu_count": os.cpu_count(), "commit": _commit()}
+    report = {"label": argv[0], "environment": env, "rows": rows}
     OUT_DIR.mkdir(exist_ok=True)
     out = OUT_DIR / f"BENCH_{argv[0]}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
