@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -39,7 +40,8 @@ def _render_text(data, indent: int = 0) -> str:
     else:
         items = [("-", value) for value in data]
     for head, value in items:
-        if isinstance(value, (dict, list)):
+        # An empty list or dict is a leaf: ``certificates: []``, not a blank line.
+        if isinstance(value, (dict, list)) and value:
             lines += [f"{pad}{head}", _render_text(value, indent + 1)]
         else:
             lines.append(f"{pad}{head} {value}")
@@ -283,7 +285,14 @@ def main(argv: list[str] | None = None) -> int:
     except (LcpBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early. Point it at devnull so that the
+        # flush at exit stays quiet (Python docs, signal, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the report was written", file=sys.stderr)
+        return EXIT_ERROR
     return code
 
 

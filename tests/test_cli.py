@@ -252,6 +252,23 @@ class TestSweep:
                       "--grid", "1")
         assert code == 1
 
+    def test_stdout_closed_early_is_an_error_line(self, data_dir):
+        # 5000 rows outgrow the pipe's buffer, so the write meets the closed pipe.
+        src = str(Path(lcpbounds.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lcpbounds.cli", "sweep",
+             "--matrix", str(data_dir / "example1.txt"), "--grid", "5000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.readline() == "epsilon,gp_bound,new_bound\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert "Traceback" not in stderr
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
 
 class TestVerify:
     def test_example1(self, capsys, data_dir):
@@ -511,14 +528,15 @@ class TestClassify:
 
 
 def render_text(value, indent=0):
-    """The text format by its definition: ``key: value`` leaves, ``-`` list
-    items, each nested block indented two more spaces under its key or ``-``."""
+    """The text format by its definition: ``key: value`` leaves (an empty list
+    or dict among them), ``-`` list items, each nested block indented two more
+    spaces under its key or ``-``."""
     pad = "  " * indent
     items = ([(f"{key}:", item) for key, item in value.items()] if isinstance(value, dict)
              else [("-", item) for item in value])
     lines = []
     for label, item in items:
-        if isinstance(item, (dict, list)):
+        if isinstance(item, (dict, list)) and item:
             lines += [pad + label, render_text(item, indent + 1)]
         else:
             lines.append(f"{pad}{label} {item}")
@@ -528,15 +546,19 @@ def render_text(value, indent=0):
 class TestTextFormat:
     """``--format text`` prints the values of ``--format json``."""
 
-    @pytest.mark.parametrize("argv", [
-        ("classify",), ("bound",), ("verify", "--samples", "10"), ("lcp", "--trials", "2"),
-    ], ids=["classify", "bound", "verify", "lcp"])
-    def test_text_renders_the_json_values(self, capsys, data_dir, argv):
+    @pytest.mark.parametrize("argv, matrix, expected_code", [
+        (("classify",), "example1", 0), (("bound",), "example1", 0),
+        (("verify", "--samples", "10"), "example1", 0), (("lcp", "--trials", "2"), "example1", 0),
+        (("lcp", "--trials", "0"), "example1", 0), (("verify", "--samples", "10"), "not_p", 2),
+    ], ids=["classify", "bound", "verify", "lcp", "lcp_no_trials", "verify_exit_2"])
+    def test_text_renders_the_json_values(self, capsys, data_dir, not_p_file, argv, matrix,
+                                          expected_code):
+        path = not_p_file if matrix == "not_p" else str(data_dir / f"{matrix}.txt")
         q = ("--q", str(data_dir / "q_minus_ones.txt")) if argv[0] == "lcp" else ()
-        argv = (*argv, "--matrix", str(data_dir / "example1.txt"), *q)
+        argv = (*argv, "--matrix", path, *q)
         json_out, json_code = run(capsys, *argv, "--format", "json")
         text_out, text_code = run(capsys, *argv, "--format", "text")
-        assert text_code == json_code == 0
+        assert text_code == json_code == expected_code
         assert text_out == render_text(json.loads(json_out)) + "\n"
 
     @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -4,11 +4,14 @@
 
 writes ``bench/BENCH_<LABEL>.json``: the environment and a row per layer,
 size and family of ``LAYERS`` and ``FAMILIES``, with the median and best of
-``REPEATS`` timed calls (in rounds over all rows, after one untimed round)
-and the work each call does.  ``lapack_members`` counts, from one more
-untimed call, the members the oracle inverts on LAPACK: the walk's anchors
-and the vertices evaluated again.  The script needs only the standard
-library and ``lcpbounds``, and pins BLAS to one thread as ``perfbench``
+``REPEATS`` timed calls, made back to back after one untimed call, and the
+work each call does.  ``lapack_members`` counts, from one more untimed call,
+the members the oracle inverts on LAPACK: the walk's anchors and the
+vertices evaluated again.  Every layer at one size and family reads one
+input, drawn by perfbench's own generators from the seed
+``(SEED, n, family)`` alone.  The script needs the standard library,
+``lcpbounds`` and ``perfbench/workloads.py`` (a rename there shows up in
+CI's Layer benchmark step), and pins BLAS to one thread as ``perfbench``
 does.  To time another commit, point ``PYTHONPATH`` at its ``src``; the
 ``commit`` field names the checkout the package was imported from.
 """
@@ -26,7 +29,6 @@ import contextlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
-import random  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -34,60 +36,38 @@ import tempfile  # noqa: E402
 import time  # noqa: E402
 from functools import partial  # noqa: E402
 from importlib.metadata import version  # noqa: E402
-from itertools import combinations, islice  # noqa: E402
 from math import comb  # noqa: E402
 from pathlib import Path  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 import lcpbounds  # noqa: E402
 from lcpbounds import bnekrasov, cli, lcp, oracle  # noqa: E402
 from lcpbounds.matrixio import format_matrix, parse_matrix  # noqa: E402
 
-FAMILIES = ("nekrasov", "b_nekrasov")
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.append(str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+
+FAMILIES = (workloads.NEKRASOV, workloads.BNEKRASOV)
 REPEATS = 40
 SEED = 2016
 CERTIFY_POINTS = 20
-# As perfbench's verify_small and lcp_small (at n = 8, support 3) run verify and lcp.
-VERIFY_SAMPLES = 1000
-LCP_TRIALS = 10
+# lcp_small's support at n = 8, where cli.lcp runs.
 LCP_SUPPORT = 3
-OUT_DIR = Path(__file__).resolve().parent.parent / "bench"
+OUT_DIR = ROOT / "bench"
 
 
-def _nekrasov_rows(n: int, rng: random.Random, z_zero: bool = False) -> list[list[float]]:
-    """Off-diagonal entries in [-1, 1] (made -|a| with one zero per row when
-    ``z_zero``), each diagonal entry its row's h plus a margin in (0.1, 1)."""
-    a = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
-    if z_zero:
-        a = [[-abs(v) for v in row] for row in a]
-        for i in range(n):
-            a[i][(i + 1) % n] = 0.0
-    h = []
-    for i, row in enumerate(a):
-        acc = sum(abs(v) for v in row[i + 1 :])
-        acc += sum(abs(row[j]) / a[j][j] * h[j] for j in range(i))
-        h.append(acc)
-        row[i] = acc + rng.uniform(0.1, 1.0)
-    return a
-
-
-def _matrix(n: int, family: str, rng: random.Random):
-    """A Nekrasov input, or a B-Nekrasov one that is not Nekrasov:
-    ``B + r 1^T`` for a Nekrasov Z-matrix ``B`` with a zero in each row and
-    ``r_i`` up to 3 ``b_ii``; the class is checked with ``classify``."""
-    for _ in range(20):
-        if family == "nekrasov":
-            rows = _nekrasov_rows(n, rng)
-        else:
-            rows = _nekrasov_rows(n, rng, z_zero=True)
-            shifts = [rng.uniform(0.0, 3.0) * row[i] for i, row in enumerate(rows)]
-            rows = [[v + r for v in row] for r, row in zip(shifts, rows)]
-        report = bnekrasov.classify(rows)
-        wanted = report.is_nekrasov if family == "nekrasov" else (
-            report.is_b_nekrasov and not report.is_nekrasov)
-        if wanted:
-            return lcpbounds.as_matrix(rows)
-    raise RuntimeError(f"no {family} input of size {n} in 20 draws")
+def _input(workdir: Path, n: int, family: str) -> SimpleNamespace:
+    """The input at (n, family): a matrix of the family, drawn as the
+    workloads draw theirs, and the ``q`` lcp_small pairs with it."""
+    rng = np.random.default_rng([SEED, n, FAMILIES.index(family)])
+    m = workloads._generate(rng, n, family)
+    q, _ = workloads.lcp_instance(rng, m, LCP_SUPPORT)
+    path = workdir / f"{family}_{n}.txt"
+    path.write_text(format_matrix(m))
+    return SimpleNamespace(n=n, m=m, q=q, path=str(path), profiles=bnekrasov._profiles(m))
 
 
 def _tally(owner, name: str, fn, weight) -> int:
@@ -118,8 +98,8 @@ def _cli(*argv: str):
 
 
 # The builders below and in LAYERS take a row's input ``c``: its size ``c.n``,
-# matrix ``c.m``, file ``c.path`` and profiles ``c.profiles``.  Each returns
-# the row's call and the work one call does.
+# matrix ``c.m``, file ``c.path``, profiles ``c.profiles`` and lcp_small's
+# ``c.q``.  Each returns the row's call and the work one call does.
 
 def _scan(c):
     """The input with its (1, 2) entry written as the fraction ``p/q`` of its
@@ -164,81 +144,60 @@ def _certify(c):
 
 
 def _lcp(c):
-    """``lcp`` on the ``q`` whose solution ``x`` is 1 on the middle
-    ``LCP_SUPPORT``-subset in lexicographic order, where perfbench's
-    ``lcp_instance`` puts it, and 0 elsewhere, and ``w = Mx + q`` the reverse."""
-    s = next(islice(combinations(range(c.n), LCP_SUPPORT), comb(c.n, LCP_SUPPORT) // 2, None))
-    x = [float(i in s) for i in range(c.n)]
-    q = [1.0 - xi - v for xi, v in zip(x, (c.m @ x).tolist())]
+    """``lcp`` on ``c.q``, written as lcp_small writes it."""
     path = c.path.replace(".txt", "_q.txt")
-    Path(path).write_text(" ".join(map(repr, q)))
-    run = _cli("lcp", "--matrix", c.path, "--q", path, "--trials", str(LCP_TRIALS))
-    return run, {"bases": _bases(lcp.LcpInstance(c.m, q)), "trials": LCP_TRIALS}
+    workloads._write_vector(Path(path), c.q)
+    run = _cli("lcp", "--matrix", c.path, "--q", path, "--trials", str(workloads.LCP_TRIALS))
+    return run, {"bases": _bases(lcp.LcpInstance(c.m, c.q)), "trials": workloads.LCP_TRIALS}
 
 
-# Each layer's sizes, the input it reads (layers that name one input share
-# it) and its builder.  The bound command's layers run at bound_large's sizes
-# and at n = 7, verify_small's median job's, which cli.verify shares; cli.lcp
-# runs at lcp_small's median job's.  The solver's limit is n = 15, the
-# P-test's n = 20, and the oracle's, n = 20, takes seconds per call.
-# One stream draws each input when a row first reads it, the rows below
-# DRAWN_LAST_BELOW last: that and the inputs "solve", "oracle", "p" and "lcp"
-# only keep earlier reports' draws and work, which CI checks against
-# REFERENCE.  Re-baselining, give each input its own seed and drop both.
-DRAWN_LAST_BELOW = 12
-REFERENCE = OUT_DIR / "BENCH_one-table.json"
+# Each layer's sizes and its builder.  The bound command's layers run at
+# bound_large's sizes and at n = 7, verify_small's median job's, which
+# cli.verify shares; cli.lcp runs at lcp_small's median job's.  The solver's
+# limit is n = 15, the P-test's n = 20, and the oracle's, n = 20, takes
+# seconds per call.
+REFERENCE = OUT_DIR / "BENCH_own-seeds.json"
 _BOUND = (150, 400, 7)
 LAYERS = {
-    "parse_matrix": (
-        _BOUND, "file", lambda c: (partial(parse_matrix, c.path), {"entries": c.n**2})),
+    "parse_matrix": (_BOUND, lambda c: (partial(parse_matrix, c.path), {"entries": c.n**2})),
     "bnekrasov._profiles": (
-        _BOUND, "file", lambda c: (partial(bnekrasov._profiles, c.m), {"rows": 2 * c.n})),
-    "all_bounds": (
-        _BOUND, "file", lambda c: (partial(bnekrasov.all_bounds, c.profiles), {"bounds": 4})),
-    "classify": (_BOUND, "file", _classify),
-    "cli.bound": (
-        _BOUND, "file", lambda c: (_cli("bound", "--matrix", c.path), {"entries": c.n**2})),
-    "lemma_property_suite": (_BOUND, "file", lambda c: (
+        _BOUND, lambda c: (partial(bnekrasov._profiles, c.m), {"rows": 2 * c.n})),
+    "all_bounds": (_BOUND, lambda c: (partial(bnekrasov.all_bounds, c.profiles), {"bounds": 4})),
+    "classify": (_BOUND, _classify),
+    "cli.bound": (_BOUND, lambda c: (_cli("bound", "--matrix", c.path), {"entries": c.n**2})),
+    "lemma_property_suite": (_BOUND, lambda c: (
         partial(oracle.lemma_property_suite, c.profiles.route), {"rows": c.n})),
-    "parse_matrix_scan": ((150,), "file", _scan),
-    "solve_lcp": ((12, 15), "solve", _solve),
-    "oracle_max_norm": (
-        (12, 16), "oracle", lambda c: _walked(c, partial(oracle.oracle_max_norm, c.m, 0))),
+    "parse_matrix_scan": ((150,), _scan),
+    "solve_lcp": ((12, 15), _solve),
+    "oracle_max_norm": ((12, 16), lambda c: _walked(c, partial(oracle.oracle_max_norm, c.m, 0))),
     "is_p_matrix": (
-        (12, 16, 20), "p", lambda c: (partial(lcp.is_p_matrix, c.m), {"minors": 2**c.n - 1})),
-    "certify_error_bound": ((12,), "p", _certify),
-    "cli.verify": ((7, 11), "file", lambda c: _walked(
-        c, _cli("verify", "--matrix", c.path, "--samples", str(VERIFY_SAMPLES)))),
-    "cli.lcp": ((8,), "lcp", _lcp),
+        (12, 16, 20), lambda c: (partial(lcp.is_p_matrix, c.m), {"minors": 2**c.n - 1})),
+    "certify_error_bound": ((12,), _certify),
+    "cli.verify": ((7, 11), lambda c: _walked(
+        c, _cli("verify", "--matrix", c.path, "--samples", str(workloads.VERIFY_SAMPLES)))),
+    "cli.lcp": ((8,), _lcp),
 }
 # Every (layer, n, family), in the order the rows are built.
-ROWS = sorted([(layer, n, family) for layer, (sizes, *_) in LAYERS.items() for n in sizes
-               for family in FAMILIES], key=lambda row: row[1] < DRAWN_LAST_BELOW)
+ROWS = [(layer, n, family) for layer, (sizes, _) in LAYERS.items() for n in sizes
+        for family in FAMILIES]
 
 
 def _rows(workdir: Path) -> list[dict]:
-    """Every row of ``LAYERS``, timed in rounds so that a drift in machine
-    speed reaches every row alike."""
-    rng, inputs = random.Random(SEED), {}
-    rows, calls = [], []
+    """Every row of ``ROWS``: one untimed call, then ``REPEATS`` timed calls
+    back to back, so that no other row's call runs between them."""
+    inputs, rows = {}, []
     for layer, n, family in ROWS:
-        _, kind, build = LAYERS[layer]
-        if (kind, n, family) not in inputs:
-            m, path = _matrix(n, family, rng), workdir / f"{kind}_{family}_{n}.txt"
-            path.write_text(format_matrix(m))
-            inputs[kind, n, family] = SimpleNamespace(
-                n=n, m=m, path=str(path), profiles=bnekrasov._profiles(m))
-        fn, work = build(inputs[kind, n, family])
-        rows.append({"layer": layer, "n": n, "family": family, "repeats": REPEATS, "work": work})
-        calls.append(fn)
-    times = [[] for _ in calls]
-    for _ in range(REPEATS + 1):
-        for fn, samples in zip(calls, times):
+        if (n, family) not in inputs:
+            inputs[n, family] = _input(workdir, n, family)
+        fn, work = LAYERS[layer][1](inputs[n, family])
+        fn()
+        samples = []
+        for _ in range(REPEATS):
             start = time.perf_counter()
             fn()
             samples.append(time.perf_counter() - start)
-    for row, samples in zip(rows, times):
-        row.update(median_s=statistics.median(samples[1:]), best_s=min(samples[1:]))
+        rows.append({"layer": layer, "n": n, "family": family, "repeats": REPEATS, "work": work,
+                     "median_s": statistics.median(samples), "best_s": min(samples)})
     return rows
 
 
