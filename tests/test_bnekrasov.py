@@ -119,11 +119,11 @@ class TestClassify:
     def test_shrinking_minors_are_p(self):
         # Nekrasov, with every principal minor exactly 1; the row-scaled
         # minors fall to 2**-42, below an absolute threshold of 1e-12.
+        # classify reads P by class, so the recursion is called directly.
         m = np.eye(8)
         m[1:, 0] = 100.0
-        report = classify(m)
-        assert report.is_h_matrix is True
-        assert report.is_p_matrix is True
+        assert classify(m).is_h_matrix is True
+        assert lcp.is_p_matrix(m) is True
 
     def test_large_n_skips_p(self):
         # -I is in neither class (its diagonal is negative), so P stays unknown.
@@ -140,6 +140,32 @@ class TestClassify:
         report = classify(m)
         assert report.is_p_matrix is True
         assert report.notes.endswith(f"P by class: {cls}")
+        assert "skipped" not in report.notes
+
+    def test_class_decides_p_without_the_recursion(self, monkeypatch, ex1, ex3):
+        # random_bnekrasov's draws are mostly Nekrasov as well, and then the
+        # route on M comes first.
+        rng = np.random.default_rng(28)
+        nekrasov_class = "Nekrasov with positive diagonal"
+        inputs = [([[2.0]], nekrasov_class), (ex1, nekrasov_class), (ex3, "B-Nekrasov"),
+                  (random_nekrasov(20, rng), nekrasov_class),
+                  (random_bnekrasov(20, rng), nekrasov_class), (np.eye(20) + 1.0, "B-Nekrasov")]
+        calls = []
+
+        def recursion(m):
+            calls.append(np.shape(m))
+            raise AssertionError("the class decides P")
+
+        monkeypatch.setattr(lcp, "is_p_matrix", recursion)
+        for m, cls in inputs:
+            report = classify(m)
+            assert report.is_p_matrix is True
+            assert report.notes.endswith(f"P by class: {cls}")
+            assert "skipped" not in report.notes
+        # In neither class (P, with row-scaled minors down to 2**-45): one call.
+        with pytest.raises(AssertionError, match="the class decides P"):
+            classify(np.eye(16) + 10.0 * np.triu(np.ones((16, 16)), 1))
+        assert calls == [(16, 16)]
 
     @pytest.mark.parametrize("m, cls", [
         (_rational.to_floats(_rational.EXAMPLE1), "Nekrasov with positive diagonal"),
@@ -163,11 +189,9 @@ class TestClassify:
         if kind == "perturbed":
             # Scaled off-diagonal entries can leave both classes, and P.
             m = m * np.where(np.eye(n, dtype=bool), 1.0, rng.uniform(0.0, 3.0, (n, n)))
-        enumerated = classify(m).is_p_matrix
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lcp, "_P_TEST_MAX_N", 0)  # every n takes the class rule
-            by_class = classify(m).is_p_matrix
-        assert by_class in (None, enumerated)
+        # classify reads class inputs by class, any other by the recursion.
+        by_class = classify(m).is_p_matrix
+        assert by_class is lcp.is_p_matrix(m)
         if kind != "perturbed":
             assert by_class is True
 

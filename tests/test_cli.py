@@ -480,10 +480,12 @@ class TestClassify:
 
     @pytest.mark.parametrize("command", ["bound", "classify"])
     def test_large_entries_are_p(self, tmp_path, command):
+        # Neither Nekrasov (h_1 = 2e200) nor B-Nekrasov (b_11 < 0), so the
+        # P-test runs on it, and no bound applies (exit 2).
         path = tmp_path / "m.txt"
-        path.write_text("2\n1e200 0\n0 1e200\n")
+        path.write_text("2\n1e200 2e200\n0 1e200\n")
         proc = run_fresh(command, "--matrix", str(path))
-        assert proc.returncode == 0
+        assert proc.returncode == (2 if command == "bound" else 0)
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["classification"]["is_p_matrix"] is True
 
@@ -604,17 +606,20 @@ class TestProfileOnce:
 class TestCopyOnce:
     """``bound`` and ``classify`` validate and copy M once, where they enter
     ``bnekrasov._profiles``; the routes, the class tests and, up to n = 20,
-    the P-test ``lcp.is_p_matrix`` read that copy."""
+    the P-test ``lcp.is_p_matrix``, run on an input in neither class, read
+    that copy."""
 
-    # n = 21, where the P-test is skipped; the 4x4 fixtures run it.
-    LARGE = {"nekrasov": 4.0 * np.eye(21) - 0.15, "b_nekrasov": np.eye(21) + 1.0}
+    # The fixtures and the n = 21 inputs are P by class; I + 10 triu(1) at
+    # n = 8 is in neither class, so the P-test runs on it, and bound exits 2.
+    WRITTEN = {"nekrasov": 4.0 * np.eye(21) - 0.15, "b_nekrasov": np.eye(21) + 1.0,
+             "neither": np.eye(8) + 10.0 * np.triu(np.ones((8, 8)), 1)}
 
     @pytest.mark.parametrize("command", ["bound", "classify"])
-    @pytest.mark.parametrize("source", [*LARGE, "example1", "example2", "example3", "example4"])
+    @pytest.mark.parametrize("source", [*WRITTEN, "example1", "example2", "example3", "example4"])
     def test_one_as_matrix_call(self, capsys, tmp_path, monkeypatch, data_dir, command, source):
-        if source in self.LARGE:
+        if source in self.WRITTEN:
             path = tmp_path / "m.txt"
-            path.write_text(format_matrix(self.LARGE[source]))
+            path.write_text(format_matrix(self.WRITTEN[source]))
         else:
             path = data_dir / f"{source}.txt"
         n = parse_matrix(path).shape[0]
@@ -628,7 +633,7 @@ class TestCopyOnce:
             if getattr(module, "as_matrix", None) is original:
                 monkeypatch.setattr(module, "as_matrix", counted)
         _, code = run(capsys, command, "--matrix", str(path))
-        assert code == 0
+        assert code == (2 if (command, source) == ("bound", "neither") else 0)
         assert calls == [(n, n)]
 
 

@@ -113,8 +113,10 @@ def _scan(c):
 
 
 def _classify(c):
-    classify = partial(bnekrasov.classify, c.profiles)
-    return classify, {"solves": _tally(bnekrasov.np.linalg, "solve", classify, lambda *a: 1)}
+    """``classify`` and its work: the H-test's solves and the P-test's calls."""
+    classify, once = partial(bnekrasov.classify, c.profiles), lambda *a: 1
+    return classify, {"solves": _tally(bnekrasov.np.linalg, "solve", classify, once),
+                      "p_tests": _tally(lcp, "is_p_matrix", classify, once)}
 
 
 def _bases(inst) -> int:
@@ -155,15 +157,16 @@ def _lcp(c):
 # bound_large's sizes and at n = 7, verify_small's median job's, which
 # cli.verify shares; cli.lcp runs at lcp_small's median job's.  The solver's
 # limit is n = 15, the P-test's n = 20, and the oracle's, n = 20, takes
-# seconds per call.
-REFERENCE = OUT_DIR / "BENCH_own-seeds.json"
+# seconds per call.  classify also runs at the P-test's sizes, where its
+# inputs, all in their class, take no P-test.
+REFERENCE = OUT_DIR / "BENCH_class-p.json"
 _BOUND = (150, 400, 7)
 LAYERS = {
     "parse_matrix": (_BOUND, lambda c: (partial(parse_matrix, c.path), {"entries": c.n**2})),
     "bnekrasov._profiles": (
         _BOUND, lambda c: (partial(bnekrasov._profiles, c.m), {"rows": 2 * c.n})),
     "all_bounds": (_BOUND, lambda c: (partial(bnekrasov.all_bounds, c.profiles), {"bounds": 4})),
-    "classify": (_BOUND, _classify),
+    "classify": (_BOUND + (12, 16, 20), _classify),
     "cli.bound": (_BOUND, lambda c: (_cli("bound", "--matrix", c.path), {"entries": c.n**2})),
     "lemma_property_suite": (_BOUND, lambda c: (
         partial(oracle.lemma_property_suite, c.profiles.route), {"rows": c.n})),
