@@ -20,12 +20,12 @@ route a command runs on and for when ``M`` is P by class (the route's
 nonsingular M-matrix, that is iff ``x = <M>^{-1} 1`` is positive (Berman &
 Plemmons, 1994, ch. 6); a Nekrasov ``M`` is one by class, and any other takes
 one solve on the row-scaled ``M`` (``linalg._row_scaled``), as the P-test does.
-``classify`` decides P by class, through ``route``, at every n, and runs
-``lcp.is_p_matrix``, one principal-pivot recursion over all 2^n - 1
-principal minors, only on an input in neither class, up to n = 20
-(``lcp._P_TEST_MAX_N``).  The class verdict is a proof for the double input
-(``ClassificationReport``); the recursion's 1e-12 pivot threshold bounds
-no rounding error.
+``classify`` builds every ``ClassificationReport``.  It decides P by class,
+through ``route``, at every n, and runs ``lcp.is_p_matrix``, one principal-pivot
+recursion over all 2^n - 1 principal minors, only on an input in neither class,
+up to n = 20 (``lcp._P_TEST_MAX_N``).  The class verdict is a proof for the double
+input up to n = 93 (``ClassificationReport``); the recursion's 1e-12 pivot
+threshold bounds no rounding error.
 """
 
 from __future__ import annotations
@@ -69,13 +69,14 @@ class ClassificationReport:
     ``p_class``); no principal minor is tested then.  Any other ``M`` takes
     the principal-minor test up to n = 20, and reads ``None`` above that.
 
-    The class verdict is a proof for the double input.  The route's class
-    test keeps a ``STRICT_RTOL`` = 1e-12 margin relative to each diagonal.
-    h is a sum of nonnegative terms, and each ``B+`` entry is one correctly
-    rounded subtraction, which keeps its sign.  So each row adds at most
-    n + 3 roundings to the terms it reads, and the computed h is within a
-    relative gamma_{n(n+3)} of the exact h of ``M`` or ``B+`` (Higham, 2002,
-    ch. 3): about 5e-14 at n = 20, and below that margin up to n = 90.
+    The class verdict is a proof for the double input up to n = 93.  The
+    route's class test keeps a ``STRICT_RTOL`` = 1e-12 margin relative to
+    each diagonal.  h is a sum of nonnegative terms, and each ``B+`` entry
+    is one correctly rounded subtraction, which keeps its sign.  So each row
+    adds at most n + 3 roundings to the terms it reads, and the computed h
+    is within a relative gamma_{n(n+3)} of the exact h of ``M`` or ``B+``
+    (Higham, 2002, ch. 3): 5e-14 at n = 20, 9.9e-13 at n = 93, and past that
+    margin from n = 94 on, where the verdict is the float test's alone.
     """
 
     is_sdd: bool
@@ -89,7 +90,8 @@ class ClassificationReport:
 
 
 def bplus_decompose(m) -> BPlusSplit:
-    """Split ``M`` into its Z-part ``B+`` and the rank-1 remainder ``C``."""
+    """Split ``M`` into its Z-part ``B+`` and the rank-1 remainder ``C``
+    (``DomainError`` where an entry of ``B+`` is past the float range)."""
     mm = as_matrix(m)
     if mm.shape[0] < 2:
         raise DimensionTooSmall("the splitting needs at least one off-diagonal entry per row")
@@ -97,13 +99,16 @@ def bplus_decompose(m) -> BPlusSplit:
 
 
 def _split(mm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``B+`` and ``r_plus`` of a validated ``M`` (for n = 1, ``M`` and 0)."""
+    """``B+`` and ``r_plus`` of a validated ``M`` (for n = 1, ``M`` and 0);
+    ``DomainError`` where ``m_ij - r_i`` passes the float range."""
     b_plus = mm.copy()
     np.fill_diagonal(b_plus, -np.inf)
     r_plus = np.maximum(b_plus.max(axis=1), 0.0)
-    # An entry of B+ past the float range is -inf.
     with np.errstate(over="ignore"):
-        return np.subtract(mm, r_plus[:, None], out=b_plus), r_plus
+        np.subtract(mm, r_plus[:, None], out=b_plus)
+    if not np.isfinite(b_plus.min()):
+        raise DomainError("the B+ splitting overflows: an entry of B+ is past the float range")
+    return b_plus, r_plus
 
 
 class _BPlusRoute(_Route):
@@ -137,8 +142,6 @@ def _bplus_route(mm: np.ndarray) -> _BPlusRoute:
     strict-entry check of the parameterized bound."""
     n = mm.shape[0]
     b_plus, r_plus = _split(mm)
-    if not np.isfinite(b_plus.min()):
-        raise DomainError("the B+ splitting overflows: an entry of B+ is past the float range")
     profile, _, upper, sums = nekrasov._profile(b_plus)
     fault = ("DimensionTooSmall" if n < 2 else None
              if profile.is_nekrasov and np.all(np.diag(b_plus) > 0.0) else "NotBNekrasov")
@@ -180,9 +183,17 @@ def _sdd(route: _Route) -> bool:
     return bool(np.all(diag - (route.abs_sums - diag) > STRICT_RTOL * diag))
 
 
-def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
-    """The flags from the two routes: H by class where ``M`` is Nekrasov, else
-    by one solve on the row-scaled ``<M>``, built in place; P as in the report."""
+def is_b_nekrasov(m) -> bool:
+    """Whether ``B+`` is Nekrasov with positive diagonal (False for n = 1):
+    ``classify(m).is_b_nekrasov`` from one split and one profile."""
+    return _bplus_route(as_matrix(m)).fault is None
+
+
+def classify(m) -> ClassificationReport:
+    """Full diagnostics from the two routes: H by class where ``M`` is
+    Nekrasov, else by one solve on the row-scaled ``<M>``, built in place;
+    P by class, else by the principal-minor test for n <= 20."""
+    p = _profiles(m)
     mm, b_plus = p.m_route.a, p.b_route.a
     n = mm.shape[0]
     notes: list[str] = []
@@ -207,9 +218,7 @@ def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
         h_flag = False
         notes.append("comparison matrix is singular")
     p_flag: bool | None = None
-    if not with_p_test:
-        notes.append("P-matrix test skipped")
-    elif p.route is not None:
+    if p.route is not None:
         p_flag = True
         notes.append(f"P by class: {p.route.p_class}")
     elif n > lcp._P_TEST_MAX_N:
@@ -226,17 +235,6 @@ def _classify(p: _Profiles, with_p_test: bool) -> ClassificationReport:
         is_p_matrix=p_flag,
         notes="; ".join(notes),
     )
-
-
-def is_b_nekrasov(m) -> ClassificationReport:
-    """Classification without the P-matrix test (``is_p_matrix`` is None)."""
-    return _classify(_profiles(m), with_p_test=False)
-
-
-def classify(m) -> ClassificationReport:
-    """Full diagnostics: P by class, else by the principal-minor test for
-    n <= 20; ``is_h_matrix`` is true with no solve where ``M`` is Nekrasov."""
-    return _classify(_profiles(m), with_p_test=True)
 
 
 def epsilon_interval_upper(m) -> float:

@@ -105,7 +105,7 @@ def inf_norm(a) -> float:
     arr = np.asarray(a, dtype=float)
     if arr.ndim == 1:
         return float(np.max(np.abs(arr)))
-    return float(np.max(np.sum(np.abs(arr), axis=1)))
+    return float(_inf_norms(arr))
 
 
 def _row_scaled(a: np.ndarray) -> np.ndarray:

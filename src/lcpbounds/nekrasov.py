@@ -249,7 +249,8 @@ def _kolotilina(profile: NekrasovProfile) -> BoundReport:
 
 def epsilon_interval_upper(m) -> float:
     """Upper endpoint ``1 - h_n/m_nn`` of the open interval the parameterized
-    bound draws epsilon from.  Positive exactly when row n passes its margin test."""
+    bound draws epsilon from.  Where ``m_nn > 0`` it is positive exactly when
+    ``h_n < m_nn``; where ``m_nn < 0`` it is at least 1, whatever row n's margin."""
     mm = as_matrix(m)
     return _interval_upper(mm, h_vector(mm))
 

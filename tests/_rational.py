@@ -117,11 +117,8 @@ def bplus_exact(m: list[list[Fraction]]):
 
 
 def new_bnekrasov_exact(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    b, _ = bplus_exact(m)
-    h = h_exact(b)
-    eta = eta_exact(b)
-    return max((n - 1) * eta[i] / min(b[i][i] - h[i], F(1)) for i in range(n))
+    """The route rule: n - 1 times the new Nekrasov formula on ``B+``."""
+    return (len(m) - 1) * new_nekrasov_exact(bplus_exact(m)[0])
 
 
 def gp_bnekrasov_exact(m: list[list[Fraction]], eps: Fraction) -> Fraction:

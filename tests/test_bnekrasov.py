@@ -17,7 +17,7 @@ from lcpbounds.bnekrasov import (
     is_b_nekrasov,
     new_bnekrasov_bound,
 )
-from lcpbounds.errors import DimensionTooSmall, ZeroDiagonal
+from lcpbounds.errors import DimensionTooSmall, DomainError, ZeroDiagonal
 from lcpbounds.linalg import PIVOT_RTOL, inf_norm, inverse
 from lcpbounds.nekrasov import (
     gp_nekrasov_bound,
@@ -77,19 +77,38 @@ class TestBplusDecompose:
             bplus_decompose([[3.0]])
 
 
+# Finite, but b_13 = -1e308 - 1e308 is past the float range.
+_OVERFLOWING_SPLIT = [[1.0, 1e308, -1e308], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("fn", [
+    bplus_decompose, bnekrasov.epsilon_interval_upper, lambda m: gp_bnekrasov_bound(m, 0.5),
+    new_bnekrasov_bound, all_bounds, classify, is_b_nekrasov,
+], ids=["bplus_decompose", "epsilon_interval_upper", "gp_bnekrasov_bound",
+        "new_bnekrasov_bound", "all_bounds", "classify", "is_b_nekrasov"])
+def test_overflowing_split_is_one_error(fn):
+    with pytest.raises(DomainError, match="^the B\\+ splitting overflows"):
+        fn(_OVERFLOWING_SPLIT)
+
+
 class TestIsBNekrasov:
     def test_example3(self, ex3):
-        assert is_b_nekrasov(ex3).is_b_nekrasov
+        assert is_b_nekrasov(ex3) is True
 
     def test_example4(self, ex4):
-        assert is_b_nekrasov(ex4).is_b_nekrasov
+        assert is_b_nekrasov(ex4) is True
 
     def test_forced_nonpositive_diagonal(self):
-        assert not is_b_nekrasov([[1.0, 2.0], [2.0, 1.0]]).is_b_nekrasov
+        assert is_b_nekrasov([[1.0, 2.0], [2.0, 1.0]]) is False
 
-    def test_skips_p_matrix_test(self, ex3):
-        report = is_b_nekrasov(ex3)
-        assert report.is_p_matrix is None
+    def test_is_the_classify_flag(self):
+        rng = np.random.default_rng(29)
+        inputs = [[[3.0]], [[-1.0]], [[1.0, 2.0], [2.0, 1.0]]]
+        for n in range(1, 9):
+            inputs += [random_nekrasov(n, rng), random_bnekrasov(n, rng)]
+        for m in inputs:
+            assert is_b_nekrasov(m) is classify(m).is_b_nekrasov
+        assert {is_b_nekrasov(m) for m in inputs} == {True, False}
 
 
 class TestClassify:
@@ -227,7 +246,7 @@ class TestHMatrix:
         m *= scale * 10.0 ** np.array(exponents[: len(m)])[:, None]
         exact = [[F(float(v)) for v in row] for row in m]
         want = _rational.is_h_matrix_exact(exact, F(1.0 / PIVOT_RTOL))
-        assert is_b_nekrasov(m).is_h_matrix is want
+        assert classify(m).is_h_matrix is want
 
     @given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -266,7 +285,7 @@ class TestHMatrix:
         for _ in range(20):
             m = 10.0 ** rng.uniform(-3.0, 3.0, (2, 1)) * base
             exact = [[F(float(v)) for v in row] for row in m]
-            assert is_b_nekrasov(m).is_h_matrix
+            assert classify(m).is_h_matrix
             assert _rational.is_h_matrix_exact(exact, F(1.0 / PIVOT_RTOL))
             apart += inf_norm(m) * inf_norm(np.linalg.inv(m)) > 1.0 / PIVOT_RTOL
         assert apart > 0

@@ -468,15 +468,17 @@ class TestClassify:
 
     @pytest.mark.parametrize("command", ["classify", "bound", "sweep", "verify"])
     def test_overflowing_b_plus_is_an_error(self, capsys, tmp_path, command):
-        # The entries are finite, but B+ = [[0, 0], [0, -inf]]: the command
-        # ends in one error line, with no warning and nothing on stdout.
+        # The entries are finite, but B+ = [[0, 0], [0, -inf]], or b_13 =
+        # -1e308 - r_1 with r_1 = 1e308 above the diagonal: the command ends
+        # in one error line, with no warning and nothing on stdout.
         path = tmp_path / "m.txt"
-        path.write_text("2\n0 0\n1e308 -1e308\n")
-        code = main([command, "--matrix", str(path)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert (captured.out, captured.err) == (
-            "", "error: the B+ splitting overflows: an entry of B+ is past the float range\n")
+        for text in ("2\n0 0\n1e308 -1e308\n", "3\n1 1e308 -1e308\n0 1 0\n0 0 1\n"):
+            path.write_text(text)
+            code = main([command, "--matrix", str(path)])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert (captured.out, captured.err) == (
+                "", "error: the B+ splitting overflows: an entry of B+ is past the float range\n")
 
     @pytest.mark.parametrize("command", ["bound", "classify"])
     def test_large_entries_are_p(self, tmp_path, command):

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module or a script under ``tools/`` imports is used
+in that file.
 
 The project runs no linter, and deleting a code path easily leaves its
 imports behind.  A name counts as used when it is read anywhere in the
@@ -12,7 +13,8 @@ import pytest
 
 import lcpbounds
 
-SOURCES = sorted(Path(lcpbounds.__file__).parent.glob("*.py"))
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+SOURCES = sorted(Path(lcpbounds.__file__).parent.glob("*.py")) + sorted(TOOLS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

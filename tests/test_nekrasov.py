@@ -423,6 +423,16 @@ class TestNewNekrasovBound:
     def test_example2(self, ex2):
         assert new_nekrasov_bound(ex2).value == pytest.approx(15.0, rel=1e-12)
 
+    def test_matches_exact_formula(self, ex1, ex2, make_nekrasov):
+        rng = np.random.default_rng(31)
+        cases = [(ex1, _rational.EXAMPLE1), (ex2, _rational.EXAMPLE2)]
+        for n in range(2, 9):
+            m = make_nekrasov(n, rng)
+            cases.append((m, [[F(float(v)) for v in row] for row in m]))
+        for m, frac in cases:
+            exact = float(_rational.new_nekrasov_exact(frac))
+            assert new_nekrasov_bound(m).value == pytest.approx(exact, rel=1e-12)
+
     def test_identity(self):
         assert new_nekrasov_bound(np.eye(4)).value == 1.0
 

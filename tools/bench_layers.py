@@ -7,8 +7,9 @@ size and family of ``LAYERS`` and ``FAMILIES``, with the median and best of
 ``REPEATS`` timed calls, made back to back after one untimed call, and the
 work each call does.  ``lapack_members`` counts, from one more untimed call,
 the members the oracle inverts on LAPACK: the walk's anchors and the
-vertices evaluated again.  Every layer at one size and family reads one
-input, drawn by perfbench's own generators from the seed
+vertices evaluated again; ``blocks`` counts the principal blocks the LCP
+solver inverts, over every solve of the call.  Every layer at one size and
+family reads one input, drawn by perfbench's own generators from the seed
 ``(SEED, n, family)`` alone.  The script needs the standard library,
 ``lcpbounds`` and ``perfbench/workloads.py`` (a rename there shows up in
 CI's Layer benchmark step), and pins BLAS to one thread as ``perfbench``
@@ -36,7 +37,6 @@ import tempfile  # noqa: E402
 import time  # noqa: E402
 from functools import partial  # noqa: E402
 from importlib.metadata import version  # noqa: E402
-from math import comb  # noqa: E402
 from pathlib import Path  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
 
@@ -112,22 +112,27 @@ def _scan(c):
     return partial(parse_matrix, path), {"entries": c.n * c.n}
 
 
+def _once(*args) -> int:
+    """The weight that makes ``_tally`` count calls."""
+    return 1
+
+
 def _classify(c):
     """``classify`` and its work: the H-test's solves and the P-test's calls."""
-    classify, once = partial(bnekrasov.classify, c.profiles), lambda *a: 1
-    return classify, {"solves": _tally(bnekrasov.np.linalg, "solve", classify, once),
-                      "p_tests": _tally(lcp, "is_p_matrix", classify, once)}
+    classify = partial(bnekrasov.classify, c.profiles)
+    return classify, {"solves": _tally(bnekrasov.np.linalg, "solve", classify, _once),
+                      "p_tests": _tally(lcp, "is_p_matrix", classify, _once)}
 
 
-def _bases(inst) -> int:
-    """The bases ``solve_lcp`` inverts on ``inst``: every one of the sizes up to its answer's."""
-    return sum(comb(inst.n, k) for k in range(len(lcp.solve_lcp(inst).basis) + 1))
+def _blocks(fn) -> int:
+    """The principal blocks the solver inverts in one call of ``fn``, over all its solves."""
+    return _tally(lcp, "_inverse_stack", fn, len)
 
 
 def _solve(c):
     """``solve_lcp`` with q = -1."""
-    inst = lcp.LcpInstance(c.m, [-1.0] * c.n)
-    return partial(lcp.solve_lcp, inst), {"bases": _bases(inst)}
+    solve = partial(lcp.solve_lcp, lcp.LcpInstance(c.m, [-1.0] * c.n))
+    return solve, {"blocks": _blocks(solve)}
 
 
 def _walked(c, fn):
@@ -141,8 +146,10 @@ def _certify(c):
     trial points, one solve each."""
     inst, bound = lcp.LcpInstance(c.m, [-1.0] * c.n), c.profiles.route.new()
     points = lcp.trial_points(lcp.solve_lcp(inst).x_star, CERTIFY_POINTS, SEED)
-    return (lambda: [lcp.certify_error_bound(inst, x, bound) for x in points],
-            {"points": CERTIFY_POINTS, "solves": CERTIFY_POINTS})
+
+    def certify():
+        return [lcp.certify_error_bound(inst, x, bound) for x in points]
+    return certify, {"points": CERTIFY_POINTS, "solves": _tally(lcp, "solve_lcp", certify, _once)}
 
 
 def _lcp(c):
@@ -150,7 +157,7 @@ def _lcp(c):
     path = c.path.replace(".txt", "_q.txt")
     workloads._write_vector(Path(path), c.q)
     run = _cli("lcp", "--matrix", c.path, "--q", path, "--trials", str(workloads.LCP_TRIALS))
-    return run, {"bases": _bases(lcp.LcpInstance(c.m, c.q)), "trials": workloads.LCP_TRIALS}
+    return run, {"blocks": _blocks(run), "trials": workloads.LCP_TRIALS}
 
 
 # Each layer's sizes and its builder.  The bound command's layers run at
@@ -159,7 +166,7 @@ def _lcp(c):
 # limit is n = 15, the P-test's n = 20, and the oracle's, n = 20, takes
 # seconds per call.  classify also runs at the P-test's sizes, where its
 # inputs, all in their class, take no P-test.
-REFERENCE = OUT_DIR / "BENCH_class-p.json"
+REFERENCE = OUT_DIR / "BENCH_solver-blocks.json"
 _BOUND = (150, 400, 7)
 LAYERS = {
     "parse_matrix": (_BOUND, lambda c: (partial(parse_matrix, c.path), {"entries": c.n**2})),
