@@ -36,7 +36,7 @@ import numpy as np
 
 from . import lcp, nekrasov
 from .errors import DimensionTooSmall, DomainError
-from .linalg import _row_scaled, _well_conditioned, as_matrix, inf_norm
+from .linalg import _comparison_in_place, _row_scaled, _well_conditioned, as_matrix, inf_norm
 from .nekrasov import (
     STRICT_RTOL,
     BoundReport,
@@ -173,14 +173,16 @@ def _profiles(m) -> _Profiles:
     if isinstance(m, _Profiles):
         return m
     mm = as_matrix(m)
-    del m  # the one copy of M; the commands keep no other
+    # The one copy of M in bound, classify and sweep; verify copies M again
+    # in oracle_max_norm and inverse, and lcp in LcpInstance.
+    del m
     return _Profiles(_m_route(mm), _bplus_route(mm))
 
 
 def _sdd(route: _Route) -> bool:
     diag = np.abs(np.diag(route.a))
-    # A row sum past the float range is +inf, which fails the test below.
-    return bool(np.all(diag - (route.abs_sums - diag) > STRICT_RTOL * diag))
+    # An off-diagonal row sum past the float range is +inf, which fails the test below.
+    return bool(np.all(diag - route.abs_sums > STRICT_RTOL * diag))
 
 
 def is_b_nekrasov(m) -> bool:
@@ -204,9 +206,7 @@ def classify(m) -> ClassificationReport:
         notes.append("B-class tests need n >= 2")
     h_flag, singular = True, False
     if not p.m_route.profile.is_nekrasov:
-        a = _row_scaled(mm)  # made <M> in place
-        np.negative(np.abs(a, out=a), out=a)
-        np.fill_diagonal(a, -np.diag(a))
+        a = _comparison_in_place(_row_scaled(mm))
         try:
             x = np.linalg.solve(a, np.ones(n))
             h_flag = bool(np.all(x > 0.0))
@@ -265,12 +265,12 @@ def all_bounds(m, epsilon: float | None = None) -> list[BoundReport]:
     gp-B-Nekrasov and new-B-Nekrasov, in that order.
 
     The parameterized bounds take ``epsilon``, or, when it is None, the
-    midpoint of their own admissible interval (0.5 where that interval is
-    empty or undefined; the bound is then inapplicable on other grounds).
-    ``M`` and ``B+`` are each profiled once for all four.
+    midpoint of their own admissible interval, taken where that bound's
+    checks pass (``_Route.gp``).  ``M`` and ``B+`` are each profiled once
+    for all four.
     """
     p = _profiles(m)
     reports = []
     for route in (p.m_route, p.b_route):
-        reports += [route.gp(route.midpoint() if epsilon is None else epsilon), route.new()]
+        reports += [route.gp(epsilon), route.new()]
     return reports

@@ -45,7 +45,7 @@ from .errors import (
     InapplicableBound,
     NoSolution,
 )
-from .linalg import _checked_matrix, _inverse_stack, _row_scaled, as_matrix, as_vector, inf_norm
+from .linalg import _inverse_stack, _row_scaled, as_matrix, as_vector, inf_norm
 from .nekrasov import BoundReport
 
 # Relative slack of the tests x >= 0 and Mx + q >= 0: x_i may reach
@@ -184,11 +184,10 @@ def is_p_matrix(m) -> bool:
     """True iff every pivot of the principal-pivot recursion on ``M``, each
     row scaled by a power of two to a largest |entry| in [1, 2), exceeds
     1e-12 times the largest |entry| of its row in its Schur complement (see
-    the module docstring).  ``M`` is checked, not copied: the test reads its
-    row-scaled copy.  In index order the complements of a permuted unit
+    the module docstring).  In index order the complements of a permuted unit
     triangular P-matrix with entries up to 200 can outgrow a pivot by 1e12:
     of 100 seeded ones, 6, 19 and 51 read not P at n = 8, 10 and 12."""
-    mm = _checked_matrix(np.asarray(m, dtype=float))
+    mm = as_matrix(m)
     n = mm.shape[0]
     if n > _P_TEST_MAX_N:
         raise DimensionTooLarge(f"principal-minor enumeration is limited to n <= {_P_TEST_MAX_N}")
@@ -216,6 +215,7 @@ def certify_error_bound(inst: LcpInstance, x, bound: BoundReport) -> ErrorCertif
     at most ``gamma (|M||x| + |q|)`` per entry, allows (Higham 2002, ch. 3)."""
     if not bound.applicable or bound.value is None:
         raise InapplicableBound(f"bound {bound.theorem.value} is not applicable: {bound.reason}")
+    residual_norm = inf_norm(residual(inst, x))  # checks x before the solve
     xx = as_vector(x)
     points = np.stack([xx, solve_lcp(inst).x_star])
     true_error = inf_norm(xx - points[1])
@@ -225,13 +225,13 @@ def certify_error_bound(inst: LcpInstance, x, bound: BoundReport) -> ErrorCertif
         delta = gamma * (np.abs(points) @ np.abs(inst.m).T + np.abs(inst.q))
         r = np.fmax(abs(np.fmin(points, w - delta)), abs(np.fmin(points, w + delta)))
         holds = bool(true_error <= bound.value * r.max(axis=1).sum() * (1 + gamma))
-    return ErrorCertificate(xx, inf_norm(residual(inst, xx)), true_error, bound.value, holds)
+    return ErrorCertificate(xx, residual_norm, true_error, bound.value, holds)
 
 
 def trial_points(x_star, count: int, seed: int) -> np.ndarray:
     """Seeded trial points, uniform in [0, 3(1 + ||x*||_inf)] per coordinate;
-    a range past the float range, or more points than fit in memory, raises
-    ``DomainError``."""
+    a range past the float range, or more points than fit in memory or in an
+    array, raises ``DomainError``."""
     if count < 0 or seed < 0:
         raise DomainError("count and seed must be nonnegative")
     xs = as_vector(x_star)
@@ -242,5 +242,5 @@ def trial_points(x_star, count: int, seed: int) -> np.ndarray:
         raise DomainError(f"trial range 3(1 + ||x*||_inf) overflows at ||x*||_inf = {norm!r}")
     try:
         return rng.uniform(0.0, high, size=(count, xs.shape[0]))
-    except MemoryError as exc:
+    except (MemoryError, ValueError, OverflowError) as exc:
         raise DomainError(f"cannot draw {count} trial points: {exc}") from None

@@ -29,12 +29,7 @@ PIVOT_RTOL = 1e-14
 
 def as_matrix(a) -> np.ndarray:
     """Validate and return ``a`` as a square float64 array, a copy."""
-    return _checked_matrix(np.array(a, dtype=float))
-
-
-def _checked_matrix(m: np.ndarray) -> np.ndarray:
-    """``m``, a float64 array, once checked to be a nonempty square matrix
-    with finite entries; :func:`as_matrix` without the copy."""
+    m = np.array(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise DomainError(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -118,7 +113,11 @@ def _row_scaled(a: np.ndarray) -> np.ndarray:
 
 def comparison_matrix(a) -> np.ndarray:
     """Comparison matrix: |diagonal| on the diagonal, -|entry| off it."""
-    m = as_matrix(a)
-    c = -np.abs(m)
-    np.fill_diagonal(c, np.abs(np.diag(m)))
-    return c
+    return _comparison_in_place(as_matrix(a))
+
+
+def _comparison_in_place(a: np.ndarray) -> np.ndarray:
+    """``a`` made its comparison matrix in place, and returned."""
+    np.negative(np.abs(a, out=a), out=a)
+    np.fill_diagonal(a, -np.diag(a))
+    return a

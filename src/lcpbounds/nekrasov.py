@@ -122,8 +122,9 @@ def _applicable(theorem: Theorem, value: float, **fields) -> BoundReport:
 
 def _profile(m: np.ndarray) -> tuple[NekrasovProfile, int, np.ndarray, np.ndarray]:
     """Recursion profile of ``M``, with its first used zero divisor (1-based,
-    0 for none), the strict upper triangle of ``|M|`` and the row sums of
-    ``|M|``: one ``|M|`` serves the recursions and a route (see ``_Route``).
+    0 for none), the strict upper triangle of ``|M|`` and the off-diagonal
+    row sums of ``|M|``: one ``|M|``, its diagonal zeroed once ``|m_ii|`` is
+    read, serves the recursions and a route (see ``_Route``).
 
     Row i of all three recursions is ``rhs_i + |m_i,:i| @ W[:i]``: one
     product per row.  ``W`` holds the finished rows over their divisors,
@@ -139,6 +140,7 @@ def _profile(m: np.ndarray) -> tuple[NekrasovProfile, int, np.ndarray, np.ndarra
     abs_m = np.abs(m)
     upper = np.triu(abs_m, 1)
     abs_diag = np.abs(np.diag(m))
+    np.fill_diagonal(abs_m, 0.0)
     zero = abs_diag == 0.0
     divisors = np.empty((n, 3))
     # Used zero divisors divide by inf; their rows become +inf below.
@@ -276,7 +278,7 @@ class _Route:
     family's failed class check (None where its bounds apply) and
     ``open_row`` the parameterized bound's failed upper-row check.  The
     slacks read ``abs_upper`` (``triu(|a|, 1)``), the SDD test ``abs_sums``
-    (the row sums of ``|a|``); both come from the profile's one ``|a|``.
+    (the off-diagonal row sums of ``|a|``); both come from one ``|a|``.
     """
 
     name = "M"
@@ -297,19 +299,15 @@ class _Route:
         """Upper end of the open interval epsilon is drawn from."""
         return _interval_upper(self.a, self.profile.h)
 
-    def midpoint(self) -> float:
-        """Midpoint of ``(0, upper)`` where the class check passes, which
-        makes ``0 < upper <= 1``; else 0.5, which ``gp`` does not read."""
-        return self.upper / 2.0 if self.fault is None else 0.5
-
-    def gp(self, epsilon: float) -> BoundReport:
+    def gp(self, epsilon: float | None) -> BoundReport:
         """The parameterized bound: the class, upper-row and epsilon checks,
         then ``w = h/diag`` (``w_n`` shifted by epsilon) and the row slacks
         ``s = triu(|A|, 1) @ (1 - w)``, ``s_n = epsilon a_nn``, for the
-        family's final formula."""
+        family's final formula.  Epsilon None takes the midpoint ``upper / 2``."""
         reason = "DimensionTooSmall" if self.a.shape[0] == 1 else self.fault or self.open_row
         if reason is None:
             upper = self.upper
+            epsilon = upper / 2.0 if epsilon is None else epsilon
             if not STRICT_RTOL * upper < epsilon < upper * (1.0 - STRICT_RTOL):
                 reason = "EpsilonOutOfRange"
         if reason is not None:

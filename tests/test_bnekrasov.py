@@ -214,6 +214,35 @@ class TestClassify:
         if kind != "perturbed":
             assert by_class is True
 
+    def test_sdd_boundary_is_not_sdd(self):
+        # Row 1's margin 1 - 0.999999999999 sits at the 1e-12 threshold.  Its
+        # SDD margin and its Nekrasov margin 1 - h_1 read one rounded sum.
+        report = classify([[1.0, -0.999999999999], [-0.1, 1.0]])
+        assert not report.is_sdd and not report.is_nekrasov
+        assert not report.is_b_matrix and not report.is_b_nekrasov
+
+    def test_sdd_reads_the_off_diagonal_sum(self):
+        # |m_ii| + |m_ij| passes the float range; |m_ij| = 1e307 does not.
+        report = classify([[1.7e308, 1e307], [1e307, 1.7e308]])
+        assert report.is_sdd and report.is_nekrasov and report.is_b_matrix
+
+    def test_sdd_is_nekrasov_and_b_is_b_nekrasov(self):
+        # The generators, and three matrices per t at the 1e-12 boundary:
+        # M with B+ = M, one whose B+ row 1 is (1, -t', 0), and one whose
+        # row 1 splits t in two.
+        rng = np.random.default_rng(30)
+        inputs = [make(n, rng) for n in range(2, 9) for make in (random_nekrasov, random_bnekrasov)
+                  for _ in range(200)]
+        for t in 1.0 - 1e-12 + np.arange(-2000, 2001) * 2.0**-53:
+            inputs += [np.array([[1.0, -t], [-0.1, 1.0]]),
+                       np.array([[1.5, 0.5 - t, 0.5], [-0.1, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                       np.array([[1.0, -t / 2, -t / 2], [-0.1, 1.0, 0.0], [0.0, -0.1, 1.0]])]
+        assert len(inputs) == 14803
+        for m in inputs:
+            report = classify(m)
+            assert report.is_nekrasov or not report.is_sdd
+            assert report.is_b_nekrasov or not report.is_b_matrix
+
 
 _integer_matrices = st.integers(1, 6).flatmap(
     lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
@@ -549,7 +578,7 @@ class TestAllBounds:
         for route in routes[::2]:
             if route.fault is None:
                 assert 0.0 < route.upper <= 1.0
-                assert route.midpoint() == route.upper / 2.0
+                assert route.gp(None).epsilon in (None, route.upper / 2.0)
         for route, report in zip(routes, all_bounds(m)):
             assert report.epsilon is None or route.fault is None
 

@@ -352,7 +352,7 @@ class TestLcp:
         matrix, q = tmp_path / "m.txt", tmp_path / "q.txt"
         matrix.write_text(format_matrix(m))
         q.write_text("-1 -1 -1 -1 -1\n")
-        eps = bnekrasov._profiles(m).m_route.midpoint()
+        eps = bnekrasov._profiles(m).m_route.upper / 2
         new = {"new_nekrasov", "new_bnekrasov"}
         for extra, epsilon, wanted, theorem in [
             (("--epsilon", repr(eps)), eps, new | {"gp_nekrasov", "gp_bnekrasov"}, "gp_nekrasov"),
@@ -429,6 +429,14 @@ class TestLcp:
         assert code == 1
         assert err.startswith("error: cannot draw 1000000000000 trial points: Unable to allocate")
         assert err.count("\n") == 1
+
+    def test_trial_points_past_the_array_size_exit_1(self, capsys, data_dir):
+        code = main(["lcp", "--matrix", str(data_dir / "example1.txt"),
+                     "--q", str(data_dir / "q_minus_ones.txt"), "--trials", str(2**62)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot draw {2**62} trial points: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_dimension_mismatch_exit_1(self, capsys, data_dir, tmp_path):
         qpath = tmp_path / "q.txt"
@@ -607,9 +615,10 @@ class TestProfileOnce:
 
 class TestCopyOnce:
     """``bound`` and ``classify`` validate and copy M once, where they enter
-    ``bnekrasov._profiles``; the routes, the class tests and, up to n = 20,
-    the P-test ``lcp.is_p_matrix``, run on an input in neither class, read
-    that copy."""
+    ``bnekrasov._profiles``; the routes and the class tests read that copy.
+    Only an input in neither class takes a second: the P-test
+    ``lcp.is_p_matrix`` copies its M, at most 20 x 20, as ``as_matrix``
+    does everywhere, a small cost next to its recursion."""
 
     # The fixtures and the n = 21 inputs are P by class; I + 10 triu(1) at
     # n = 8 is in neither class, so the P-test runs on it, and bound exits 2.
@@ -636,7 +645,7 @@ class TestCopyOnce:
                 monkeypatch.setattr(module, "as_matrix", counted)
         _, code = run(capsys, command, "--matrix", str(path))
         assert code == (2 if (command, source) == ("bound", "neither") else 0)
-        assert calls == [(n, n)]
+        assert calls == [(n, n)] * (2 if source == "neither" else 1)
 
 
 class TestDefaults:

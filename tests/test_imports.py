@@ -1,5 +1,5 @@
-"""Every name a library module or a script under ``tools/`` imports is used
-in that file.
+"""Every name a library module, a script under ``tools/`` or a file under
+``tests/`` imports is used in that file.
 
 The project runs no linter, and deleting a code path easily leaves its
 imports behind.  A name counts as used when it is read anywhere in the
@@ -13,8 +13,9 @@ import pytest
 
 import lcpbounds
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
-SOURCES = sorted(Path(lcpbounds.__file__).parent.glob("*.py")) + sorted(TOOLS.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+SOURCES = [*sorted(Path(lcpbounds.__file__).parent.glob("*.py")),
+           *sorted((TESTS.parent / "tools").glob("*.py")), *sorted(TESTS.glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:

@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from lcpbounds import lcp
 from lcpbounds.errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -454,6 +455,16 @@ class TestCertify:
         with pytest.raises(InapplicableBound):
             certify_error_bound(inst, np.zeros(4), new_nekrasov_bound(ex3))
 
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_point_of_another_length_rejected_before_the_solve(self, ex1, monkeypatch, length):
+        def solve(inst):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(lcp, "solve_lcp", solve)
+        inst = LcpInstance(ex1, [-1.0, -1.0, -1.0, -1.0])
+        with pytest.raises(DimensionMismatch, match=f"x has length {length}, expected 4"):
+            certify_error_bound(inst, np.zeros(length), new_nekrasov_bound(ex1))
+
 
 class TestTrialPoints:
     def test_deterministic_and_in_range(self):
@@ -473,6 +484,13 @@ class TestTrialPoints:
     def test_range_past_the_float_range_rejected(self, x_star):
         with pytest.raises(DomainError, match="overflows"):
             trial_points(x_star, 5, seed=0)
+
+    # numpy 2.4 raises ValueError for both, where a MemoryError would need
+    # the allocation first; no array is allocated.
+    @pytest.mark.parametrize("count", [2**62, 10**20])
+    def test_count_past_the_array_size_rejected(self, count):
+        with pytest.raises(DomainError, match=f"cannot draw {count} trial points"):
+            trial_points([1.0, 2.0], count, seed=0)
 
     def test_largest_finite_range_accepted(self):
         points = trial_points([5e307], 5, seed=0)
