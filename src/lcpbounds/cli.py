@@ -1,9 +1,10 @@
 """Command-line surface: classify / bound / sweep / verify / lcp.
 
 The parser built here at import is the one definition of the command line,
-defaults and usage rules included; the commands read its namespace. Each
-command returns its report as data with its exit code, and ``main`` renders
-it once.
+defaults and usage rules included; the commands read its namespace. Without
+``--epsilon`` every command takes the library's default for the parameterized
+bounds, the midpoint of each one's interval. Each command returns its report
+as data with its exit code, and ``main`` renders it once.
 
 Exit codes are a stable contract: 0 on success (all requested checks pass),
 2 when no bound is applicable to the input matrix, 1 on operational errors
@@ -23,7 +24,7 @@ from .errors import DomainError, LcpBoundsError
 from .lcp import LcpInstance, certify_error_bound, solve_lcp, trial_points
 from .linalg import inf_norm, inverse
 from .matrixio import parse_matrix, parse_vector
-from .nekrasov import BoundReport, Theorem
+from .nekrasov import BoundReport
 from .oracle import lemma_property_suite, oracle_max_norm
 
 EXIT_OK = 0
@@ -84,8 +85,6 @@ def cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_bound(args: argparse.Namespace) -> tuple[dict, int]:
-    if args.theorem.startswith("gp-") and args.epsilon is None:
-        args.parser.error("--epsilon is required with --theorem gp-*")
     profiles = bnekrasov._profiles(parse_matrix(args.matrix_path))  # bounds and classes
     reports = bnekrasov.all_bounds(profiles, args.epsilon)
     if args.theorem != "all":
@@ -185,12 +184,7 @@ def cmd_lcp(args: argparse.Namespace) -> tuple[dict, int]:
         raise DomainError("trials and seed must be nonnegative")
     inst = LcpInstance(m, q)
     solution = solve_lcp(inst)
-    reports = {r.theorem: r for r in bnekrasov.all_bounds(m, args.epsilon)}
-    wanted = [Theorem.NEW_NEKRASOV, Theorem.NEW_BNEKRASOV]
-    if args.epsilon is not None:
-        wanted += [Theorem.GP_NEKRASOV, Theorem.GP_BNEKRASOV]
-    candidates = [reports[t] for t in wanted]
-    applicable = [r for r in candidates if r.applicable]
+    applicable = [r for r in bnekrasov.all_bounds(m, args.epsilon) if r.applicable]
     best = min(applicable, key=lambda r: r.value) if applicable else None
     certificates = []
     all_hold = True
@@ -262,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler, parser=p)
+        p.set_defaults(handler=handler)
         p.add_argument("--matrix", dest="matrix_path", metavar="MATRIX", required=True,
                        help="matrix file (plain or CSV)")
         # sweep prints CSV only; the other commands print JSON or text.

@@ -185,8 +185,8 @@ def is_p_matrix(m) -> bool:
     row scaled by a power of two to a largest |entry| in [1, 2), exceeds
     1e-12 times the largest |entry| of its row in its Schur complement (see
     the module docstring).  In index order the complements of a permuted unit
-    triangular P-matrix with entries up to 200 can outgrow a pivot by 1e12:
-    of 100 seeded ones, 6, 19 and 51 read not P at n = 8, 10 and 12."""
+    triangular P-matrix with entries up to 200 can outgrow a pivot by 1e12,
+    and it then reads not P, more often the larger n is."""
     mm = as_matrix(m)
     n = mm.shape[0]
     if n > _P_TEST_MAX_N:

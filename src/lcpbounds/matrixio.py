@@ -13,9 +13,9 @@ or commas, with the same token syntax.
 
 The token grammar is Python's ``float`` (underscores and the ``inf``/``nan``
 spellings included; non-finite values are rejected) plus ``p/q`` with
-integer parts, rounded once as ``int(p) / int(q)``.  A well-formed file is
-read in one conversion pass: ``np.fromstring(text, sep=" ")`` turns the text
-(a whole plain file, head included, each line of a CSV file, a vector file,
+integer parts, rounded once as ``int(p) / int(q)``.  A well-formed matrix
+file is read in one conversion pass: ``np.fromstring(text, sep=" ")`` turns
+the text (a whole plain file, head included, or each line of a CSV file,
 commas made spaces) into a float64 array, rounding each number with CPython's
 ``PyOS_string_to_double`` as ``float`` does.  Text numpy rejects or warns
 about (fractions, underscores, separators outside ASCII whitespace), a count
@@ -23,10 +23,11 @@ mismatch, a non-finite value or text with no number falls back to the
 positioned scan: a regex over each line that returns the values, fractions
 included, or raises the error with the 1-based line and column of the
 offending token.  The scan defines the grammar, so which pass ran never
-changes a value or an error.  Files are read as UTF-8; a leading byte-order
-mark, as spreadsheet "CSV UTF-8" exports write, is skipped.  Bytes that are
-not UTF-8, integers with more digits than ``int`` converts, and fractions
-beyond the largest double raise the same positioned error.
+changes a value or an error.  Vector files are read by the scan alone.
+Files are read as UTF-8; a leading byte-order mark, as spreadsheet "CSV
+UTF-8" exports write, is skipped.  Bytes that are not UTF-8, integers with
+more digits than ``int`` converts, and fractions beyond the largest double
+raise the same positioned error.
 """
 
 from __future__ import annotations
@@ -160,13 +161,9 @@ def _scan_plain(text: str) -> np.ndarray:
 
 
 def parse_vector(path: str) -> np.ndarray:
-    """Parse a vector file: numbers separated by whitespace and/or commas."""
+    """Parse a vector file: numbers separated by whitespace and/or commas.
+    The scan alone reads it: ``q`` of an LCP the solver enumerates is short."""
     text = _read(path)
-    values = _convert(text.replace(",", " "))
-    return _scan_vector(text) if values is None else values
-
-
-def _scan_vector(text: str) -> np.ndarray:
     return np.array([_parse_number(*token) for line in _lines(text) for token in line])
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcpbounds
-from conftest import random_nekrasov
+from conftest import random_bnekrasov, random_nekrasov
 from lcpbounds import bnekrasov, nekrasov
 from lcpbounds.cli import _emit, main
 from lcpbounds.errors import DomainError
@@ -118,10 +118,15 @@ class TestBound:
         payload = json.loads(out)
         assert [b["theorem"] for b in payload["bounds"]] == ["new_nekrasov"]
 
-    def test_gp_theorem_requires_epsilon(self, capsys, data_dir):
-        _, code = run(capsys, "bound", "--matrix", str(data_dir / "example1.txt"),
-                      "--theorem", "gp-nekrasov")
-        assert code == 1
+    def test_gp_theorem_without_epsilon_takes_the_midpoint(self, capsys, data_dir):
+        argv = ("bound", "--matrix", str(data_dir / "example1.txt"))
+        out, code = run(capsys, *argv, "--theorem", "gp-nekrasov")
+        everything, _ = run(capsys, *argv, "--theorem", "all")
+        entries = json.loads(out)["bounds"]
+        assert code == 0
+        assert entries == [bound_by_name(json.loads(everything), "gp_nekrasov")]
+        m = parse_matrix(str(data_dir / "example1.txt"))
+        assert entries[0]["epsilon"] == bnekrasov._profiles(m).m_route.upper / 2
 
     def test_missing_file_exit_1(self, capsys, tmp_path):
         _, code = run(capsys, "bound", "--matrix", str(tmp_path / "nope.txt"))
@@ -345,26 +350,41 @@ class TestLcp:
         assert len(payload["certificates"]) == 20
         assert all(c["holds"] for c in payload["certificates"])
 
-    def test_epsilon_adds_the_parameterized_bounds(self, capsys, tmp_path):
+    def test_parameterized_bounds_compete(self, capsys, tmp_path):
         # At its M route's midpoint epsilon, GP-Nekrasov (8.999) is below
-        # new-Nekrasov (9.184); without --epsilon only the new bounds compete.
+        # new-Nekrasov (9.184), with --epsilon set to the midpoint or without it.
         m = random_nekrasov(5, np.random.default_rng(1))
         matrix, q = tmp_path / "m.txt", tmp_path / "q.txt"
         matrix.write_text(format_matrix(m))
         q.write_text("-1 -1 -1 -1 -1\n")
         eps = bnekrasov._profiles(m).m_route.upper / 2
-        new = {"new_nekrasov", "new_bnekrasov"}
-        for extra, epsilon, wanted, theorem in [
-            (("--epsilon", repr(eps)), eps, new | {"gp_nekrasov", "gp_bnekrasov"}, "gp_nekrasov"),
-            ((), None, new, "new_nekrasov"),
-        ]:
+        gp = nekrasov.gp_nekrasov_bound(m, eps).value
+        assert gp < nekrasov.new_nekrasov_bound(m).value
+        for extra in [("--epsilon", repr(eps)), ()]:
             out, code = run(capsys, "lcp", "--matrix", str(matrix), "--q", str(q),
                             "--trials", "5", *extra)
             bound = json.loads(out)["bound"]
-            values = [r.value for r in bnekrasov.all_bounds(m, epsilon)
-                      if r.theorem.value in wanted and r.applicable]
-            assert (code, bound["theorem"], bound["value"]) == (0, theorem, min(values))
-            assert bound.get("epsilon") == epsilon
+            assert (code, bound["theorem"], bound["value"], bound["epsilon"]) == (
+                0, "gp_nekrasov", gp, eps)
+
+    def test_smallest_bound_certifies_random_inputs(self, capsys, tmp_path):
+        # Without --epsilon every applicable bound competes, the parameterized
+        # ones at their midpoints, and the smallest certifies every trial.
+        rng = np.random.default_rng(7)
+        matrix, q = tmp_path / "m.txt", tmp_path / "q.txt"
+        for n in range(2, 11):
+            for make in (random_nekrasov, random_bnekrasov):
+                m = make(n, rng)
+                matrix.write_text(format_matrix(m))
+                q.write_text(" ".join(map(repr, rng.standard_normal(n).tolist())) + "\n")
+                out, code = run(capsys, "lcp", "--matrix", str(matrix), "--q", str(q),
+                                "--trials", "5")
+                payload = json.loads(out)
+                best = min((r for r in bnekrasov.all_bounds(m) if r.applicable),
+                           key=lambda r: r.value)
+                assert (code, payload["all_hold"]) == (0, True), (n, make)
+                assert (payload["bound"]["theorem"], payload["bound"]["value"]) == (
+                    best.theorem.value, best.value)
 
     def test_overflowing_residual_writes_no_stderr(self, tmp_path):
         # x* = (0, 1e108): trial points near it take M x past the float range.
@@ -715,10 +735,9 @@ class TestUsageErrorExit1:
         ["bound"],
         ["bound", "--matrix", "m.txt", "--epsilon", "abc"],
         [],
-        ["bound", "--matrix", "m.txt", "--theorem", "gp-nekrasov"],
         ["lcp", "--matrix", "m.txt"],
     ], ids=["bound_without_matrix", "epsilon_not_a_number", "no_subcommand",
-            "gp_theorem_without_epsilon", "lcp_without_q"])
+            "lcp_without_q"])
     def test_exit_1_with_usage(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -826,12 +845,17 @@ class TestFaultyFileExit1:
 # inputs on which overflow, 0 * inf and ill-conditioning show.
 _FUZZ_ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e-13, -1e-13, 1e13, -1e13,
                                  1e200, -1e200, 1e308, -1e308, 1e-300])
-# Each command with its numeric options.  The first value of each option's
-# set is out of range.
-_FUZZ_COMMANDS = (("classify",), ("bound",), ("sweep", "--grid"),
-                  ("verify", "--samples", "--seed"), ("lcp", "--trials", "--seed"))
+# Each command with its options, and the values drawn for each (None: the
+# option is left out).  The pairs in _OUT_OF_RANGE are usage errors; an
+# epsilon out of a bound's interval makes that bound not applicable, which is
+# not an error.
+_FUZZ_COMMANDS = (("classify",), ("bound", "--theorem", "--epsilon"), ("sweep", "--grid"),
+                  ("verify", "--epsilon", "--samples", "--seed"),
+                  ("lcp", "--epsilon", "--trials", "--seed"))
 _FUZZ_OPTIONS = {"--grid": (1, 2, 3), "--samples": (-1, 0, 20), "--trials": (-1, 0, 3),
-                 "--seed": (-1, 0, 42)}
+                 "--seed": (-1, 0, 42), "--theorem": ("all", "gp-nekrasov", "new-bnekrasov"),
+                 "--epsilon": (None, 0.25, 2.0)}
+_OUT_OF_RANGE = {("--grid", 1), ("--samples", -1), ("--trials", -1), ("--seed", -1)}
 
 
 def _reject_constant(name):
@@ -861,10 +885,11 @@ class TestContractFuzz:
             matrix, q_path = Path(tmp) / "m.txt", Path(tmp) / "q.txt"
             matrix.write_text(format_matrix(m))
             q_path.write_text(" ".join(repr(float(v)) for v in q) + "\n")
-            for name, *numeric in _FUZZ_COMMANDS:
+            for name, *named in _FUZZ_COMMANDS:
                 argv = [name, "--matrix", str(matrix)]
-                for option in numeric:
-                    argv += [option, str(options[option])]
+                for option in named:
+                    if options[option] is not None:
+                        argv += [option, str(options[option])]
                 if name == "lcp":
                     argv += ["--q", str(q_path)]
                 out, err = io.StringIO(), io.StringIO()
@@ -872,7 +897,7 @@ class TestContractFuzz:
                     code = main(argv)
                 out, err = out.getvalue(), err.getvalue()
                 assert code in (0, 1, 2), argv
-                if any(options[option] == _FUZZ_OPTIONS[option][0] for option in numeric):
+                if any((option, options[option]) in _OUT_OF_RANGE for option in named):
                     assert code == 1, argv
                 if code == 1:
                     assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

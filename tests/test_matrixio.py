@@ -247,10 +247,6 @@ def _scan_matrix(path):
     return matrixio._scan_csv(text) if "," in text else matrixio._scan_plain(text)
 
 
-def _scan_vector(path):
-    return matrixio._scan_vector(matrixio._read(path))
-
-
 def _assert_same(got, want):
     if isinstance(want, Exception):
         assert type(got) is type(want), (got, want)
@@ -314,8 +310,9 @@ def _layouts(draw):
 
 
 class TestFastPathMatchesScan:
-    """Every text parses to the scan's bit pattern, or fails exactly as the
-    scan does: same type, line, column and message."""
+    """Every text parses as a matrix to the scan's bit pattern, or fails
+    exactly as the scan does: same type, line, column and message.  Vector
+    files have no fast path."""
 
     @given(st.one_of(_free_text, _layouts()))
     @settings(max_examples=400, deadline=None,
@@ -325,7 +322,6 @@ class TestFastPathMatchesScan:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         _assert_same(_outcome(parse_matrix, path), _outcome(_scan_matrix, path))
-        _assert_same(_outcome(parse_vector, path), _outcome(_scan_vector, path))
 
     def test_well_formed_file_skips_the_scan(self, tmp_path, monkeypatch):
         m = np.random.default_rng(5).standard_normal((40, 40))
@@ -340,7 +336,6 @@ class TestFastPathMatchesScan:
         monkeypatch.setattr(matrixio, "_parse_number", refuse)
         np.testing.assert_array_equal(parse_matrix(path), m)
         np.testing.assert_array_equal(parse_matrix(csv_path), m)
-        np.testing.assert_array_equal(parse_vector(csv_path), m.ravel())
 
 
 class TestConversionPass:
@@ -366,7 +361,6 @@ class TestConversionPass:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         _assert_same(_outcome(parse_matrix, path), _outcome(_scan_matrix, path))
-        _assert_same(_outcome(parse_vector, path), _outcome(_scan_vector, path))
 
     def test_numpy_canary(self):
         # Blank text reads as [-1.0]; the pass never hands numpy blank text.

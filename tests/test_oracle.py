@@ -133,6 +133,17 @@ class TestOracleMaxNorm:
         assert est1.max_observed <= new_nekrasov_bound(ex1).value * (1 + 1e-9)
         est3 = oracle_max_norm(ex3, interior_samples=2000, seed=42)
         assert est3.max_observed <= new_bnekrasov_bound(ex3).value * (1 + 1e-9)
+        # Every applicable bound, the parameterized ones at their route's
+        # midpoint epsilon included, is at least the exact vertex maximum.
+        rng = np.random.default_rng(2016)
+        for n in range(2, 11):
+            for make in (random_nekrasov, random_bnekrasov):
+                for _ in range(3):
+                    m = make(n, rng)
+                    exact = oracle_max_norm(m, 0).max_observed
+                    for report in bnekrasov.all_bounds(m):
+                        if report.applicable:
+                            assert report.value >= exact / (1 + 1e-9), (n, report.theorem)
 
     def test_too_large(self):
         with pytest.raises(DimensionTooLarge):
