@@ -239,7 +239,8 @@ def classify(m) -> ClassificationReport:
 
 def epsilon_interval_upper(m) -> float:
     """Upper endpoint ``1 - h_n(B+)/b_nn`` of the parameterized B-bound's interval."""
-    return nekrasov.epsilon_interval_upper(bplus_decompose(m).b_plus)
+    b_plus = bplus_decompose(m).b_plus
+    return nekrasov._interval_upper(b_plus, nekrasov._checked(b_plus).h)
 
 
 def gp_bnekrasov_bound(m, epsilon: float) -> BoundReport:

@@ -6,6 +6,12 @@ defaults and usage rules included; the commands read its namespace. Without
 bounds, the midpoint of each one's interval. Each command returns its report
 as data with its exit code, and ``main`` renders it once.
 
+``verify`` checks only where a bound applies, that is where ``M`` is P by
+class: there the oracle's vertex maximum is the constant the bounds must
+dominate. Elsewhere it checks nothing and exits 2, as ``bound`` does, with
+``oracle`` and ``lemma_suite`` null. Its ``--samples`` and ``--seed`` are
+accepted and ignored, since the oracle draws no interior points.
+
 Exit codes are a stable contract: 0 on success (all requested checks pass),
 2 when no bound is applicable to the input matrix, 1 on operational errors
 (unreadable files, parse failures, unsolvable instances) and usage errors.
@@ -124,57 +130,34 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[list[str], int]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     m = parse_matrix(args.matrix_path)
-    if args.samples < 0:
-        raise DomainError("samples must be nonnegative")
     profiles = bnekrasov._profiles(m)
-    # On a P-matrix no interior point beats the vertex maximum (see the oracle
-    # module docstring), so the samples are drawn only where M is not P by class.
-    exact = profiles.route is not None
-    estimate = oracle_max_norm(m, 0 if exact else args.samples, args.seed)
     reports = bnekrasov.all_bounds(profiles, args.epsilon)
-    entries = []
-    all_dominated = True
-    for report in reports:
-        if report.applicable:
-            dominated = estimate.max_observed <= report.value * (1.0 + 1e-9)
-            all_dominated = all_dominated and dominated
-            entries.append(_report_entry(report, dominated=dominated))
-        else:
-            entries.append(_report_entry(report))
     kol = nekrasov._kolotilina(profiles.m_route.profile)
-    kol_entry = _report_entry(kol)
-    kol_ok = True
-    if kol.applicable:
-        inverse_norm = inf_norm(inverse(m))
-        kol_ok = inverse_norm <= kol.value * (1.0 + 1e-9)
-        kol_entry.update(inverse_norm=inverse_norm, dominates_inverse_norm=kol_ok)
-    lemma_data = None
-    lemma_clean = True
-    route = profiles.route  # the lemma suite reads the profile this route carries
-    if route is not None:
-        suite = lemma_property_suite(route)
-        lemma_clean = suite.clean
-        lemma_data = {"target": route.name, "trials": suite.trials,
-                      "violations": len(suite.violations)}
-    data = {
-        "matrix": args.matrix_path,
-        "n": m.shape[0],
-        "oracle": {
-            "max_observed": estimate.max_observed,
-            "argmax_d": estimate.argmax_d,
-            "samples": estimate.interior_samples,
-            "exact": exact,
-            "vertex_count": estimate.vertex_count,
-            "seed": estimate.seed,
-        },
-        "bounds": entries,
-        "kolotilina": kol_entry,
-        "lemma_suite": lemma_data,
-    }
+    data = {"matrix": args.matrix_path, "n": m.shape[0], "oracle": None,
+            "bounds": [_report_entry(r) for r in reports], "kolotilina": _report_entry(kol),
+            "lemma_suite": None}
+    # A bound applies only where M is P by class, on profiles.route, and only
+    # there is the vertex maximum the constant (see the oracle module).
     if not any(r.applicable for r in reports):
         return data, EXIT_NO_APPLICABLE_BOUND
-    ok = all_dominated and kol_ok and lemma_clean
-    return data, EXIT_OK if ok else EXIT_ERROR
+    estimate = oracle_max_norm(m)
+    data["oracle"] = {"max_observed": estimate.max_observed, "argmax_d": estimate.argmax_d,
+                      "vertex_count": estimate.vertex_count}
+    ok = True
+    for entry, report in zip(data["bounds"], reports):
+        if report.applicable:
+            entry["dominated"] = estimate.max_observed <= report.value * (1.0 + 1e-9)
+            ok &= entry["dominated"]
+    if kol.applicable:
+        inverse_norm = inf_norm(inverse(m))
+        dominates = inverse_norm <= kol.value * (1.0 + 1e-9)
+        data["kolotilina"].update(inverse_norm=inverse_norm, dominates_inverse_norm=dominates)
+        ok &= dominates
+    route = profiles.route
+    suite = lemma_property_suite(route)  # reads the profile the route carries
+    data["lemma_suite"] = {"target": route.name, "trials": suite.trials,
+                           "violations": len(suite.violations)}
+    return data, EXIT_OK if ok and suite.clean else EXIT_ERROR
 
 
 def cmd_lcp(args: argparse.Namespace) -> tuple[dict, int]:
@@ -229,10 +212,12 @@ _OPTIONS = {
     "--epsilon": {"type": float},
     "--theorem": {"choices": _THEOREM_CHOICES, "default": "all"},
     "--grid": {"type": int, "default": 101},
-    "--samples": {"type": int, "default": 10000},
     "--trials": {"type": int, "default": 100},
     "--seed": {"type": int, "default": 42},
 }
+# Options a command accepts and does not read: verify's oracle draws no
+# interior samples, so it takes neither a count nor a seed.
+_IGNORED = {"verify": ("--samples", "--seed")}
 
 # name -> (handler, help line, its options from _OPTIONS)
 _COMMANDS = {
@@ -241,7 +226,7 @@ _COMMANDS = {
     "sweep": (cmd_sweep, "CSV sweep of the parameterized bound over its epsilon interval",
               ("--grid",)),
     "verify": (cmd_verify, "brute-force oracle plus domination and exact inequality checks",
-               ("--epsilon", "--samples", "--seed")),
+               ("--epsilon",)),
     "lcp": (cmd_lcp, "solve LCP(M, q) and certify error bounds at random trial points",
             ("--q", "--epsilon", "--trials", "--seed")),
 }
@@ -264,6 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=formats[0])
         for option in options:
             p.add_argument(option, **_OPTIONS[option])
+        for option in _IGNORED.get(name, ()):
+            p.add_argument(option, type=int, help="ignored")
     return parser
 
 

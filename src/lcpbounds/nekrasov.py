@@ -183,8 +183,9 @@ def _profile(m: np.ndarray) -> tuple[NekrasovProfile, int, np.ndarray, np.ndarra
     return NekrasovProfile(h, z, eta, margins, flag, w.T), bad, upper, sums
 
 
-def _checked(a) -> NekrasovProfile:
-    profile, bad, *_ = _profile(as_matrix(a))
+def _checked(a: np.ndarray) -> NekrasovProfile:
+    """The profile of a validated ``a``; ``ZeroDiagonal`` at its first used zero divisor."""
+    profile, bad, *_ = _profile(a)
     if bad:
         raise ZeroDiagonal(int(bad))
     return profile
@@ -192,17 +193,17 @@ def _checked(a) -> NekrasovProfile:
 
 def h_vector(a) -> np.ndarray:
     """Row dominance values h_i of the forward recursion."""
-    return _checked(a).h
+    return _checked(as_matrix(a)).h
 
 
 def z_vector(a) -> np.ndarray:
     """Auxiliary values z_i: like h_i but seeded with 1 per row and no tail."""
-    return _checked(a).z
+    return _checked(as_matrix(a)).z
 
 
 def eta_vector(a) -> np.ndarray:
     """Values eta_i: the z recursion with divisors clamped to min{|a_jj|, 1}."""
-    return _checked(a).eta
+    return _checked(as_matrix(a)).eta
 
 
 def is_nekrasov(a) -> NekrasovProfile:
@@ -237,7 +238,7 @@ def _scaled(m: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def kolotilina_bound(a) -> BoundReport:
     """Upper bound on ||A^{-1}||_inf for a Nekrasov matrix: max_i z_i / (|a_ii| - h_i)."""
-    return _kolotilina(is_nekrasov(as_matrix(a)))
+    return _kolotilina(is_nekrasov(a))
 
 
 def _kolotilina(profile: NekrasovProfile) -> BoundReport:
@@ -254,7 +255,7 @@ def epsilon_interval_upper(m) -> float:
     bound draws epsilon from.  Where ``m_nn > 0`` it is positive exactly when
     ``h_n < m_nn``; where ``m_nn < 0`` it is at least 1, whatever row n's margin."""
     mm = as_matrix(m)
-    return _interval_upper(mm, h_vector(mm))
+    return _interval_upper(mm, _checked(mm).h)
 
 
 def _interval_upper(a: np.ndarray, h: np.ndarray) -> float:

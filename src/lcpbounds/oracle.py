@@ -3,13 +3,16 @@ check of the scaling inequalities the bounds rest on.
 
 The certified quantity is ``max over d in [0,1]^n`` of
 ``||(I - D + D M)^{-1}||_inf``.  The oracle evaluates every vertex of the
-cube and a seeded batch of interior points; sampling can only undershoot, so
-``max_observed`` is a lower bound on the true maximum and any certified upper
-bound must dominate it.  For a P-matrix ``M`` the vertex maximum is the true
+cube, and nothing else.  For a P-matrix ``M`` the vertex maximum is the true
 maximum: ``det(I - D + D M) > 0`` on the cube, each entry of the inverse is
 affine in ``d_j`` over that affine determinant, so each absolute row sum is
-quasiconvex in every ``d_j``.  There ``oracle_max_norm(m, 0)`` is the maximum
-over the cube, up to LAPACK rounding, and samples cannot raise it.
+quasiconvex in every ``d_j``.  There ``oracle_max_norm(m)`` is the maximum
+over the cube, up to LAPACK rounding, and any certified upper bound must
+dominate it.  On any other ``M`` the maximum is ``+inf``: some principal
+minor ``det M_SS <= 0``, and on the segment ``d = t 1_S``, t from 0 to 1,
+``det(I - D + D M)`` runs from 1 to it, so it vanishes at some t and the
+norm is unbounded near there.  So no interior point adds information on
+either kind of input, and the vertex maximum is only a lower bound off P.
 
 The vertices are walked, not inverted one by one.  With ``w = _walk_width(n)``
 (``min(_WALK_BITS, n - _WALK_BITS)``, and 0 for n <= ``_WALK_BITS``), one
@@ -31,7 +34,7 @@ or non-finite denominator; below the cap a walked norm is within about
 ``2**w * cap * eps``, far less than ``_WALK_RTOL``, of its LAPACK value.
 Every vertex of a flagged walker, and every vertex whose walked norm lies
 within ``_WALK_RTOL`` of the largest unflagged walked norm so far, is
-evaluated again on LAPACK, like the samples: each chunk is built with
+evaluated again on LAPACK: each chunk is built with
 ``nekrasov._scaled`` and inverted through ``_inverse_stack``, which sums the
 members' norms from that stack, as ``inverse`` does.  So the value and its
 argmax are those of a per-point LAPACK loop, ties keep the first point in
@@ -48,7 +51,7 @@ sends one.  A stack of members, or of walkers' inverses, holds at most
 ``_CHUNK_ENTRIES`` float64 entries (about 256 KB per temporary), and
 vertices are decoded from integer ranges, so memory stays flat in n.
 
-The lemma suite builds no members and draws no samples: the worst case of
+The lemma suite builds no members: the worst case of
 each scaling inequality over the cube is a vertex that one O(n^2) pass over
 the rows of ``M`` (or ``B+``) finds, and it is compared with the profile the
 route carries (see ``lemma_property_suite``).
@@ -57,11 +60,10 @@ route carries (see ``lemma_property_suite``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionTooLarge, DomainError, PreconditionFailed, SingularMatrix
+from .errors import DimensionTooLarge, PreconditionFailed, SingularMatrix
 from .linalg import _inf_norms, _inverse_stack, as_matrix, inf_norm, inverse
 from .nekrasov import _m_route, _Route, _scaled, scaled_matrix
 
@@ -87,15 +89,15 @@ _LEMMA_CHECKS = ("z_vs_eta", "z_ratio")
 
 @dataclass(frozen=True)
 class OracleEstimate:
-    """Best observed norm and where it occurred.  ``max_observed`` never
-    exceeds the true maximum; equality is not claimed, except that for a
-    P-matrix the vertices alone reach it (see the module docstring)."""
+    """Largest vertex norm and where it occurred.  ``max_observed`` never
+    exceeds the true maximum, and for a P-matrix it is that maximum (see the
+    module docstring)."""
 
     max_observed: float
     argmax_d: np.ndarray
     vertex_count: int
-    interior_samples: int
-    seed: int
+    # No interior point is drawn; perfbench/tracing.py counts this with the vertices.
+    interior_samples = 0
 
 
 @dataclass(frozen=True)
@@ -127,28 +129,20 @@ def norm_at_d(m, d) -> float:
     return inf_norm(inverse(scaled_matrix(m, d)))
 
 
-def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleEstimate:
-    """Maximum observed norm over all cube vertices plus seeded interior points.
+def oracle_max_norm(m) -> OracleEstimate:
+    """Maximum norm over all cube vertices.
 
-    Deterministic for a fixed seed: the interior batch comes from a
-    counter-based generator and ties keep the earliest point (vertices in
-    binary order, then samples in batch order).  A Gray-code walk ranks the
-    vertices, and those it cannot rule out are evaluated on LAPACK with the
-    samples (see the module docstring).
+    Ties keep the earliest vertex in binary order.  A Gray-code walk ranks
+    the vertices, and those it cannot rule out are evaluated on LAPACK (see
+    the module docstring).
     """
     mm = as_matrix(m)
     n = mm.shape[0]
     if n > _ORACLE_MAX_N:
         raise DimensionTooLarge(f"vertex enumeration is limited to n <= {_ORACLE_MAX_N}")
-    if interior_samples < 0:
-        raise DomainError("interior_samples must be nonnegative")
-    if not 0 <= seed < 2**128:
-        raise DomainError("seed must lie in [0, 2**128)")
-    chunk = max(1, _CHUNK_ENTRIES // (n * n))
     best = -np.inf
     best_d = np.zeros(n)
-    points = chain(_vertex_candidates(mm, chunk), _scaling_chunks(n, interior_samples, seed, chunk))
-    for ds in points:
+    for ds in _vertex_candidates(mm, max(1, _CHUNK_ENTRIES // (n * n))):
         with np.errstate(over="ignore"):
             _, norms, ok = _inverse_stack(_scaled(mm, ds))
         if not ok.all():
@@ -156,13 +150,7 @@ def oracle_max_norm(m, interior_samples: int = 10000, seed: int = 42) -> OracleE
         k = int(np.argmax(norms))
         if norms[k] > best:
             best, best_d = float(norms[k]), ds[k].copy()
-    return OracleEstimate(
-        max_observed=float(best),
-        argmax_d=best_d,
-        vertex_count=2**n,
-        interior_samples=interior_samples,
-        seed=seed,
-    )
+    return OracleEstimate(max_observed=best, argmax_d=best_d, vertex_count=2**n)
 
 
 def _vertex_candidates(mm: np.ndarray, chunk: int):
@@ -231,14 +219,6 @@ def _vertices(ks: np.ndarray, n: int) -> np.ndarray:
     number is d_i, so binary order has the first coordinate most significant,
     as itertools.product((0, 1), repeat=n) enumerates."""
     return ((ks[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
-
-
-def _scaling_chunks(n: int, interior_samples: int, seed: int, chunk: int):
-    """The oracle's interior samples in draw order, as ``(k, n)`` arrays of at
-    most ``chunk`` rows; with none to draw, no generator is built."""
-    rng = np.random.Generator(np.random.Philox(key=seed)) if interior_samples else None
-    for start in range(0, interior_samples, chunk):
-        yield rng.random((min(chunk, interior_samples - start), n))
 
 
 def lemma_property_suite(m) -> LemmaSuiteReport:

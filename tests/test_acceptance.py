@@ -115,7 +115,7 @@ def test_criterion_6_oracle_domination(ex1, ex2, ex3, ex4):
         for m in (ex1, ex2, ex3, ex4):
             bounds = applicable_bounds(m)
             assert bounds
-            estimate = oracle_max_norm(m, interior_samples=10000, seed=42)
+            estimate = oracle_max_norm(m)
             for report in bounds:
                 assert estimate.max_observed <= report.value * (1 + 1e-9)
         elapsed = time.perf_counter() - start
@@ -164,7 +164,7 @@ def test_criterion_9_random_instance_soak():
             assert inf_norm(inverse(a)) <= kol.value * (1 + 1e-9)
             new = new_nekrasov_bound(a)
             assert new.applicable
-            estimate = oracle_max_norm(a, interior_samples=100, seed=42)
+            estimate = oracle_max_norm(a)
             assert estimate.max_observed <= new.value * (1 + 1e-9)
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"soak took {elapsed:.2f}s"

@@ -277,8 +277,7 @@ class TestSweep:
 
 class TestVerify:
     def test_example1(self, capsys, data_dir):
-        out, code = run(capsys, "verify", "--matrix", str(data_dir / "example1.txt"),
-                        "--samples", "500")
+        out, code = run(capsys, "verify", "--matrix", str(data_dir / "example1.txt"))
         assert code == 0
         payload = json.loads(out)
         new = bound_by_name(payload, "new_nekrasov")
@@ -288,8 +287,7 @@ class TestVerify:
         assert payload["kolotilina"]["dominates_inverse_norm"] is True
 
     def test_example3(self, capsys, data_dir):
-        out, code = run(capsys, "verify", "--matrix", str(data_dir / "example3.txt"),
-                        "--samples", "500")
+        out, code = run(capsys, "verify", "--matrix", str(data_dir / "example3.txt"))
         assert code == 0
         payload = json.loads(out)
         assert bound_by_name(payload, "new_bnekrasov")["dominated"] is True
@@ -297,30 +295,53 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4"])
     def test_p_by_class_reads_the_vertex_maximum(self, capsys, data_dir, name):
-        # Each fixture is P by class: no samples are drawn, and the maximum and
-        # its argmax are those of the vertices and samples together.
+        # Each fixture is P by class: the oracle block is the vertex maximum,
+        # its argmax and the vertex count.
         path = str(data_dir / f"{name}.txt")
-        out, code = run(capsys, "verify", "--matrix", path, "--samples", "300")
+        out, code = run(capsys, "verify", "--matrix", path)
         assert code == 0
-        oracle = json.loads(out)["oracle"]
-        assert (oracle["samples"], oracle["exact"]) == (0, True)
-        sampled = oracle_max_norm(parse_matrix(path), interior_samples=300, seed=42)
-        assert oracle["max_observed"] == sampled.max_observed
-        assert oracle["argmax_d"] == sampled.argmax_d.tolist()
+        est = oracle_max_norm(parse_matrix(path))
+        assert json.loads(out)["oracle"] == {"max_observed": est.max_observed,
+                                             "argmax_d": est.argmax_d.tolist(),
+                                             "vertex_count": est.vertex_count}
 
-    def test_not_p_by_class_draws_samples(self, capsys, not_p_file):
-        out, code = run(capsys, "verify", "--matrix", not_p_file, "--samples", "50")
-        assert code == 2
-        oracle = json.loads(out)["oracle"]
-        assert (oracle["samples"], oracle["exact"]) == (50, False)
-        # The maximum comes from a sample: det(I - D + D M) = 1 - 4 d_1 d_2
-        # vanishes inside the cube, so the sup is +inf.
-        assert oracle["max_observed"] == oracle_max_norm(NOT_P, 50, 42).max_observed
-        assert oracle["max_observed"] == pytest.approx(69.9438978845642, rel=1e-12)
-        assert 0.0 < min(oracle["argmax_d"]) and max(oracle["argmax_d"]) < 1.0
+    # Inputs on which no bound applies: two singular ones, where the oracle
+    # would raise SingularMatrix, one whose inverse does (Kolotilina's check),
+    # one whose row sums pass the float range, and the not-P NOT_P.
+    @pytest.mark.parametrize("m", [
+        [[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], [[1e15, 0.0], [0.0, -1.0]],
+        [[1e308, 1e308], [1e308, 1e308]], NOT_P,
+    ], ids=["swap", "zero_row", "diag_1e15_minus_1", "plus_1e308", "not_p"])
+    def test_no_bound_checks_nothing(self, capsys, tmp_path, m):
+        path = tmp_path / "m.txt"
+        path.write_text(format_matrix(np.array(m)))
+        codes = []
+        for command in ("bound", "verify"):
+            codes.append(main([command, "--matrix", str(path)]))
+            captured = capsys.readouterr()
+            assert captured.err == ""
+        payload = json.loads(captured.out, parse_constant=_reject_constant)
+        assert codes == [2, 2]
+        assert (payload["oracle"], payload["lemma_suite"]) == (None, None)
+        assert not any("dominated" in entry for entry in payload["bounds"])
+        assert "inverse_norm" not in payload["kolotilina"]
+
+    # verify accepts both options and reads neither: the oracle draws no
+    # interior point.
+    @pytest.mark.parametrize("option", [("--samples", "-1"), ("--samples", "0"),
+                                        ("--samples", "20"), ("--seed", "-1"),
+                                        ("--seed", str(2**128))],
+                             ids=["samples_-1", "samples_0", "samples_20", "seed_-1",
+                                  "seed_2_pow_128"])
+    @pytest.mark.parametrize("matrix", ["example1", "not_p"])
+    def test_unread_options_change_nothing(self, capsys, data_dir, not_p_file, option, matrix):
+        path = not_p_file if matrix == "not_p" else str(data_dir / f"{matrix}.txt")
+        plain = run(capsys, "verify", "--matrix", path)
+        assert plain[1] == (2 if matrix == "not_p" else 0)
+        assert run(capsys, "verify", "--matrix", path, *option) == plain
 
     def test_identity(self, capsys, identity_file):
-        out, code = run(capsys, "verify", "--matrix", identity_file, "--samples", "100")
+        out, code = run(capsys, "verify", "--matrix", identity_file)
         assert code == 0
         payload = json.loads(out)
         assert payload["oracle"]["max_observed"] == 1.0
@@ -580,8 +601,8 @@ class TestTextFormat:
 
     @pytest.mark.parametrize("argv, matrix, expected_code", [
         (("classify",), "example1", 0), (("bound",), "example1", 0),
-        (("verify", "--samples", "10"), "example1", 0), (("lcp", "--trials", "2"), "example1", 0),
-        (("lcp", "--trials", "0"), "example1", 0), (("verify", "--samples", "10"), "not_p", 2),
+        (("verify",), "example1", 0), (("lcp", "--trials", "2"), "example1", 0),
+        (("lcp", "--trials", "0"), "example1", 0), (("verify",), "not_p", 2),
     ], ids=["classify", "bound", "verify", "lcp", "lcp_no_trials", "verify_exit_2"])
     def test_text_renders_the_json_values(self, capsys, data_dir, not_p_file, argv, matrix,
                                           expected_code):
@@ -627,8 +648,7 @@ class TestProfileOnce:
     def test_verify_two_profiles(self, capsys, data_dir, profile_calls, name):
         # The lemma suite reads the profile of its route (M or B+) and takes
         # no other.
-        _, code = run(capsys, "verify", "--samples", "10",
-                      "--matrix", str(data_dir / f"{name}.txt"))
+        _, code = run(capsys, "verify", "--matrix", str(data_dir / f"{name}.txt"))
         assert code == 0
         assert profile_calls == [(4, 4), (4, 4)]
 
@@ -693,21 +713,22 @@ class TestDefaults:
 
     @staticmethod
     def check_verify(out, m):
-        oracle = json.loads(out)["oracle"]
-        assert (oracle["samples"], oracle["exact"], oracle["seed"]) == (10000, False, 42)
+        payload = json.loads(out)
+        assert list(payload["oracle"]) == ["max_observed", "argmax_d", "vertex_count"]
+        # no --epsilon: each parameterized bound at the midpoint of its interval
+        assert bound_by_name(payload, "gp_nekrasov")["epsilon"] == (
+            nekrasov.epsilon_interval_upper(m) / 2)
 
     @staticmethod
     def check_lcp(out, m):
         assert len(json.loads(out)["certificates"]) == 100
 
     @pytest.mark.parametrize("command", ["classify", "bound", "sweep", "verify", "lcp"])
-    def test_default(self, capsys, data_dir, not_p_file, command):
-        # Example 1 is P by class, where verify draws no samples; the default
-        # count shows on a matrix that is not.
-        path = not_p_file if command == "verify" else str(data_dir / "example1.txt")
+    def test_default(self, capsys, data_dir, command):
+        path = str(data_dir / "example1.txt")
         q = ("--q", str(data_dir / "q_minus_ones.txt")) if command == "lcp" else ()
         out, code = run(capsys, command, "--matrix", path, *q)
-        assert code == (2 if command == "verify" else 0)
+        assert code == 0
         getattr(self, f"check_{command}")(out, parse_matrix(path))
 
 
@@ -721,11 +742,11 @@ class TestOneParser:
         assert run(capsys, *argv) == fresh
 
     def test_seed_does_not_carry_over(self, capsys, data_dir):
-        argv = ("verify", "--matrix", str(data_dir / "example1.txt"), "--samples", "10")
-        out, _ = run(capsys, *argv, "--seed", "3")
-        assert json.loads(out)["oracle"]["seed"] == 3
-        out, _ = run(capsys, *argv)
-        assert json.loads(out)["oracle"]["seed"] == 42
+        argv = ("lcp", "--matrix", str(data_dir / "example1.txt"),
+                "--q", str(data_dir / "q_minus_ones.txt"), "--trials", "2")
+        fresh = run(capsys, *argv)
+        assert run(capsys, *argv, "--seed", "3") != fresh
+        assert run(capsys, *argv) == fresh
 
 
 class TestUsageErrorExit1:
@@ -784,12 +805,8 @@ class TestFaultyFileExit1:
         (("lcp", "--seed", "-1"), False, "trials and seed must be nonnegative"),
         (("lcp", "--trials", "-1"), True, "trials and seed must be nonnegative"),
         (("lcp", "--seed", "-1"), True, "trials and seed must be nonnegative"),
-        (("verify", "--seed", "-1"), False, "seed must lie in [0, 2**128)"),
-        (("verify", "--seed", str(2**128)), False, "seed must lie in [0, 2**128)"),
-        (("verify", "--samples", "-1"), False, "samples must be nonnegative"),
     ], ids=["lcp_negative_trials", "lcp_negative_seed", "lcp_negative_trials_not_p",
-            "lcp_negative_seed_not_p", "verify_negative_seed", "verify_seed_2_pow_128",
-            "verify_negative_samples"])
+            "lcp_negative_seed_not_p"])
     def test_argument_error_line(self, data_dir, tmp_path, not_p_file, argv, not_p, line):
         matrix, q = str(data_dir / "example2.txt"), data_dir / "q_minus_ones.txt"
         if not_p:
@@ -799,8 +816,7 @@ class TestFaultyFileExit1:
         assert self.assert_error_line(*argv, "--matrix", matrix, *q_option) == f"error: {line}\n"
 
     def test_lcp_seed_2_pow_128(self, capsys, data_dir):
-        # Only verify's samples take a 128-bit Philox key; lcp's trial points
-        # seed default_rng, which takes any nonnegative integer.
+        # lcp's trial points seed default_rng, which takes any nonnegative integer.
         _, code = run(capsys, "lcp", "--matrix", str(data_dir / "example2.txt"),
                       "--q", str(data_dir / "q_minus_ones.txt"), "--trials", "5",
                       "--seed", str(2**128))
@@ -823,16 +839,13 @@ class TestFaultyFileExit1:
         self.assert_error_line("lcp", "--matrix", str(matrix), "--q", str(q))
 
     # Every row sum of |M| is past the float range: M is not SDD, its
-    # comparison matrix and its members count as singular, and no warning
+    # comparison matrix counts as singular, no bound applies, and no warning
     # reaches stderr.
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
-    @pytest.mark.parametrize("command, code", [("classify", 0), ("bound", 2), ("verify", 1)])
+    @pytest.mark.parametrize("command, code", [("classify", 0), ("bound", 2), ("verify", 2)])
     def test_row_sums_past_the_float_range(self, tmp_path, command, code, sign):
         path = tmp_path / "m.txt"
         path.write_text(format_matrix(np.full((2, 2), sign * 1e308)))
-        if code == 1:
-            self.assert_error_line(command, "--matrix", str(path))
-            return
         proc = run_fresh(command, "--matrix", str(path))
         assert (proc.returncode, proc.stderr) == (code, "")
         payload = json.loads(proc.stdout, parse_constant=_reject_constant)
@@ -850,12 +863,12 @@ _FUZZ_ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e-13, -1e-13, 1e13, -1e13
 # epsilon out of a bound's interval makes that bound not applicable, which is
 # not an error.
 _FUZZ_COMMANDS = (("classify",), ("bound", "--theorem", "--epsilon"), ("sweep", "--grid"),
-                  ("verify", "--epsilon", "--samples", "--seed"),
+                  ("verify", "--epsilon"),
                   ("lcp", "--epsilon", "--trials", "--seed"))
-_FUZZ_OPTIONS = {"--grid": (1, 2, 3), "--samples": (-1, 0, 20), "--trials": (-1, 0, 3),
+_FUZZ_OPTIONS = {"--grid": (1, 2, 3), "--trials": (-1, 0, 3),
                  "--seed": (-1, 0, 42), "--theorem": ("all", "gp-nekrasov", "new-bnekrasov"),
                  "--epsilon": (None, 0.25, 2.0)}
-_OUT_OF_RANGE = {("--grid", 1), ("--samples", -1), ("--trials", -1), ("--seed", -1)}
+_OUT_OF_RANGE = {("--grid", 1), ("--trials", -1), ("--seed", -1)}
 
 
 def _reject_constant(name):
@@ -874,7 +887,8 @@ class TestContractFuzz:
     """Every command ends in exit 0, 1 or 2, and in 1 when a numeric option is
     out of range.  On 0 or 2 stdout is strict JSON (CSV for sweep) and stderr
     is empty; on 1 stderr is one ``error:`` line.  A warning fails the run
-    (see pyproject.toml), as it would reach stderr."""
+    (see pyproject.toml), as it would reach stderr.  ``verify`` exits 2
+    exactly where ``bound --theorem all`` does, at the same ``--epsilon``."""
 
     @given(lcp_inputs(), st.fixed_dictionaries(
         {option: st.sampled_from(values) for option, values in _FUZZ_OPTIONS.items()}))
@@ -885,6 +899,7 @@ class TestContractFuzz:
             matrix, q_path = Path(tmp) / "m.txt", Path(tmp) / "q.txt"
             matrix.write_text(format_matrix(m))
             q_path.write_text(" ".join(repr(float(v)) for v in q) + "\n")
+            codes = {}
             for name, *named in _FUZZ_COMMANDS:
                 argv = [name, "--matrix", str(matrix)]
                 for option in named:
@@ -896,6 +911,7 @@ class TestContractFuzz:
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = main(argv)
                 out, err = out.getvalue(), err.getvalue()
+                codes[name] = code
                 assert code in (0, 1, 2), argv
                 if any((option, options[option]) in _OUT_OF_RANGE for option in named):
                     assert code == 1, argv
@@ -910,3 +926,5 @@ class TestContractFuzz:
                     assert header == ["epsilon", "gp_bound", "new_bound"]
                     for row in rows:
                         assert all(v == "n/a" or np.isfinite(float(v)) for v in row), row
+            if options["--theorem"] == "all":
+                assert (codes["verify"] == 2) == (codes["bound"] == 2), (m, options, codes)

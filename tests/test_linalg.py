@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lcpbounds
+from lcpbounds import bnekrasov, nekrasov
 from lcpbounds.errors import DomainError, SingularMatrix
 from lcpbounds.linalg import (
     _inverse_stack,
@@ -70,6 +72,39 @@ class TestInverse:
         rng = np.random.default_rng(11)
         a = rng.uniform(-1.0, 1.0, (6, 6)) + 12 * np.eye(6)
         np.testing.assert_allclose(inverse(a), np.linalg.inv(a), rtol=1e-10, atol=1e-12)
+
+
+# Each public entry point that takes a matrix, called on example 1 below.
+# Only norm_at_d takes a second copy: inverse validates the member it builds.
+_ENTRY_POINTS = {
+    **{name: getattr(lcpbounds, name) for name in (
+        "all_bounds", "bplus_decompose", "classify", "is_b_nekrasov", "new_bnekrasov_bound",
+        "is_p_matrix", "comparison_matrix", "inverse", "eta_vector", "h_vector", "z_vector",
+        "is_nekrasov", "kolotilina_bound", "new_nekrasov_bound", "lemma_property_suite",
+        "oracle_max_norm")},
+    "gp_nekrasov_bound": lambda m: lcpbounds.gp_nekrasov_bound(m, 0.1),
+    "gp_bnekrasov_bound": lambda m: lcpbounds.gp_bnekrasov_bound(m, 0.1),
+    "nekrasov.epsilon_interval_upper": nekrasov.epsilon_interval_upper,
+    "bnekrasov.epsilon_interval_upper": bnekrasov.epsilon_interval_upper,
+    "LcpInstance": lambda m: lcpbounds.LcpInstance(m, [-1.0] * 4),
+    "scaled_matrix": lambda m: lcpbounds.scaled_matrix(m, np.ones(4)),
+    "norm_at_d": lambda m: lcpbounds.norm_at_d(m, np.ones(4)),
+}
+
+
+@pytest.mark.parametrize("name", _ENTRY_POINTS)
+def test_entry_point_copies_its_input_once(monkeypatch, ex1, name):
+    original, calls = as_matrix, []
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    for module in vars(lcpbounds).values():
+        if getattr(module, "as_matrix", None) is original:
+            monkeypatch.setattr(module, "as_matrix", counted)
+    _ENTRY_POINTS[name](ex1)
+    assert calls == [(4, 4)] * (2 if name == "norm_at_d" else 1)
 
 
 @st.composite

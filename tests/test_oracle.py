@@ -10,23 +10,17 @@ from hypothesis import strategies as st
 from conftest import random_bnekrasov, random_nekrasov
 from lcpbounds import bnekrasov, linalg, nekrasov, oracle
 from lcpbounds.bnekrasov import bplus_decompose, new_bnekrasov_bound
-from lcpbounds.errors import DimensionTooLarge, DomainError, PreconditionFailed, SingularMatrix
+from lcpbounds.errors import DimensionTooLarge, PreconditionFailed, SingularMatrix
 from lcpbounds.linalg import _inverse_stack, inf_norm, inverse
 from lcpbounds.nekrasov import is_nekrasov, new_nekrasov_bound, scaled_matrix
 from lcpbounds.oracle import lemma_property_suite, norm_at_d, oracle_max_norm
 
 
-def pointwise_max_norm(m, interior_samples, seed):
-    """Reference oracle: one ``norm_at_d`` per point, strict ``>``.  The
-    vertices come in ``itertools.product`` order, the oracle's binary order,
-    then the samples of one Philox draw, which the oracle's chunked draws
-    equal."""
-    n = m.shape[0]
-    points = [np.array(bits) for bits in product((0.0, 1.0), repeat=n)]
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    points += list(rng.random((interior_samples, n)))
+def pointwise_max_norm(m):
+    """Reference oracle: one ``norm_at_d`` per vertex, strict ``>``, in
+    ``itertools.product`` order, the oracle's binary order."""
     best, best_d = -np.inf, None
-    for d in points:
+    for d in map(np.array, product((0.0, 1.0), repeat=m.shape[0])):
         value = norm_at_d(m, d)
         if value > best:
             best, best_d = value, d
@@ -107,31 +101,31 @@ class TestNormAtD:
 
 class TestOracleMaxNorm:
     def test_identity(self):
-        est = oracle_max_norm(np.eye(3), interior_samples=50, seed=1)
+        est = oracle_max_norm(np.eye(3))
         assert est.max_observed == 1.0
         assert est.vertex_count == 8
-        assert est.interior_samples == 50
+        assert est.interior_samples == 0
 
     def test_deterministic(self, ex1):
-        a = oracle_max_norm(ex1, interior_samples=200, seed=42)
-        b = oracle_max_norm(ex1, interior_samples=200, seed=42)
+        a = oracle_max_norm(ex1)
+        b = oracle_max_norm(ex1)
         assert a.max_observed == b.max_observed
         np.testing.assert_array_equal(a.argmax_d, b.argmax_d)
 
     def test_argmax_reproduces_max(self, ex1, ex3):
         for m in (ex1, ex3):
-            est = oracle_max_norm(m, interior_samples=500, seed=42)
+            est = oracle_max_norm(m)
             assert norm_at_d(m, est.argmax_d) == pytest.approx(est.max_observed, rel=1e-12)
 
     def test_vertex_inclusion(self, ex1, ex2, ex3, ex4):
         for m in (ex1, ex2, ex3, ex4):
-            est = oracle_max_norm(m, interior_samples=0, seed=42)
+            est = oracle_max_norm(m)
             assert est.max_observed >= max(1.0, inf_norm(inverse(m))) * (1 - 1e-12)
 
     def test_dominated_by_bounds(self, ex1, ex3):
-        est1 = oracle_max_norm(ex1, interior_samples=2000, seed=42)
+        est1 = oracle_max_norm(ex1)
         assert est1.max_observed <= new_nekrasov_bound(ex1).value * (1 + 1e-9)
-        est3 = oracle_max_norm(ex3, interior_samples=2000, seed=42)
+        est3 = oracle_max_norm(ex3)
         assert est3.max_observed <= new_bnekrasov_bound(ex3).value * (1 + 1e-9)
         # Every applicable bound, the parameterized ones at their route's
         # midpoint epsilon included, is at least the exact vertex maximum.
@@ -140,47 +134,23 @@ class TestOracleMaxNorm:
             for make in (random_nekrasov, random_bnekrasov):
                 for _ in range(3):
                     m = make(n, rng)
-                    exact = oracle_max_norm(m, 0).max_observed
+                    exact = oracle_max_norm(m).max_observed
                     for report in bnekrasov.all_bounds(m):
                         if report.applicable:
                             assert report.value >= exact / (1 + 1e-9), (n, report.theorem)
 
     def test_too_large(self):
         with pytest.raises(DimensionTooLarge):
-            oracle_max_norm(np.eye(21), interior_samples=0, seed=1)
+            oracle_max_norm(np.eye(21))
 
-    def test_negative_samples_rejected(self, ex1):
-        with pytest.raises(DomainError):
-            oracle_max_norm(ex1, interior_samples=-1, seed=1)
-
-    @pytest.mark.parametrize("seed", [-1, 2**128])
-    def test_seed_outside_philox_keys_rejected(self, ex1, seed):
-        # The seed is checked even when no sample is drawn.
-        with pytest.raises(DomainError):
-            oracle_max_norm(ex1, interior_samples=0, seed=seed)
-        assert oracle_max_norm(ex1, interior_samples=0, seed=2**128 - 1).vertex_count == 16
-
-    def test_no_samples_build_no_generator(self, ex1, monkeypatch):
-        # An exact oracle (P by class) draws nothing, so it keys no generator.
-        def refuse(*args, **kwargs):
-            raise AssertionError("a sample generator was built")
-
-        monkeypatch.setattr(np.random, "Philox", refuse)
-        assert oracle_max_norm(ex1, interior_samples=0, seed=3).vertex_count == 16
-        with pytest.raises(AssertionError, match="generator was built"):
-            oracle_max_norm(ex1, interior_samples=1, seed=3)
-
-    # The default chunk splits the 2500 samples in two; 48 entries make
-    # chunks of three 4x4 members, so both vertices and samples span many.
+    # 48 entries make chunks of three 4x4 members, so the vertices span many.
     @pytest.mark.parametrize("chunk_entries", [oracle._CHUNK_ENTRIES, 48])
     def test_matches_pointwise_loop(self, ex1, ex2, ex3, ex4, monkeypatch, chunk_entries):
         monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", chunk_entries)
-        # Not a P-matrix: an interior sample beats every vertex, so the
-        # order of the draws matters too.
         non_p = np.array([[1.0, 2.0], [2.0, 1.0]])
         for m in (ex1, ex2, ex3, ex4, non_p):
-            est = oracle_max_norm(m, interior_samples=2500, seed=42)
-            best, best_d = pointwise_max_norm(m, 2500, 42)
+            est = oracle_max_norm(m)
+            best, best_d = pointwise_max_norm(m)
             assert est.max_observed == pytest.approx(best, rel=1e-12)
             np.testing.assert_array_equal(est.argmax_d, best_d)
 
@@ -189,12 +159,12 @@ class TestOracleMaxNorm:
     def test_tie_keeps_first_vertex(self, monkeypatch, chunk_entries):
         monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", chunk_entries)
         # Every vertex except all-ones has norm 1; the zero vector comes first.
-        est = oracle_max_norm(2.0 * np.eye(3), interior_samples=0)
+        est = oracle_max_norm(2.0 * np.eye(3))
         assert est.max_observed == 1.0
         np.testing.assert_array_equal(est.argmax_d, np.zeros(3))
         # Norm 2 wherever d_0 or d_1 is 1; in binary order, with d_0 the
         # most significant bit, (0, 1, 0) is the first such vertex.
-        est = oracle_max_norm(np.diag([0.5, 0.5, 2.0]), interior_samples=0)
+        est = oracle_max_norm(np.diag([0.5, 0.5, 2.0]))
         assert est.max_observed == 2.0
         np.testing.assert_array_equal(est.argmax_d, [0.0, 1.0, 0.0])
 
@@ -202,15 +172,15 @@ class TestOracleMaxNorm:
     def test_singular_member_raises(self, m):
         # The all-ones vertex is M itself.
         with pytest.raises(SingularMatrix):
-            oracle_max_norm(m, interior_samples=0)
+            oracle_max_norm(m)
 
     def test_member_norm_counts_off_diagonal_row_sums(self):
         # [[1, a], [0, 1]] and its inverse both have norm 1 + a, so the
         # condition number (1 + a)**2 passes 1 / PIVOT_RTOL between these a.
-        est = oracle_max_norm([[1.0, 9.9e6], [0.0, 1.0]], interior_samples=0)
+        est = oracle_max_norm([[1.0, 9.9e6], [0.0, 1.0]])
         assert est.max_observed == 1.0 + 9.9e6
         with pytest.raises(SingularMatrix):
-            oracle_max_norm([[1.0, 1e7], [0.0, 1.0]], interior_samples=0)
+            oracle_max_norm([[1.0, 1e7], [0.0, 1.0]])
 
     # The same block in a walked (trailing) or an anchored (leading) pair of
     # coordinates of I_6.
@@ -223,10 +193,10 @@ class TestOracleMaxNorm:
 
         # Past the walk's cap, far below 1 / PIVOT_RTOL: LAPACK decides.
         assert walk_every_vertex(block(9.9e6))[1].any()
-        est = oracle_max_norm(block(9.9e6), interior_samples=0)
+        est = oracle_max_norm(block(9.9e6))
         assert est.max_observed == 1.0 + 9.9e6
         with pytest.raises(SingularMatrix):
-            oracle_max_norm(block(1e7), interior_samples=0)
+            oracle_max_norm(block(1e7))
 
     # Row i scaled by 10**13..10**14.5 puts the condition numbers of the
     # members with d_i = 1 on either side of 1 / PIVOT_RTOL; on I with one
@@ -255,11 +225,11 @@ class TestOracleMaxNorm:
                 break
         if singular:
             with pytest.raises(SingularMatrix):
-                oracle_max_norm(m, interior_samples=0)
+                oracle_max_norm(m)
         else:
-            oracle_max_norm(m, interior_samples=0)
+            oracle_max_norm(m)
 
-    # 48 entries split the walkers, the candidates and the samples into many
+    # 48 entries split the walkers and the candidates into many
     # chunks, the last one short.  n = 9..11 has 32..128 walkers in one
     # default chunk; n = 12 and 13 have 256 and 512, in 2 and 3 default chunks.
     @pytest.mark.parametrize("n, chunk_entries", [
@@ -271,13 +241,14 @@ class TestOracleMaxNorm:
         general = rng.uniform(-1.0, 1.0, (n, n)) + np.diag(rng.uniform(0.5, 3.0, n))
         # Every member of I's family is I: a tie at every point, won by the first.
         for m in (random_nekrasov(n, rng), random_bnekrasov(max(n, 2), rng), general, np.eye(n)):
-            best, best_d = pointwise_max_norm(m, 300, 7)
-            est = oracle_max_norm(m, interior_samples=300, seed=7)
+            best, best_d = pointwise_max_norm(m)
+            est = oracle_max_norm(m)
             assert est.max_observed == best
             np.testing.assert_array_equal(est.argmax_d, best_d)
 
     # Both classes that put M in P, on M (Nekrasov) and on B+ (B-Nekrasov),
-    # with rows scaled by factors in 1e-3..1e3, which keeps each class.
+    # with rows scaled by factors in 1e-3..1e3, which keeps each class.  This
+    # is why the oracle draws no interior point (see its module docstring).
     @given(n=st.integers(2, 7), matrix_seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from([random_nekrasov, random_bnekrasov]), scaled=st.booleans(),
            samples=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
@@ -288,9 +259,18 @@ class TestOracleMaxNorm:
         if scaled:
             m *= 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
         assert bnekrasov._profiles(m).route is not None
-        vertices_only = oracle_max_norm(m, interior_samples=0).max_observed
-        est = oracle_max_norm(m, interior_samples=samples, seed=seed)
-        assert est.max_observed == pytest.approx(vertices_only, rel=1e-12)
+        vertices = oracle_max_norm(m).max_observed
+        points = np.random.default_rng(seed).random((samples, n))
+        assert max(norm_at_d(m, d) for d in points) <= vertices * (1 + 1e-12)
+
+    def test_not_p_is_unbounded_inside_the_cube(self):
+        # det(I - D + D M) = 1 - 4 t**2 at d = (t, t) vanishes at t = 1/2,
+        # where the vertex maximum, 3, says nothing of the constant, +inf.
+        m = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(SingularMatrix):
+            norm_at_d(m, np.array([0.5, 0.5]))
+        assert norm_at_d(m, np.full(2, 0.5 - 1e-9)) > 1e8
+        assert oracle_max_norm(m).max_observed == 3.0
 
 
 def walk_width(n):
@@ -322,7 +302,7 @@ class TestVertexWalk:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularMatrix):
-                oracle_max_norm(m, interior_samples=0)
+                oracle_max_norm(m)
 
     def test_stacks_stay_within_the_entry_bound(self, monkeypatch):
         # Three 9x9 members per chunk.  Every vertex of I's family ties, so
@@ -335,7 +315,7 @@ class TestVertexWalk:
             return _inverse_stack(stack)
 
         monkeypatch.setattr(oracle, "_inverse_stack", recording)
-        est = oracle_max_norm(np.eye(9), interior_samples=10)
+        est = oracle_max_norm(np.eye(9))
         assert est.max_observed == 1.0
         np.testing.assert_array_equal(est.argmax_d, np.zeros(9))
         assert max(sizes) == 3 * 81
@@ -368,7 +348,7 @@ class TestVertexWalk:
 
         monkeypatch.setattr(linalg, "_inf_norms", counted)
         monkeypatch.setattr(oracle, "_inf_norms", counted)
-        oracle_max_norm(m, interior_samples=0)
+        oracle_max_norm(m)
         w, chunk = walk_width(n), max(1, oracle._CHUNK_ENTRIES // (n * n))
         walker_chunks = -(-(2 ** (n - w)) // chunk)
         assert len(calls) <= 2 * walker_chunks + 3
@@ -411,8 +391,8 @@ class TestVertexWalk:
         rng = np.random.default_rng(n)
         for m in (random_nekrasov(n, rng), random_bnekrasov(max(n, 2), rng)):
             assert walk_every_vertex(m)[1].all()
-            best, best_d = pointwise_max_norm(m, 0, 7)
-            est = oracle_max_norm(m, interior_samples=0, seed=7)
+            best, best_d = pointwise_max_norm(m)
+            est = oracle_max_norm(m)
             assert est.max_observed == best
             np.testing.assert_array_equal(est.argmax_d, best_d)
 

@@ -179,12 +179,11 @@ LAYERS = {
         partial(oracle.lemma_property_suite, c.profiles.route), {"rows": c.n})),
     "parse_matrix_scan": ((150,), _scan),
     "solve_lcp": ((12, 15), _solve),
-    "oracle_max_norm": ((12, 16), lambda c: _walked(c, partial(oracle.oracle_max_norm, c.m, 0))),
+    "oracle_max_norm": ((12, 16), lambda c: _walked(c, partial(oracle.oracle_max_norm, c.m))),
     "is_p_matrix": (
         (12, 16, 20), lambda c: (partial(lcp.is_p_matrix, c.m), {"minors": 2**c.n - 1})),
     "certify_error_bound": ((12,), _certify),
-    "cli.verify": ((7, 11), lambda c: _walked(
-        c, _cli("verify", "--matrix", c.path, "--samples", str(workloads.VERIFY_SAMPLES)))),
+    "cli.verify": ((7, 11), lambda c: _walked(c, _cli("verify", "--matrix", c.path))),
     "cli.lcp": ((8,), _lcp),
 }
 # Every (layer, n, family), in the order the rows are built.
