@@ -6,6 +6,14 @@ defaults and usage rules included; the commands read its namespace. Without
 bounds, the midpoint of each one's interval. Each command returns its report
 as data with its exit code, and ``main`` renders it once.
 
+A report is the library's dataclass printed whole, in field order: a bound
+entry is a ``BoundReport`` (less ``intermediates`` and None fields), and the
+others are ``ClassificationReport``, ``OracleEstimate``, ``LcpSolution`` and
+``ErrorCertificate`` (less ``bound_value``, which the ``bound`` entry holds).
+Only the provenance keys (``matrix``, ``q``, ``n``), ``verify``'s cross-checks
+(``dominated``, ``inverse_norm``, ``dominates_inverse_norm``) and the lemma
+suite's block (``target``, ``trials`` and the violation count) are added here.
+
 ``verify`` checks only where a bound applies, that is where ``M`` is P by
 class: there the oracle's vertex maximum is the constant the bounds must
 dominate. Elsewhere it checks nothing and exits 2, as ``bound`` does, with
@@ -23,21 +31,21 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from . import bnekrasov, nekrasov
 from .errors import DomainError, LcpBoundsError
 from .lcp import LcpInstance, certify_error_bound, solve_lcp, trial_points
 from .linalg import inf_norm, inverse
 from .matrixio import parse_matrix, parse_vector
-from .nekrasov import BoundReport
+from .nekrasov import BoundReport, Theorem
 from .oracle import lemma_property_suite, oracle_max_norm
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_APPLICABLE_BOUND = 2
 
-_THEOREM_CHOICES = ("all", "gp-nekrasov", "new-nekrasov", "gp-bnekrasov", "new-bnekrasov")
+_THEOREM_CHOICES = ("all", *(t.value.replace("_", "-") for t in Theorem
+                              if t is not Theorem.KOLOTILINA))
 
 
 def _render_text(data, indent: int = 0) -> str:
@@ -71,37 +79,37 @@ def _emit(data, fmt: str) -> str:
     return _render_text(json.loads(text)) if fmt == "text" else text
 
 
-def _report_entry(report: BoundReport, **extra) -> dict:
-    entry: dict = {"theorem": report.theorem.value, "applicable": report.applicable}
-    for key in ("reason", "epsilon", "value"):
-        if getattr(report, key) is not None:
-            entry[key] = getattr(report, key)
-    entry.update(extra)
-    return entry
+def _fields(record, *omit: str) -> dict:
+    """A report dataclass's fields in order, but those in ``omit``: a shallow
+    dict, where ``dataclasses.asdict`` would copy each array."""
+    return {key: value for key, value in vars(record).items() if key not in omit}
+
+
+def _report_entry(report: BoundReport) -> dict:
+    return {key: value for key, value in _fields(report, "intermediates").items()
+            if value is not None}
+
+
+def _profiled(args: argparse.Namespace) -> tuple[bnekrasov._Profiles, dict]:
+    """The matrix's profiles (bounds and classes), and the report's provenance."""
+    profiles = bnekrasov._profiles(parse_matrix(args.matrix_path))
+    return profiles, {"matrix": args.matrix_path, "n": profiles.m_route.a.shape[0]}
 
 
 def cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
-    profiles = bnekrasov._profiles(parse_matrix(args.matrix_path))
-    data = {
-        "matrix": args.matrix_path,
-        "n": profiles.m_route.a.shape[0],
-        "classification": asdict(bnekrasov.classify(profiles)),
-    }
+    profiles, data = _profiled(args)
+    data["classification"] = _fields(bnekrasov.classify(profiles))
     return data, EXIT_OK
 
 
 def cmd_bound(args: argparse.Namespace) -> tuple[dict, int]:
-    profiles = bnekrasov._profiles(parse_matrix(args.matrix_path))  # bounds and classes
+    profiles, data = _profiled(args)
     reports = bnekrasov.all_bounds(profiles, args.epsilon)
     if args.theorem != "all":
         wanted = args.theorem.replace("-", "_")
         reports = [r for r in reports if r.theorem.value == wanted]
-    data = {
-        "matrix": args.matrix_path,
-        "n": profiles.m_route.a.shape[0],
-        "bounds": [_report_entry(r) for r in reports],
-        "classification": asdict(bnekrasov.classify(profiles)),
-    }
+    data["bounds"] = [_report_entry(r) for r in reports]
+    data["classification"] = _fields(bnekrasov.classify(profiles))
     code = EXIT_OK if any(r.applicable for r in reports) else EXIT_NO_APPLICABLE_BOUND
     return data, code
 
@@ -129,20 +137,18 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[list[str], int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
-    m = parse_matrix(args.matrix_path)
-    profiles = bnekrasov._profiles(m)
+    profiles, data = _profiled(args)
+    m = profiles.m_route.a
     reports = bnekrasov.all_bounds(profiles, args.epsilon)
     kol = nekrasov._kolotilina(profiles.m_route.profile)
-    data = {"matrix": args.matrix_path, "n": m.shape[0], "oracle": None,
-            "bounds": [_report_entry(r) for r in reports], "kolotilina": _report_entry(kol),
-            "lemma_suite": None}
+    data.update(oracle=None, bounds=[_report_entry(r) for r in reports],
+                kolotilina=_report_entry(kol), lemma_suite=None)
     # A bound applies only where M is P by class, on profiles.route, and only
     # there is the vertex maximum the constant (see the oracle module).
     if not any(r.applicable for r in reports):
         return data, EXIT_NO_APPLICABLE_BOUND
     estimate = oracle_max_norm(m)
-    data["oracle"] = {"max_observed": estimate.max_observed, "argmax_d": estimate.argmax_d,
-                      "vertex_count": estimate.vertex_count}
+    data["oracle"] = _fields(estimate)
     ok = True
     for entry, report in zip(data["bounds"], reports):
         if report.applicable:
@@ -169,33 +175,16 @@ def cmd_lcp(args: argparse.Namespace) -> tuple[dict, int]:
     solution = solve_lcp(inst)
     applicable = [r for r in bnekrasov.all_bounds(m, args.epsilon) if r.applicable]
     best = min(applicable, key=lambda r: r.value) if applicable else None
-    certificates = []
-    all_hold = True
-    if best is not None:
-        for x in trial_points(solution.x_star, args.trials, args.seed):
-            cert = certify_error_bound(inst, x, best)
-            all_hold = all_hold and cert.holds
-            certificates.append({
-                "trial_x": cert.trial_x,
-                "residual_norm": cert.residual_norm,
-                "true_error": cert.true_error,
-                "holds": cert.holds,
-            })
-    data = {
-        "matrix": args.matrix_path,
-        "q": args.q_path,
-        "n": inst.n,
-        "x_star": solution.x_star,
-        "w_star": solution.w_star,
-        "basis": list(solution.basis),
-        "complementarity_gap": solution.complementarity_gap,
-        "bound": _report_entry(best) if best is not None else None,
-        "certificates": certificates,
-        "all_hold": all_hold if best is not None else None,
-    }
+    certificates = [] if best is None else [
+        certify_error_bound(inst, x, best)
+        for x in trial_points(solution.x_star, args.trials, args.seed)]
+    data = {"matrix": args.matrix_path, "q": args.q_path, "n": inst.n, **_fields(solution),
+            "bound": None if best is None else _report_entry(best),
+            "certificates": [_fields(cert, "bound_value") for cert in certificates],
+            "all_hold": None if best is None else all(cert.holds for cert in certificates)}
     if best is None:
         return data, EXIT_NO_APPLICABLE_BOUND
-    return data, EXIT_OK if all_hold else EXIT_ERROR
+    return data, EXIT_OK if data["all_hold"] else EXIT_ERROR
 
 
 class _Parser(argparse.ArgumentParser):

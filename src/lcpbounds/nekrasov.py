@@ -92,17 +92,17 @@ class NekrasovProfile:
 class BoundReport:
     """Outcome of one bound computation.
 
-    ``value`` is present iff ``applicable``; ``reason`` explains
-    inapplicability (``Overflow`` where the value left the float range).
-    ``intermediates`` holds the named vectors that entered the formula
-    (``w``, ``s``, ``h``, ``z``, ``eta``, ``beta``, ``delta`` as relevant).
+    ``value`` is present iff ``applicable``; ``reason`` explains inapplicability
+    (``Overflow`` where the value left the float range).  ``intermediates`` holds the
+    named vectors that entered the formula (``w``, ``s``, ``h``, ``z``, ``eta``, ``beta``,
+    ``delta`` as relevant).  The field order is the key order of the CLI's bound entries.
     """
 
     theorem: Theorem
     applicable: bool
-    value: float | None = None
     reason: str | None = None
     epsilon: float | None = None
+    value: float | None = None
     intermediates: dict[str, np.ndarray] = field(default_factory=dict)
 
 

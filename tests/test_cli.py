@@ -63,6 +63,26 @@ def not_p_file(tmp_path):
     return str(path)
 
 
+# The keys of each JSON report and of each record in it, in order.
+CLASSIFICATION_KEYS = ["is_sdd", "is_z_matrix", "is_nekrasov", "is_b_matrix", "is_b_nekrasov",
+                       "is_h_matrix", "is_p_matrix", "notes"]
+ORACLE_KEYS = ["max_observed", "argmax_d", "vertex_count"]
+LEMMA_SUITE_KEYS = ["target", "trials", "violations"]
+CERTIFICATE_KEYS = ["trial_x", "residual_norm", "true_error", "holds"]
+# Bound entries: applicable with and without an epsilon, and not applicable.
+AT_EPSILON = ["theorem", "applicable", "epsilon", "value"]
+APPLIES = ["theorem", "applicable", "value"]
+FAILS = ["theorem", "applicable", "reason"]
+DOMINATED = ["dominated"]  # verify's check on each applicable entry
+REPORT_KEYS = {
+    "classify": ["matrix", "n", "classification"],
+    "bound": ["matrix", "n", "bounds", "classification"],
+    "verify": ["matrix", "n", "oracle", "bounds", "kolotilina", "lemma_suite"],
+    "lcp": ["matrix", "q", "n", "x_star", "w_star", "basis", "complementarity_gap", "bound",
+            "certificates", "all_hold"],
+}
+
+
 class TestBound:
     def test_example2(self, capsys, data_dir):
         out, code = run(capsys, "bound", "--matrix", str(data_dir / "example2.txt"))
@@ -347,6 +367,18 @@ class TestVerify:
         assert payload["oracle"]["max_observed"] == 1.0
         assert bound_by_name(payload, "new_nekrasov")["dominated"] is True
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "FOUND 24: the members' PIVOT_RTOL rule reads the unscaled member "
+        "diag(1e15, 1) as singular, so verify exits 1 (ROADMAP direction 1)"))
+    def test_row_scaled_diagonal_reads_exactly_1(self, capsys, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text(format_matrix(np.diag([1e15, 1.0])))
+        out, code = run(capsys, "verify", "--matrix", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["oracle"]["max_observed"] == 1.0
+        assert payload["kolotilina"]["inverse_norm"] == 1.0
+
 
 class TestLcp:
     def test_identity(self, capsys, tmp_path):
@@ -574,10 +606,68 @@ class TestClassify:
         path = tmp_path / "m.txt"
         path.write_text(format_matrix(4.0 * np.eye(n) - 1.0))
         out, _ = run(capsys, command, "--matrix", str(path))
-        assert list(json.loads(out)["classification"]) == [
-            "is_sdd", "is_z_matrix", "is_nekrasov", "is_b_matrix", "is_b_nekrasov",
-            "is_h_matrix", "is_p_matrix", "notes",
-        ]
+        assert list(json.loads(out)["classification"]) == CLASSIFICATION_KEYS
+
+
+def record_keys(report):
+    """Each dict in a JSON report by its path (``""`` for the report itself,
+    ``bounds/0`` for an entry of a list), with its keys in order."""
+    records = {}
+
+    def walk(value, path):
+        if isinstance(value, dict):
+            records[path] = list(value)
+            for key, item in value.items():
+                walk(item, f"{path}/{key}".lstrip("/"))
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                walk(item, f"{path}/{i}")
+
+    walk(report, "")
+    return records
+
+
+def bound_entries(*entries):
+    return {f"bounds/{i}": keys for i, keys in enumerate(entries)}
+
+
+class TestReportKeys:
+    """Every record of every JSON report, with its keys in order: a field
+    added to a report shows up here as an edit."""
+
+    @pytest.mark.parametrize("command, matrix, records", [
+        ("classify", "example1", {"classification": CLASSIFICATION_KEYS}),
+        ("classify", "example3", {"classification": CLASSIFICATION_KEYS}),
+        ("bound", "example1", {**bound_entries(AT_EPSILON, APPLIES, AT_EPSILON, APPLIES),
+                               "classification": CLASSIFICATION_KEYS}),
+        ("bound", "example3", {**bound_entries(FAILS, FAILS, AT_EPSILON, APPLIES),
+                               "classification": CLASSIFICATION_KEYS}),
+        ("verify", "example1", {
+            "oracle": ORACLE_KEYS,
+            **bound_entries(AT_EPSILON + DOMINATED, APPLIES + DOMINATED,
+                            AT_EPSILON + DOMINATED, APPLIES + DOMINATED),
+            "kolotilina": APPLIES + ["inverse_norm", "dominates_inverse_norm"],
+            "lemma_suite": LEMMA_SUITE_KEYS}),
+        ("verify", "example3", {
+            "oracle": ORACLE_KEYS,
+            **bound_entries(FAILS, FAILS, AT_EPSILON + DOMINATED, APPLIES + DOMINATED),
+            "kolotilina": FAILS, "lemma_suite": LEMMA_SUITE_KEYS}),
+        ("verify", "not_p", {**bound_entries(FAILS, FAILS, FAILS, FAILS), "kolotilina": FAILS}),
+        ("lcp", "example1", {"bound": APPLIES, "certificates/0": CERTIFICATE_KEYS}),
+        ("lcp", "not_p", {}),
+    ])
+    def test_keys_in_order(self, capsys, data_dir, not_p_file, tmp_path, command, matrix,
+                           records):
+        path = not_p_file if matrix == "not_p" else str(data_dir / f"{matrix}.txt")
+        argv = [command, "--matrix", path]
+        if command == "lcp":
+            q = data_dir / "q_minus_ones.txt"
+            if matrix == "not_p":
+                q = tmp_path / "q.txt"
+                q.write_text("-1 -1\n")
+            argv += ["--q", str(q), "--trials", "1"]
+        out, _ = run(capsys, *argv)
+        assert record_keys(json.loads(out)) == {"": REPORT_KEYS[command], **records}
 
 
 def render_text(value, indent=0):
@@ -714,7 +804,7 @@ class TestDefaults:
     @staticmethod
     def check_verify(out, m):
         payload = json.loads(out)
-        assert list(payload["oracle"]) == ["max_observed", "argmax_d", "vertex_count"]
+        assert list(payload["oracle"]) == ORACLE_KEYS
         # no --epsilon: each parameterized bound at the midpoint of its interval
         assert bound_by_name(payload, "gp_nekrasov")["epsilon"] == (
             nekrasov.epsilon_interval_upper(m) / 2)

@@ -410,6 +410,18 @@ class TestIsPMatrix:
         m[14, 15] = m[15, 14] = 2.0
         assert not is_p_matrix(m)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "FOUND 50: each pivot is judged against 1e-12 of its row, which misreads "
+        "permuted unit triangular P-matrices (ROADMAP direction 2)"))
+    def test_permuted_unit_triangular_is_p(self):
+        # Each principal submatrix of L[p][:, p] is a symmetric permutation of
+        # one of L, which is unit lower triangular: every minor is exactly 1.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            lower = np.eye(20) + np.tril(rng.uniform(-200.0, 200.0, (20, 20)), -1)
+            p = rng.permutation(20)
+            assert is_p_matrix(lower[p][:, p]), seed
+
     def test_too_large(self):
         with pytest.raises(DimensionTooLarge):
             is_p_matrix(np.eye(21))
