@@ -32,6 +32,7 @@ raise the same positioned error.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 
@@ -71,7 +72,7 @@ def _parse_number(token: str, line: int, column: int) -> float:
         value = float(token)
     except ValueError:
         raise ParseError(line, column, f"not a number: {token!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(line, column, f"non-finite entry {token!r}")
     return value
 

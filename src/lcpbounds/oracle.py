@@ -14,15 +14,15 @@ minor ``det M_SS <= 0``, and on the segment ``d = t 1_S``, t from 0 to 1,
 norm is unbounded near there.  So no interior point adds information on
 either kind of input, and the vertex maximum is only a lower bound off P.
 
-The vertices are walked, not inverted one by one.  With ``w = _walk_width(n)``
-(``min(_WALK_BITS, n - _WALK_BITS)``, and 0 for n <= ``_WALK_BITS``), one
-walker starts from each of the 2**(n-w) settings of the first n - w
-coordinates, the last w set to 0, and a chunk of them is inverted in one
-``linalg._inverse_stack`` call.  Each walker then flips its last w
-coordinates in binary-reflected Gray order (Knuth, TAOCP 4A, 7.2.1.1).
-A flip of ``d_j`` switches row j of the member between ``e_j^T`` and
-``m_j^T``, so one Sherman-Morrison update, batched over the chunk, gives
-each walker's next inverse and norm in O(n^2).
+The vertices are walked, not inverted one by one.  One walker starts from
+each of the 2**(n-w) settings of the first n - w coordinates, the last
+w = ``_walk_width(n)`` = (n - 1) // 2 set to 0 (at n <= 2, w = 0: anchors
+only), and a chunk of them is inverted in one ``linalg._inverse_stack`` call.
+Each walker then flips its last w coordinates in binary-reflected Gray order
+(Knuth, TAOCP 4A, 7.2.1.1), 2**w - 1 sequential flips that this w balances
+against the 2**(n-w) anchors.  A flip of ``d_j`` switches row j of the member
+between ``e_j^T`` and ``m_j^T``, so one Sherman-Morrison update, batched over
+the chunk, gives each walker's next inverse and norm in O(n^2).
 
 The walk only ranks the vertices; LAPACK decides every output.  Each row of
 a member is a row of ``M`` or of ``I``, so ``max(1, ||M||_inf)`` bounds its
@@ -31,25 +31,26 @@ the member's condition number ``||A||_inf ||A^{-1}||_inf``, passes
 ``_WALK_COND_CAP``: one cap per call, ``_WALK_COND_CAP / max(1, ||M||_inf)``,
 which is 0 where a row sum passes the float range.  This also catches a zero
 or non-finite denominator; below the cap a walked norm is within about
-``2**w * cap * eps``, far less than ``_WALK_RTOL``, of its LAPACK value.
-Every vertex of a flagged walker, and every vertex whose walked norm lies
-within ``_WALK_RTOL`` of the largest unflagged walked norm so far, is
-evaluated again on LAPACK: each chunk is built with
-``nekrasov._scaled`` and inverted through ``_inverse_stack``, which sums the
-members' norms from that stack, as ``inverse`` does.  So the value and its
-argmax are those of a per-point LAPACK loop, ties keep the first point in
-that loop's order, and a member is singular only where LAPACK says so (an
-exact zero pivot, or one past the ``linalg.PIVOT_RTOL`` rule), which raises
-:class:`SingularMatrix`.  Where many vertices tie within ``_WALK_RTOL`` of
-the maximum, all go back, and the walk costs about as much as LAPACK alone
-(4095 of 4096 on the tests' ``random_bnekrasov(12, default_rng(2))``, whose
-maximum is 1 + 7 ulps).  At n = 16 each ``random_bnekrasov(16,
-default_rng(s))``, s = 0 to 3, has a maximum within 13 ulps of 1 and sends
-65535 of its 65536 vertices back: 69631 members with the 4096 anchors, and
-about 7 times the time of ``random_nekrasov(16, default_rng(0))``, which
-sends one.  A stack of members, or of walkers' inverses, holds at most
-``_CHUNK_ENTRIES`` float64 entries (about 256 KB per temporary), and
-vertices are decoded from integer ranges, so memory stays flat in n.
+``2**w * cap * eps`` of its LAPACK value, at most 2**9 * 1e6 * 2.2e-16 =
+1.1e-7 for n <= 20, less than ``_WALK_RTOL``.  Every vertex of a flagged
+walker, and every vertex whose walked norm lies within ``_WALK_RTOL`` of the
+largest unflagged walked norm so far, is evaluated again on LAPACK: each
+chunk is built with ``nekrasov._scaled`` and inverted through
+``_inverse_stack``, which sums the members' norms from that stack, as
+``inverse`` does.  So the value and its argmax are those of a per-point
+LAPACK loop, ties keep the first point in that loop's order, and a member is
+singular only where LAPACK says so (an exact zero pivot, or one past the
+``linalg.PIVOT_RTOL`` rule), which raises :class:`SingularMatrix`.  Where
+many vertices tie within ``_WALK_RTOL`` of the maximum, all go back, and the
+walk costs about as much as LAPACK alone (4095 of 4096 on the tests'
+``random_bnekrasov(12, default_rng(2))``, whose maximum is 1 + 7 ulps).  At
+n = 16 each ``random_bnekrasov(16, default_rng(s))``, s = 0 to 3, has a
+maximum within 13 ulps of 1 and sends 65535 of its 65536 vertices back:
+66047 members with the 512 anchors, and about 11 times the time of
+``random_nekrasov(16, default_rng(0))``, which sends one.  A stack of
+members, or of walkers' inverses, holds at most ``_CHUNK_ENTRIES`` float64
+entries (about 256 KB per temporary), and vertices are decoded from integer
+ranges, so memory stays flat in n.
 
 The lemma suite builds no members: the worst case of
 each scaling inequality over the cube is a vertex that one O(n^2) pass over
@@ -72,11 +73,8 @@ _ORACLE_MAX_N = 20
 # Upper limit on the float64 entries of one stacked chunk of family members.
 _CHUNK_ENTRIES = 32768
 
-# The vertex walk (see the module docstring): at most _WALK_BITS flipped
-# coordinates, at least 2**_WALK_BITS walkers.  A walked condition number past
-# _WALK_COND_CAP, far below PIVOT_RTOL's 1e14, flags its walker; walked norms
-# within a relative _WALK_RTOL of the walked maximum are evaluated again.
-_WALK_BITS = 4
+# The walk (module docstring): a walked condition number past _WALK_COND_CAP flags
+# its walker; walked norms within _WALK_RTOL of the walked maximum go back to LAPACK.
 _WALK_COND_CAP = 1e6
 _WALK_RTOL = 1e-6
 
@@ -165,20 +163,18 @@ def _vertex_candidates(mm: np.ndarray, chunk: int):
         cap = _WALK_COND_CAP / max(1.0, _inf_norms(mm))
     top = -np.inf
     for start in range(0, walkers, chunk):
-        ks = np.arange(start, min(start + chunk, walkers))
-        if w:  # else every vertex is an anchor, evaluated once, on LAPACK
-            walked, flagged = _walk(mm, ks, w, cap)
-            # A chunk that cannot hold the maximum sends nothing to LAPACK.
-            top = walked[~flagged].max(initial=top)
-            keep = (walked >= (1.0 - _WALK_RTOL) * top) | flagged[:, None]
-            ks = (start << w) + np.flatnonzero(keep)
+        walked, flagged = _walk(mm, np.arange(start, min(start + chunk, walkers)), w, cap)
+        # A chunk that cannot hold the maximum sends nothing to LAPACK.
+        top = walked[~flagged].max(initial=top)
+        keep = (walked >= (1.0 - _WALK_RTOL) * top) | flagged[:, None]
+        ks = (start << w) + np.flatnonzero(keep)
         for i in range(0, len(ks), chunk):
             yield _vertices(ks[i : i + chunk], n)
 
 
 def _walk_width(n: int) -> int:
     """The number of coordinates the walk flips at dimension n."""
-    return max(0, min(_WALK_BITS, n - _WALK_BITS))
+    return (n - 1) // 2
 
 
 def _walk(mm: np.ndarray, leads: np.ndarray, w: int, cap: float):

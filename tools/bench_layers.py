@@ -166,7 +166,7 @@ def _lcp(c):
 # limit is n = 15, the P-test's n = 20, and the oracle's, n = 20, takes
 # seconds per call.  classify also runs at the P-test's sizes, where its
 # inputs, all in their class, take no P-test.
-REFERENCE = OUT_DIR / "BENCH_solver-blocks.json"
+REFERENCE = OUT_DIR / "BENCH_walk-width.json"
 _BOUND = (150, 400, 7)
 LAYERS = {
     "parse_matrix": (_BOUND, lambda c: (partial(parse_matrix, c.path), {"entries": c.n**2})),
